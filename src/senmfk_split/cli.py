@@ -19,7 +19,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 import time
@@ -40,8 +39,8 @@ from .matrix_builder import SemanticConfig
 from .model_selection import SelectionConfig, child_seed
 from .nmf_core import NmfConfig
 from .split_pipeline import (
-    AssignmentResult,
     SplitConfig,
+    assign_documents,
     build_matrices,
     prepare_corpus,
     resolve_joint_selection,
@@ -358,7 +357,7 @@ def cmd_matrices(args: argparse.Namespace) -> int:
             raise DataError(f"{workspace / required} missing: run 'preprocess' first")
     manifest = _load_manifest(workspace, settings)
     corpus = load_jsonl_corpus(workspace / "corpus.jsonl", pre_tokenized=True)
-    vocab = load_vocabulary(workspace / "vocab.txt", corpus)
+    vocab = load_vocabulary(workspace / "vocab.txt")
     start = time.perf_counter()
     X, cooc, M = build_matrices(corpus, vocab, settings.semantic_config(), workspace)
     manifest.record(
@@ -503,7 +502,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         compute=lambda: stage_export(
             H, W, vocab, corpus, split_cfg.top_n_words, workspace
         ),
-        load=lambda: _load_export(workspace),
+        load=lambda: _load_export(workspace, H),
     )
     manifest.save(manifest_path)
     flags = []
@@ -521,7 +520,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _load_corpus_vocab(workspace: Path):
     corpus = load_jsonl_corpus(workspace / "corpus.jsonl", pre_tokenized=True)
-    vocab = load_vocabulary(workspace / "vocab.txt", corpus)
+    vocab = load_vocabulary(workspace / "vocab.txt")
     return corpus, vocab
 
 
@@ -532,16 +531,10 @@ def _load_factorization(workspace: Path, w_name: str, h_name: str, report_name: 
     return W, H, report
 
 
-def _load_export(workspace: Path):
-    rows = storage.read_histogram(workspace / "histogram.csv")
-    counts = np.array([c for _, c in rows], dtype=np.int64)
-    topics = storage.read_topics(workspace / "topics.json")
-    with (workspace / "assignments.csv").open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        assignments = np.array([int(row[1]) for row in reader], dtype=np.int64)
-    result = AssignmentResult(assignments=assignments, counts=counts, zero_columns=())
-    return result, topics
+def _load_export(workspace: Path, H: np.ndarray):
+    """The export stage's results without rewriting it: assignments, counts
+    and zero columns follow from the loaded H, topics from topics.json."""
+    return assign_documents(H), storage.read_topics(workspace / "topics.json")
 
 
 def cmd_report(args: argparse.Namespace) -> int:

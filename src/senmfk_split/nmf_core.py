@@ -8,6 +8,13 @@ Implements the alternating Lee-Seung updates
 together with the fixed-W variant used for document regression, a sparse-safe
 relative reconstruction error, the two-term diagnostic objective, and the
 multiplicative perturbation used to generate factorization ensembles.
+
+Inputs are validated and held as CSR, but the update loop runs on a dense
+copy when ``3 * nnz >= 2 * m * n``: a float64 array (8 bytes per cell) is
+then no larger than the CSR arrays it stands in for (8 bytes of value plus 4
+of column index per stored entry), so dense BLAS adds at most one copy of the
+input's own size.  Sparser inputs stay CSR.  The transpose is taken once per
+solve: a view for an array, a CSC view (no copy) for CSR.
 """
 
 from __future__ import annotations
@@ -87,20 +94,21 @@ def _check_nonnegative(X: sparse.csr_matrix, name: str) -> None:
         raise NonNegativityViolation(f"{name} must be non-negative and finite")
 
 
-def _residual_sq(X: sparse.csr_matrix, W: np.ndarray, H: np.ndarray, norm_sq: float) -> float:
-    """||X - WH||_F^2 without materializing X or WH whole.
+def _residual_sq(X, W: np.ndarray, H: np.ndarray, norm_sq: float) -> float:
+    """||X - WH||_F^2 without materializing WH whole; X is CSR or an ndarray.
 
     Small problems stream row blocks and subtract before squaring; large ones
-    use the Gram expansion over the sparse entries and the k x k factor
-    Grams, clamping the tiny negatives cancellation can produce."""
+    use the Gram expansion over the entries of X and the k x k factor Grams,
+    clamping the tiny negatives cancellation can produce."""
     m, n = X.shape
     if m * n <= _DENSE_EVAL_CELLS:
+        dense = isinstance(X, np.ndarray)
         rows_per_block = max(1, _BLOCK_CELLS // max(n, 1))
         total = 0.0
         for start in range(0, m, rows_per_block):
             stop = min(start + rows_per_block, m)
             block = W[start:stop] @ H
-            block -= X[start:stop].toarray()
+            block -= X[start:stop] if dense else X[start:stop].toarray()
             total += float(np.einsum("ij,ij->", block, block))
         return total
     cross = float(np.sum((X.T @ W) * H.T))
@@ -159,19 +167,22 @@ def _run_updates(
     eps = config.epsilon
     norm_sq = float((X.data**2).sum())
     norm = np.sqrt(norm_sq)
+    m, n = X.shape
+    A = X.toarray() if 3 * X.nnz >= 2 * m * n else X
+    AT = A.T
     trace: list[float] = []
     iters: list[int] = []
     prev: float | None = None
     gram_w = W.T @ W
     for it in range(1, config.max_iter + 1):
-        wtx = (X.T @ W).T
+        wtx = (AT @ W).T
         H *= wtx / (gram_w @ H + eps)
         if update_w:
             hht = H @ H.T
-            W *= (X @ H.T) / (W @ hht + eps)
+            W *= (A @ H.T) / (W @ hht + eps)
             gram_w = W.T @ W
         if it % _TRACE_STRIDE == 0 or it == config.max_iter:
-            resid = np.sqrt(_residual_sq(X, W, H, norm_sq))
+            resid = np.sqrt(_residual_sq(A, W, H, norm_sq))
             err = float(resid / norm) if norm > 0 else 0.0
             trace.append(err)
             iters.append(it)

@@ -159,9 +159,10 @@ def joint_factorize(
             silhouette_threshold=selection.silhouette_threshold,
             nmf=selection.nmf,
         )
-    report = nmfk(sparse.csr_matrix(Wcat), selection, threads=threads)
+    Wcat_csr = sparse.csr_matrix(Wcat)
+    report = nmfk(Wcat_csr, selection, threads=threads)
     W = report.consensus_W
-    Hstar = solve_h(sparse.csr_matrix(Wcat), W, _solver_config(selection.nmf))
+    Hstar = solve_h(Wcat_csr, W, _solver_config(selection.nmf))
     return W, Hstar, report
 
 

@@ -122,6 +122,26 @@ def nnls_projected_gradient(
     return H
 
 
+def mu_oracle(
+    X: np.ndarray,
+    W0: np.ndarray,
+    H0: np.ndarray,
+    iters: int,
+    update_w: bool,
+    eps: float = 1e-12,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lee-Seung multiplicative updates on a dense array, H then W per
+    iteration, for a fixed number of iterations; W stays fixed unless
+    ``update_w``."""
+    W = np.array(W0, dtype=np.float64)
+    H = np.array(H0, dtype=np.float64)
+    for _ in range(iters):
+        H = H * (W.T @ X) / (W.T @ W @ H + eps)
+        if update_w:
+            W = W * (X @ H.T) / (W @ H @ H.T + eps)
+    return W, H
+
+
 def frobenius_relative_error(X: np.ndarray, W: np.ndarray, H: np.ndarray) -> float:
     denom = np.linalg.norm(X)
     if denom == 0:

@@ -187,6 +187,29 @@ class TestRun:
             if name != "manifest.json":
                 assert before[name] == after[name], name
 
+    def test_resume_keeps_zero_column_note(self, corpus_file, tmp_path, monkeypatch, capsys):
+        # preprocess drops documents with no in-vocabulary terms, so an
+        # all-zero document column can only come out of the regression:
+        # zero one column of its H before export writes it
+        from senmfk_split import split_pipeline
+
+        solve = split_pipeline.final_regression
+
+        def regression_with_zero_column(X, W, config=None):
+            H = solve(X, W, config)
+            H[:, 0] = 0.0
+            return H
+
+        monkeypatch.setattr(split_pipeline, "final_regression", regression_with_zero_column)
+        path, _ = corpus_file
+        ws = tmp_path / "ws"
+        assert main(["run", str(path), "--workspace", str(ws)] + RUN_FLAGS) == 0
+        first = capsys.readouterr().out
+        assert "1 all-zero document columns" in first
+        assert main(["run", str(path), "--workspace", str(ws), "--resume"] + RUN_FLAGS) == 0
+        assert all(rec.resumed for rec in RunManifest.load(ws / "manifest.json").stages.values())
+        assert capsys.readouterr().out == first
+
     def test_resume_reruns_on_parameter_change(self, corpus_file, tmp_path):
         path, _ = corpus_file
         ws = tmp_path / "ws"

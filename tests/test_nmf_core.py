@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from oracles import frobenius_relative_error, nnls_projected_gradient
+from oracles import frobenius_relative_error, mu_oracle, nnls_projected_gradient
 from senmfk_split.errors import (
     DegenerateBasis,
     DimensionMismatch,
@@ -143,6 +143,39 @@ class TestSolveH:
             err = frobenius_relative_error(X_dense, W, H)
             err_oracle = frobenius_relative_error(X_dense, W, H_oracle)
             assert abs(err - err_oracle) < 1e-4
+
+
+class TestMatchesMuOracle:
+    """40 updates of the library kernel against the plain dense reference.
+    Density 1.0 runs the dense operand, 0.3 the sparse one."""
+
+    ITERS = 40
+
+    @pytest.mark.parametrize("density", [1.0, 0.3])
+    def test_nmf(self, rng, density):
+        X = random_nonneg(rng, 30, 24, density=density)
+        k, seed = 4, 5
+        m, n = X.shape
+        draws = np.random.default_rng(seed)
+        scale = X.sum() / (m * n) / k
+        W0 = draws.uniform(0.0, 1.0, size=(m, k)) * scale
+        H0 = draws.uniform(0.0, 1.0, size=(k, n)) * scale
+        pair = nmf(X, k, NmfConfig(seed=seed, max_iter=self.ITERS, tol=1e-15))
+        W, H = mu_oracle(X.toarray(), W0, H0, self.ITERS, update_w=True)
+        np.testing.assert_allclose(pair.W, W, rtol=1e-9)
+        np.testing.assert_allclose(pair.H, H, rtol=1e-9)
+
+    @pytest.mark.parametrize("density", [1.0, 0.3])
+    def test_solve_h(self, rng, density):
+        X = random_nonneg(rng, 30, 24, density=density)
+        W = rng.uniform(0.1, 1.0, size=(30, 4))
+        k, seed = 4, 6
+        m, n = X.shape
+        scale = X.sum() / (m * n) / k
+        H0 = np.random.default_rng(seed).uniform(0.0, 1.0, size=(k, n)) * scale
+        H = solve_h(X, W, NmfConfig(seed=seed, max_iter=self.ITERS, tol=1e-15))
+        _, H_ref = mu_oracle(X.toarray(), W, H0, self.ITERS, update_w=False)
+        np.testing.assert_allclose(H, H_ref, rtol=1e-9)
 
 
 class TestRelativeError:
