@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -79,37 +79,16 @@ class RunManifest:
         return True
 
     def save(self, path: str | Path) -> None:
-        payload = {
-            "version": self.version,
-            "config": self.config,
-            "input_digests": self.input_digests,
-            "stages": {
-                name: {
-                    "params": rec.params,
-                    "inputs": rec.inputs,
-                    "outputs": rec.outputs,
-                    "seconds": rec.seconds,
-                    "resumed": rec.resumed,
-                }
-                for name, rec in self.stages.items()
-            },
-        }
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8")
+        payload = json.dumps(asdict(self), indent=2, sort_keys=True)
+        Path(path).write_text(payload + "\n", "utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "RunManifest":
         payload = json.loads(Path(path).read_text("utf-8"))
-        manifest = cls(
+        stages = payload.get("stages", {})
+        return cls(
             version=payload["version"],
             config=payload["config"],
             input_digests=payload.get("input_digests", {}),
+            stages={name: StageRecord(**rec) for name, rec in stages.items()},
         )
-        for name, rec in payload.get("stages", {}).items():
-            manifest.stages[name] = StageRecord(
-                params=rec["params"],
-                inputs=rec["inputs"],
-                outputs=rec["outputs"],
-                seconds=rec["seconds"],
-                resumed=rec.get("resumed", False),
-            )
-        return manifest

@@ -11,8 +11,7 @@ basis.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -21,7 +20,6 @@ from .errors import DegenerateMatrix, InvalidRank, ShapeMismatch
 from .matrix_builder import canonicalize
 from .nmf_core import NmfConfig, nmf, perturb, relative_error, solve_h
 
-_EXACT_ASSIGNMENT_MAX_K = 12
 _MAX_CLUSTER_ROUNDS = 100
 _DISTANCE_DUST = 1e-12
 
@@ -95,27 +93,12 @@ def normalize_columns(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _match_columns(columns: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """One-to-one assignment of the k columns to the k centroids maximizing
-    cosine similarity: exact for k <= 12, greedy by descending similarity
-    otherwise.  Returns perm with perm[c] = cluster index for column c."""
+    total cosine similarity, solved exactly by linear_sum_assignment.
+    Returns perm with perm[c] = cluster index for column c."""
     sim = columns.T @ centroids  # (k columns) x (k centroids)
-    k = sim.shape[0]
-    if k <= _EXACT_ASSIGNMENT_MAX_K:
-        rows, cols = linear_sum_assignment(sim, maximize=True)
-        perm = np.empty(k, dtype=np.int64)
-        perm[rows] = cols
-        return perm
-    perm = np.full(k, -1, dtype=np.int64)
-    taken = np.zeros(k, dtype=bool)
-    order = np.argsort(-sim, axis=None, kind="stable")
-    assigned = 0
-    for flat in order:
-        c, j = divmod(int(flat), k)
-        if perm[c] == -1 and not taken[j]:
-            perm[c] = j
-            taken[j] = True
-            assigned += 1
-            if assigned == k:
-                break
+    rows, cols = linear_sum_assignment(sim, maximize=True)
+    perm = np.empty(sim.shape[0], dtype=np.int64)
+    perm[rows] = cols
     return perm
 
 
@@ -209,22 +192,13 @@ def silhouette(columns: np.ndarray, labels: np.ndarray) -> SilhouetteStats:
 def _ensemble_member(X, k, j, config: SelectionConfig, symmetric: bool) -> np.ndarray:
     base = config.nmf.seed
     Xp = perturb(X, config.delta, seed=child_seed(base, k, j, 0), symmetric=symmetric)
-    member_cfg = NmfConfig(
-        max_iter=config.nmf.max_iter,
-        tol=config.nmf.tol,
-        epsilon=config.nmf.epsilon,
-        seed=child_seed(base, k, j, 1),
-    )
-    pair = nmf(Xp, k, member_cfg)
+    pair = nmf(Xp, k, replace(config.nmf, seed=child_seed(base, k, j, 1)))
     unit, _ = normalize_columns(pair.W)
     return unit
 
 
 def nmfk(
-    X,
-    config: SelectionConfig,
-    symmetric_perturbation: bool = False,
-    threads: int = 1,
+    X, config: SelectionConfig, symmetric_perturbation: bool = False
 ) -> SelectionReport:
     """Scan ranks k_min..k_max and pick the number of latent factors.
 
@@ -248,36 +222,16 @@ def nmfk(
     p = config.n_perturbations
     ks = list(range(config.k_min, config.k_max + 1))
 
-    members: dict[tuple[int, int], np.ndarray] = {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {
-                (k, j): pool.submit(_ensemble_member, X, k, j, config, symmetric_perturbation)
-                for k in ks
-                for j in range(p)
-            }
-        members = {key: fut.result() for key, fut in futures.items()}
-    else:
-        for k in ks:
-            for j in range(p):
-                members[(k, j)] = _ensemble_member(X, k, j, config, symmetric_perturbation)
-
     per_k: list[RankRecord] = []
     centroids_by_k: dict[int, np.ndarray] = {}
     for k in ks:
-        ensemble = [members[(k, j)] for j in range(p)]
+        ensemble = [_ensemble_member(X, k, j, config, symmetric_perturbation) for j in range(p)]
         labels, centroids = cluster_columns(ensemble)
         stats = silhouette(np.hstack(ensemble), labels.ravel())
         if (np.linalg.norm(centroids, axis=0) == 0).any():
             err = 1.0  # dead consensus column: rank is unusable, worst-case fit
         else:
-            solve_cfg = NmfConfig(
-                max_iter=config.nmf.max_iter,
-                tol=config.nmf.tol,
-                epsilon=config.nmf.epsilon,
-                seed=child_seed(base, k, p, 2),
-            )
-            H = solve_h(X, centroids, solve_cfg)
+            H = solve_h(X, centroids, replace(config.nmf, seed=child_seed(base, k, p, 2)))
             err = relative_error(X, centroids, H)
         per_k.append(
             RankRecord(

@@ -4,26 +4,38 @@ The term-document matrix X and the word-context matrix M are factorized
 separately (each with its own automatic rank selection), their normalized
 topic bases are concatenated and factorized once more to merge co-linear
 factors into k common topics, and document coordinates are recovered by a
-final non-negative regression of X onto the merged basis.  Every stage
-persists its artifacts into a workspace directory so runs can be audited and
-restarted stage by stage.
+final non-negative regression of X onto the merged basis.
+
+The pipeline is written once, as the stage list :data:`STAGES`: preprocess,
+matrices, factorize_x, factorize_m, joint, regression and export.  Each
+:class:`Stage` names its manifest parameters, its input and output files, how
+to compute its value (persisting the outputs into the workspace) and how to
+load that value back from the outputs.  :func:`run_stages` executes a slice
+of the list and is the one runner behind every entry point: :func:`run_split`
+runs every stage without a manifest; the CLI runs all stages or a single one
+and records a manifest that is saved after every stage, so a run can be
+audited and resumed after the last stage that finished.
 """
 
 from __future__ import annotations
 
+import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 from scipy import sparse
 
 from .errors import (
+    DataError,
     NonNegativityViolation,
     PipelineStageError,
     SenmfkError,
     ShapeMismatch,
 )
+from .manifest import RunManifest, sha256_file, sha256_text
 from .matrix_builder import SemanticConfig, build_cooccurrence, build_tfidf, sppmi
 from .model_selection import (
     SelectionConfig,
@@ -41,10 +53,14 @@ from .text_pipeline import (
     drop_empty_documents,
     filter_documents,
     load_jsonl_corpus,
+    load_vocabulary,
     save_jsonl_corpus,
     save_vocabulary,
 )
 from . import storage
+
+INPUT = "input"  # the corpus file: the one stage input outside the workspace
+MANIFEST = "manifest.json"
 
 
 @dataclass(frozen=True)
@@ -62,7 +78,6 @@ class SplitConfig:
     top_n_words: int = 20
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     semantic: SemanticConfig = field(default_factory=SemanticConfig)
-    threads: int = 1
 
 
 @dataclass
@@ -81,6 +96,28 @@ class TopicModel:
     histogram: np.ndarray
     zero_documents: tuple[int, ...] = ()
 
+    @classmethod
+    def from_stages(cls, values: dict[str, Any]) -> TopicModel:
+        """The model from the values of a full :func:`run_stages` run."""
+        corpus, _vocab = values["preprocess"]
+        W1, _H1, report_x = values["factorize_x"]
+        W2, _H2, report_m = values["factorize_m"]
+        W, _Hstar, report_joint = values["joint"]
+        result, topics = values["export"]
+        return cls(
+            W=W,
+            H=values["regression"],
+            assignments=result.assignments,
+            topics=topics,
+            k1=W1.shape[1],
+            k2=W2.shape[1],
+            k=W.shape[1],
+            reports={"x": report_x, "m": report_m, "joint": report_joint},
+            doc_ids=corpus.ids(),
+            histogram=result.counts,
+            zero_documents=result.zero_columns,
+        )
+
 
 @dataclass(frozen=True)
 class AssignmentResult:
@@ -90,22 +127,22 @@ class AssignmentResult:
 
 
 def factorize_x(
-    X, selection: SelectionConfig, threads: int = 1
+    X, selection: SelectionConfig
 ) -> tuple[np.ndarray, np.ndarray, SelectionReport]:
     """Rank-select and factorize the term-document matrix; H1 is re-solved
     against the unperturbed X with the consensus basis."""
-    report = nmfk(X, selection, threads=threads)
+    report = nmfk(X, selection)
     W1 = report.consensus_W
     H1 = solve_h(X, W1, _solver_config(selection.nmf))
     return W1, H1, report
 
 
 def factorize_m(
-    M, selection: SelectionConfig, threads: int = 1
+    M, selection: SelectionConfig
 ) -> tuple[np.ndarray, np.ndarray, SelectionReport]:
     """Rank-select and factorize the word-context matrix.  Perturbations are
     applied symmetrically so every ensemble member stays symmetric."""
-    report = nmfk(M, selection, symmetric_perturbation=True, threads=threads)
+    report = nmfk(M, selection, symmetric_perturbation=True)
     W2 = report.consensus_W
     H2 = solve_h(M, W2, _solver_config(selection.nmf))
     return W2, H2, report
@@ -134,7 +171,7 @@ def default_joint_range(k1: int, k2: int, n_rows: int) -> tuple[int, int]:
 
 
 def joint_factorize(
-    Wcat: np.ndarray, selection: SelectionConfig, threads: int = 1
+    Wcat: np.ndarray, selection: SelectionConfig
 ) -> tuple[np.ndarray, np.ndarray, SelectionReport]:
     """Factorize the concatenated basis to merge co-linear topics.
 
@@ -147,20 +184,10 @@ def joint_factorize(
         raise ShapeMismatch("Wcat must be 2-D")
     if not np.isfinite(Wcat).all() or Wcat.min() < 0:
         raise NonNegativityViolation("Wcat must be non-negative and finite")
-    cap = min(Wcat.shape)
-    k_max = min(selection.k_max, cap)
-    k_min = min(selection.k_min, k_max)
-    if (k_min, k_max) != (selection.k_min, selection.k_max):
-        selection = SelectionConfig(
-            k_min=k_min,
-            k_max=k_max,
-            n_perturbations=selection.n_perturbations,
-            delta=selection.delta,
-            silhouette_threshold=selection.silhouette_threshold,
-            nmf=selection.nmf,
-        )
+    k_max = min(selection.k_max, min(Wcat.shape))
+    selection = replace(selection, k_min=min(selection.k_min, k_max), k_max=k_max)
     Wcat_csr = sparse.csr_matrix(Wcat)
-    report = nmfk(Wcat_csr, selection, threads=threads)
+    report = nmfk(Wcat_csr, selection)
     W = report.consensus_W
     Hstar = solve_h(Wcat_csr, W, _solver_config(selection.nmf))
     return W, Hstar, report
@@ -204,12 +231,7 @@ def top_words(
 
 
 def _solver_config(base: NmfConfig) -> NmfConfig:
-    return NmfConfig(
-        max_iter=base.max_iter,
-        tol=base.tol,
-        epsilon=base.epsilon,
-        seed=child_seed(base.seed, 11),
-    )
+    return replace(base, seed=child_seed(base.seed, 11))
 
 
 def resolve_joint_selection(
@@ -220,19 +242,9 @@ def resolve_joint_selection(
     if config.selection_joint is not None:
         return config.selection_joint
     lo, hi = default_joint_range(k1, k2, n_rows)
-    template = config.selection_x
-    return SelectionConfig(
-        k_min=lo,
-        k_max=hi,
-        n_perturbations=template.n_perturbations,
-        delta=template.delta,
-        silhouette_threshold=template.silhouette_threshold,
-        nmf=NmfConfig(
-            max_iter=template.nmf.max_iter,
-            tol=template.nmf.tol,
-            epsilon=template.nmf.epsilon,
-            seed=child_seed(template.nmf.seed, 3),
-        ),
+    nmf = config.selection_x.nmf
+    return replace(
+        config.selection_x, k_min=lo, k_max=hi, nmf=replace(nmf, seed=child_seed(nmf.seed, 3))
     )
 
 
@@ -277,9 +289,9 @@ def build_matrices(
 
 
 def stage_factorize_x(
-    X, selection: SelectionConfig, workspace: Path, threads: int = 1
+    X, selection: SelectionConfig, workspace: Path
 ) -> tuple[np.ndarray, np.ndarray, SelectionReport]:
-    W1, H1, report = factorize_x(X, selection, threads=threads)
+    W1, H1, report = factorize_x(X, selection)
     storage.write_dense(W1, workspace / "W1.mtx")
     storage.write_dense(H1, workspace / "H1.mtx")
     storage.write_selection_report(report, workspace / "selection_x.json")
@@ -287,9 +299,9 @@ def stage_factorize_x(
 
 
 def stage_factorize_m(
-    M, selection: SelectionConfig, workspace: Path, threads: int = 1
+    M, selection: SelectionConfig, workspace: Path
 ) -> tuple[np.ndarray, np.ndarray, SelectionReport]:
-    W2, H2, report = factorize_m(M, selection, threads=threads)
+    W2, H2, report = factorize_m(M, selection)
     storage.write_dense(W2, workspace / "W2.mtx")
     storage.write_dense(H2, workspace / "H2.mtx")
     storage.write_selection_report(report, workspace / "selection_m.json")
@@ -301,10 +313,9 @@ def stage_joint(
     W2: np.ndarray,
     selection: SelectionConfig,
     workspace: Path,
-    threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, SelectionReport]:
     Wcat = concat_normalized(W1, W2)
-    W, Hstar, report = joint_factorize(Wcat, selection, threads=threads)
+    W, Hstar, report = joint_factorize(Wcat, selection)
     storage.write_dense(W, workspace / "W.mtx")
     storage.write_dense(Hstar, workspace / "Hstar.mtx")
     storage.write_selection_report(report, workspace / "selection_joint.json")
@@ -338,55 +349,223 @@ def stage_export(
     return result, topics
 
 
+@dataclass(frozen=True)
+class Stage:
+    """One entry of the stage list.  Every callable takes the
+    :class:`PipelineRun`, whose ``values`` hold the results of the earlier
+    stages by stage name.
+
+    ``params`` gives the settings recorded in the manifest; ``inputs`` and
+    ``outputs`` name the files whose digests are recorded with them (names
+    are workspace files, except :data:`INPUT`).  ``compute`` runs the stage
+    and writes its outputs; ``load`` rebuilds the same value from them."""
+
+    name: str
+    params: Callable[[PipelineRun], dict[str, Any]]
+    inputs: tuple[str, ...]
+    outputs: tuple[str, ...]
+    compute: Callable[[PipelineRun], Any]
+    load: Callable[[PipelineRun], Any]
+
+
+@dataclass
+class PipelineRun:
+    """One execution of the stage list: its configuration, its workspace,
+    the corpus it reads, and the value of every stage run or loaded so far."""
+
+    config: SplitConfig
+    workspace: Path
+    corpus_path: str | Path | None = None
+    pre_tokenized: bool = False
+    values: dict[str, Any] = field(default_factory=dict)
+
+    def path(self, name: str) -> Path:
+        return Path(self.corpus_path) if name == INPUT else self.workspace / name
+
+
+def _selection_params(selection: SelectionConfig) -> dict[str, Any]:
+    params = asdict(selection)
+    params.update(params.pop("nmf"))
+    return params
+
+
+def _joint_selection(run: PipelineRun) -> SelectionConfig:
+    X = run.values["matrices"][0]
+    k1, k2 = run.values["factorize_x"][0].shape[1], run.values["factorize_m"][0].shape[1]
+    return resolve_joint_selection(run.config, k1, k2, X.shape[0])
+
+
+def _read_factorization(run: PipelineRun, w_name: str, h_name: str, report_name: str):
+    W = storage.read_dense(run.path(w_name))
+    H = storage.read_dense(run.path(h_name))
+    return W, H, storage.read_selection_report(run.path(report_name), W)
+
+
+# The stage functions are looked up as module globals when a stage runs, so a
+# rebinding of e.g. ``split_pipeline.stage_joint`` takes effect.
+STAGES: tuple[Stage, ...] = (
+    Stage(
+        "preprocess",
+        params=lambda r: {
+            "min_doc_tokens": r.config.pipeline.min_doc_tokens,
+            "min_df": r.config.pipeline.min_df,
+            "max_df_ratio": r.config.pipeline.max_df_ratio,
+            "stopwords_digest": sha256_text("\n".join(sorted(r.config.pipeline.stopwords))),
+            "pre_tokenized": r.pre_tokenized,
+        },
+        inputs=(INPUT,),
+        outputs=("corpus.jsonl", "vocab.txt"),
+        compute=lambda r: prepare_corpus(
+            r.corpus_path, r.config.pipeline, r.workspace, r.pre_tokenized
+        ),
+        load=lambda r: (
+            load_jsonl_corpus(r.path("corpus.jsonl"), pre_tokenized=True),
+            load_vocabulary(r.path("vocab.txt")),
+        ),
+    ),
+    Stage(
+        "matrices",
+        params=lambda r: asdict(r.config.semantic),
+        inputs=("corpus.jsonl", "vocab.txt"),
+        outputs=("X.mtx", "cooc.mtx", "M.mtx"),
+        compute=lambda r: build_matrices(*r.values["preprocess"], r.config.semantic, r.workspace),
+        load=lambda r: tuple(storage.read_sparse(r.path(n)) for n in ("X.mtx", "cooc.mtx", "M.mtx")),
+    ),
+    Stage(
+        "factorize_x",
+        params=lambda r: _selection_params(r.config.selection_x),
+        inputs=("X.mtx",),
+        outputs=("W1.mtx", "H1.mtx", "selection_x.json"),
+        compute=lambda r: stage_factorize_x(
+            r.values["matrices"][0], r.config.selection_x, r.workspace
+        ),
+        load=lambda r: _read_factorization(r, "W1.mtx", "H1.mtx", "selection_x.json"),
+    ),
+    Stage(
+        "factorize_m",
+        params=lambda r: _selection_params(r.config.selection_m),
+        inputs=("M.mtx",),
+        outputs=("W2.mtx", "H2.mtx", "selection_m.json"),
+        compute=lambda r: stage_factorize_m(
+            r.values["matrices"][2], r.config.selection_m, r.workspace
+        ),
+        load=lambda r: _read_factorization(r, "W2.mtx", "H2.mtx", "selection_m.json"),
+    ),
+    Stage(
+        "joint",
+        params=lambda r: _selection_params(_joint_selection(r)),
+        inputs=("W1.mtx", "W2.mtx"),
+        outputs=("W.mtx", "Hstar.mtx", "selection_joint.json"),
+        compute=lambda r: stage_joint(
+            r.values["factorize_x"][0], r.values["factorize_m"][0], _joint_selection(r), r.workspace
+        ),
+        load=lambda r: _read_factorization(r, "W.mtx", "Hstar.mtx", "selection_joint.json"),
+    ),
+    Stage(
+        "regression",
+        params=lambda r: {
+            "max_iter": r.config.selection_x.nmf.max_iter,
+            "tol": r.config.selection_x.nmf.tol,
+            "seed": r.config.selection_x.nmf.seed,
+        },
+        inputs=("X.mtx", "W.mtx"),
+        outputs=("H.mtx",),
+        compute=lambda r: stage_regression(
+            r.values["matrices"][0], r.values["joint"][0], r.config.selection_x.nmf, r.workspace
+        ),
+        load=lambda r: storage.read_dense(r.path("H.mtx")),
+    ),
+    Stage(
+        "export",
+        params=lambda r: {"top_n_words": r.config.top_n_words},
+        inputs=("H.mtx", "W.mtx", "vocab.txt", "corpus.jsonl"),
+        outputs=("topics.json", "assignments.csv", "histogram.csv"),
+        compute=lambda r: stage_export(
+            r.values["regression"],
+            r.values["joint"][0],
+            r.values["preprocess"][1],
+            r.values["preprocess"][0],
+            r.config.top_n_words,
+            r.workspace,
+        ),
+        # assignments, counts and zero columns follow from the loaded H
+        load=lambda r: (
+            assign_documents(r.values["regression"]),
+            storage.read_topics(r.path("topics.json")),
+        ),
+    ),
+)
+
+
+def run_stages(
+    run: PipelineRun,
+    manifest: RunManifest | None = None,
+    previous: RunManifest | None = None,
+    first: str | None = None,
+    last: str | None = None,
+) -> dict[str, Any]:
+    """Run the stages ``first``..``last`` (default: all) in list order and
+    return ``run.values``.
+
+    Earlier stages are loaded from their outputs, which must exist, and are
+    not recorded.  Each stage runs inside :func:`stage_scope`.  Without a
+    manifest nothing is digested or recorded.  With one, every stage is
+    recorded in it and the manifest is saved to the workspace after each
+    stage; a stage that ``previous`` records with the same parameters,
+    inputs and still-matching outputs is loaded instead of computed.
+    """
+    names = [stage.name for stage in STAGES]
+    begin = names.index(first) if first else 0
+    end = names.index(last) + 1 if last else len(STAGES)
+    for stage in STAGES[:begin]:
+        for name in stage.outputs:
+            if not run.path(name).is_file():
+                raise DataError(f"{run.path(name)} missing: run '{stage.name}' first")
+        run.values[stage.name] = stage.load(run)
+    digests: dict[str, str] = {}  # files digested so far in this run
+    for stage in STAGES[begin:end]:
+        with stage_scope(stage.name):
+            if manifest is None:
+                run.values[stage.name] = stage.compute(run)
+                continue
+            start = time.perf_counter()
+            params = stage.params(run)
+            inputs = {n: digests.get(n) or sha256_file(run.path(n)) for n in stage.inputs}
+            resumed = previous is not None and previous.can_skip(
+                stage.name, params, inputs, run.workspace
+            )
+            if resumed:
+                run.values[stage.name] = stage.load(run)
+                outputs = previous.stages[stage.name].outputs  # checked by can_skip
+            else:
+                run.values[stage.name] = stage.compute(run)
+                outputs = {n: sha256_file(run.path(n)) for n in stage.outputs}
+            digests.update(inputs)
+            digests.update(outputs)
+            if INPUT in inputs:
+                manifest.input_digests[INPUT] = inputs[INPUT]
+            manifest.record(
+                stage.name,
+                params=params,
+                inputs=inputs,
+                outputs=outputs,
+                seconds=time.perf_counter() - start,
+                resumed=resumed,
+            )
+            manifest.save(run.workspace / MANIFEST)
+    return run.values
+
+
 def run_split(
     corpus_path: str | Path,
     config: SplitConfig,
     workspace: str | Path,
     pre_tokenized: bool = False,
 ) -> TopicModel:
-    """Execute the whole pipeline and persist every artifact under
-    ``workspace``.  Stage failures are re-raised as PipelineStageError with
-    the stage name attached."""
+    """Execute the whole pipeline and persist every artifact (but no
+    manifest) under ``workspace``.  Stage failures are re-raised as
+    PipelineStageError with the stage name attached."""
     workspace = Path(workspace)
     workspace.mkdir(parents=True, exist_ok=True)
-
-    with stage_scope("preprocess"):
-        corpus, vocab = prepare_corpus(
-            corpus_path, config.pipeline, workspace, pre_tokenized=pre_tokenized
-        )
-    with stage_scope("matrices"):
-        X, _cooc, M = build_matrices(corpus, vocab, config.semantic, workspace)
-    with stage_scope("factorize_x"):
-        W1, _H1, report_x = stage_factorize_x(
-            X, config.selection_x, workspace, threads=config.threads
-        )
-    with stage_scope("factorize_m"):
-        W2, _H2, report_m = stage_factorize_m(
-            M, config.selection_m, workspace, threads=config.threads
-        )
-    with stage_scope("joint"):
-        k1, k2 = W1.shape[1], W2.shape[1]
-        selection_joint = resolve_joint_selection(config, k1, k2, X.shape[0])
-        W, _Hstar, report_joint = stage_joint(
-            W1, W2, selection_joint, workspace, threads=config.threads
-        )
-    with stage_scope("regression"):
-        H = stage_regression(X, W, config.selection_x.nmf, workspace)
-    with stage_scope("export"):
-        result, topics = stage_export(
-            H, W, vocab, corpus, config.top_n_words, workspace
-        )
-
-    return TopicModel(
-        W=W,
-        H=H,
-        assignments=result.assignments,
-        topics=topics,
-        k1=k1,
-        k2=k2,
-        k=W.shape[1],
-        reports={"x": report_x, "m": report_m, "joint": report_joint},
-        doc_ids=corpus.ids(),
-        histogram=result.counts,
-        zero_documents=result.zero_columns,
-    )
+    run = PipelineRun(config, workspace, corpus_path, pre_tokenized)
+    return TopicModel.from_stages(run_stages(run))

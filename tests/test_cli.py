@@ -9,6 +9,7 @@ from conftest import write_jsonl
 from oracles import cooccurrence_oracle, purity, tfidf_oracle, topic_corpus_jsonl
 from senmfk_split import storage
 from senmfk_split.cli import main, parse_config_file
+from senmfk_split.errors import NumericalError
 from senmfk_split.manifest import RunManifest
 from senmfk_split.text_pipeline import load_jsonl_corpus
 
@@ -54,6 +55,13 @@ class TestExitCodes:
     def test_missing_input_file_is_data_error(self, tmp_path):
         code = main(["preprocess", str(tmp_path / "nope.jsonl"), "--workspace", str(tmp_path)])
         assert code == 2
+
+    def test_invalid_setting_is_usage_error(self, corpus_file, tmp_path, capsys):
+        path, _ = corpus_file
+        code = main(["run", str(path), "--workspace", str(tmp_path / "ws"),
+                     "--kx-min", "5", "--kx-max", "2"])
+        assert code == 1
+        assert "k_min <= k_max" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # two tiny documents sharing one term: M degenerates at high shift
@@ -222,6 +230,45 @@ class TestRun:
         assert manifest.stages["preprocess"].resumed
         assert manifest.stages["matrices"].resumed
 
+    def test_resume_after_failed_stage(self, corpus_file, tmp_path, monkeypatch):
+        from senmfk_split import split_pipeline
+
+        def failing_joint(*args, **kwargs):
+            raise NumericalError("injected failure")
+
+        path, _ = corpus_file
+        clean, ws = tmp_path / "clean", tmp_path / "ws"
+        assert main(["run", str(path), "--workspace", str(clean)] + RUN_FLAGS) == 0
+        monkeypatch.setattr(split_pipeline, "stage_joint", failing_joint)
+        assert main(["run", str(path), "--workspace", str(ws)] + RUN_FLAGS) == 3
+        monkeypatch.undo()
+        assert main(["run", str(path), "--workspace", str(ws), "--resume"] + RUN_FLAGS) == 0
+        stages = RunManifest.load(ws / "manifest.json").stages
+        assert {name: rec.resumed for name, rec in stages.items()} == {
+            "preprocess": True,
+            "matrices": True,
+            "factorize_x": True,
+            "factorize_m": True,
+            "joint": False,
+            "regression": False,
+            "export": False,
+        }
+        names = sorted(p.name for p in clean.iterdir() if p.name != "manifest.json")
+        assert names == sorted(p.name for p in ws.iterdir() if p.name != "manifest.json")
+        for name in names:
+            assert (clean / name).read_bytes() == (ws / name).read_bytes(), name
+
+    def test_resume_after_single_stage_commands(self, corpus_file, tmp_path):
+        # preprocess and matrices record the same stages that run resumes
+        path, _ = corpus_file
+        ws = tmp_path / "ws"
+        assert main(["preprocess", str(path), "--workspace", str(ws)]) == 0
+        assert main(["matrices", "--workspace", str(ws), "--shift", "1"]) == 0
+        assert main(["run", str(path), "--workspace", str(ws), "--resume"] + RUN_FLAGS) == 0
+        stages = RunManifest.load(ws / "manifest.json").stages
+        assert stages["preprocess"].resumed and stages["matrices"].resumed
+        assert not stages["factorize_x"].resumed
+
     def test_manifest_snapshot_complete(self, corpus_file, tmp_path):
         path, _ = corpus_file
         ws = tmp_path / "ws"
@@ -250,6 +297,14 @@ class TestConfigFile:
         manifest = RunManifest.load(ws / "manifest.json")
         assert manifest.config["seed"] == 11  # flag beats file
         assert manifest.config["perturbations"] == 5  # file beats default
+
+    def test_bad_value_is_data_error(self, corpus_file, tmp_path, capsys):
+        path, _ = corpus_file
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("seed = abc\n")
+        code = main(["run", str(path), "--workspace", str(tmp_path / "ws"), "--config", str(cfg)])
+        assert code == 2
+        assert "DataError" in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -69,7 +69,7 @@ class TestClusterColumns:
             cluster_columns([unit_columns(rng, 5, 2), unit_columns(rng, 5, 3)])
 
     def test_greedy_path_above_twelve(self, rng):
-        # k = 14 exercises the greedy matcher; permuted identity still resolves
+        # a larger k: exact assignment still resolves a permuted identity
         k = 14
         B = np.eye(k)
         perm = rng.permutation(k)
@@ -196,16 +196,6 @@ class TestNmfk:
         assert a.chosen_k == b.chosen_k
         np.testing.assert_array_equal(a.consensus_W, b.consensus_W)
         assert a.per_k == b.per_k
-
-    def test_threads_match_sequential(self, rng):
-        X = sparse.csr_matrix(separated_topics_problem(rng, 3, rows_per_topic=6, docs_per_topic=10))
-        cfg = SelectionConfig(
-            k_min=2, k_max=4, n_perturbations=4, nmf=NmfConfig(max_iter=150, tol=1e-6, seed=9)
-        )
-        seq = nmfk(X, cfg, threads=1)
-        par = nmfk(X, cfg, threads=4)
-        assert seq.chosen_k == par.chosen_k
-        np.testing.assert_array_equal(seq.consensus_W, par.consensus_W)
 
     def test_silhouettes_bounded(self, rng):
         X = sparse.csr_matrix(rng.uniform(0.0, 1.0, (15, 20)))
