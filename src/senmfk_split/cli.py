@@ -91,66 +91,48 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-def _resolve(key: str, flags: argparse.Namespace, file_cfg: dict[str, str]) -> Any:
-    attr = key.replace("-", "_")
-    flag_value = getattr(flags, attr, None)
-    if flag_value is not None:
-        return flag_value
-    default, kind, _ = _OPTIONS[key]
-    if key in file_cfg:
-        try:
-            return kind(file_cfg[key])
-        except ValueError as exc:
-            raise DataError(f"config key {key!r}: {exc}") from exc
-    return default
+def _resolve(flags: argparse.Namespace, file_cfg: dict[str, str]) -> dict[str, Any]:
+    """Every setting by key: the flag if set, else the config file, else the
+    default."""
+    settings: dict[str, Any] = {}
+    for key, (default, kind, _) in _OPTIONS.items():
+        value = getattr(flags, key.replace("-", "_"), None)
+        if value is None and key in file_cfg:
+            try:
+                value = kind(file_cfg[key])
+            except ValueError as exc:
+                raise DataError(f"config key {key!r}: {exc}") from exc
+        settings[key] = default if value is None else value
+    return settings
 
 
-class Settings:
-    """All resolved parameters for one invocation."""
-
-    def __init__(self, flags: argparse.Namespace, file_cfg: dict[str, str]):
-        for key in _OPTIONS:
-            setattr(self, key.replace("-", "_"), _resolve(key, flags, file_cfg))
-        self.stopwords_path = getattr(flags, "stopwords", None)
-        self.pre_tokenized = bool(getattr(flags, "pre_tokenized", False))
-        if self.stopwords_path:
-            self.stopwords = load_stopwords(self.stopwords_path)
-        else:
-            self.stopwords = default_stopwords()
-
-    def _selection(self, k_min: int, k_max: int, tag: int) -> SelectionConfig:
+def _split_config(s: dict[str, Any], stopwords: frozenset[str]) -> SplitConfig:
+    def selection(k_min: int, k_max: int, tag: int) -> SelectionConfig:
         return SelectionConfig(
             k_min=k_min,
             k_max=k_max,
-            n_perturbations=self.perturbations,
-            delta=self.delta,
-            silhouette_threshold=self.sil_threshold,
-            nmf=NmfConfig(max_iter=self.max_iter, tol=self.tol, seed=child_seed(self.seed, tag)),
+            n_perturbations=s["perturbations"],
+            delta=s["delta"],
+            silhouette_threshold=s["sil-threshold"],
+            nmf=NmfConfig(max_iter=s["max-iter"], tol=s["tol"], seed=child_seed(s["seed"], tag)),
         )
 
-    def split_config(self) -> SplitConfig:
-        joint = (self.kj_min, self.kj_max)
-        if None in joint and joint != (None, None):
-            raise CliUsage("set both --kj-min and --kj-max or neither")
-        return SplitConfig(
-            selection_x=self._selection(self.kx_min, self.kx_max, 1),
-            selection_m=self._selection(self.km_min, self.km_max, 2),
-            selection_joint=None if None in joint else self._selection(*joint, 3),
-            top_n_words=self.top_n_words,
-            pipeline=PipelineConfig(
-                min_doc_tokens=self.min_doc_tokens,
-                min_df=self.min_df,
-                max_df_ratio=self.max_df,
-                stopwords=self.stopwords,
-            ),
-            semantic=SemanticConfig(window=self.window, shift=self.shift),
-        )
-
-    def snapshot(self) -> dict[str, Any]:
-        cfg = {key: getattr(self, key.replace("-", "_")) for key in _OPTIONS}
-        cfg["stopwords_digest"] = sha256_text("\n".join(sorted(self.stopwords)))
-        cfg["pre_tokenized"] = self.pre_tokenized
-        return cfg
+    joint = (s["kj-min"], s["kj-max"])
+    if None in joint and joint != (None, None):
+        raise CliUsage("set both --kj-min and --kj-max or neither")
+    return SplitConfig(
+        selection_x=selection(s["kx-min"], s["kx-max"], 1),
+        selection_m=selection(s["km-min"], s["km-max"], 2),
+        selection_joint=None if None in joint else selection(*joint, 3),
+        top_n_words=s["top-n-words"],
+        pipeline=PipelineConfig(
+            min_doc_tokens=s["min-doc-tokens"],
+            min_df=s["min-df"],
+            max_df_ratio=s["max-df"],
+            stopwords=stopwords,
+        ),
+        semantic=SemanticConfig(window=s["window"], shift=s["shift"]),
+    )
 
 
 def _workspace(args: argparse.Namespace) -> Path:
@@ -210,41 +192,47 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _pipeline(args: argparse.Namespace) -> tuple[Settings, PipelineRun]:
-    """Resolved settings and the pipeline run they configure."""
+def _pipeline(args: argparse.Namespace) -> tuple[dict[str, Any], PipelineRun]:
+    """The configuration recorded in the manifest (every resolved setting,
+    the stopword digest and the input format) and the pipeline run it
+    configures."""
     workspace = _workspace(args)
     config_path = getattr(args, "config", None)
     file_cfg = parse_config_file(config_path) if config_path else {}
+    stopwords_path = getattr(args, "stopwords", None)
+    pre_tokenized = bool(getattr(args, "pre_tokenized", False))
     try:
-        settings = Settings(args, file_cfg)
-        config = settings.split_config()
+        settings = _resolve(args, file_cfg)
+        stopwords = load_stopwords(stopwords_path) if stopwords_path else default_stopwords()
+        config = _split_config(settings, stopwords)
     except ValueError as exc:
         raise CliUsage(str(exc)) from exc
-    run = PipelineRun(config, workspace, getattr(args, "input", None), settings.pre_tokenized)
+    settings["stopwords_digest"] = sha256_text("\n".join(sorted(stopwords)))
+    settings["pre_tokenized"] = pre_tokenized
+    run = PipelineRun(config, workspace, getattr(args, "input", None), pre_tokenized)
     return settings, run
 
 
-def _merged_manifest(settings: Settings, run: PipelineRun) -> RunManifest:
-    """The workspace's manifest with this invocation's configuration, so a
-    single stage adds to the record of the others."""
+def _merged_manifest(args: argparse.Namespace) -> tuple[PipelineRun, RunManifest]:
+    """The pipeline run and the workspace's manifest with this invocation's
+    configuration, so a single stage adds to the record of the others."""
+    settings, run = _pipeline(args)
     path = run.workspace / MANIFEST
     manifest = RunManifest.load(path) if path.is_file() else RunManifest(__version__, {})
     manifest.version = __version__
-    manifest.config = settings.snapshot()
-    return manifest
+    manifest.config = settings
+    return run, manifest
 
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
-    settings, run = _pipeline(args)
-    manifest = _merged_manifest(settings, run)
+    run, manifest = _merged_manifest(args)
     corpus, vocab = run_stages(run, manifest, last="preprocess")["preprocess"]
     print(f"{len(corpus)} documents, {len(vocab)} terms -> {run.workspace}")
     return 0
 
 
 def cmd_matrices(args: argparse.Namespace) -> int:
-    settings, run = _pipeline(args)
-    manifest = _merged_manifest(settings, run)
+    run, manifest = _merged_manifest(args)
     X, cooc, M = run_stages(run, manifest, first="matrices", last="matrices")["matrices"]
     print(
         f"X {X.shape} ({X.nnz} nnz), cooc {cooc.shape} ({cooc.nnz} nnz), "
@@ -257,7 +245,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     settings, run = _pipeline(args)
     path = run.workspace / MANIFEST
     previous = RunManifest.load(path) if args.resume and path.is_file() else None
-    manifest = RunManifest(version=__version__, config=settings.snapshot())
+    manifest = RunManifest(version=__version__, config=settings)
     model = TopicModel.from_stages(run_stages(run, manifest, previous))
     flags = []
     if any(report.fallback for report in model.reports.values()):
@@ -293,31 +281,16 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except CliUsage as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliUsage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except PipelineStageError as exc:
-        cause = exc.cause
-        code = 2 if isinstance(cause, (DataError, OSError)) else 3
+    except (SenmfkError, OSError) as exc:
+        cause = exc.cause if isinstance(exc, PipelineStageError) else exc
         print(f"error: {type(cause).__name__}: {exc}", file=sys.stderr)
-        return code
-    except DataError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except SenmfkError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(cause, (DataError, OSError)) else 3
 
 
 def entry_point() -> None:

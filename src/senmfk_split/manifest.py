@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
+
+from .errors import DataError
 
 
 def sha256_file(path: str | Path) -> str:
@@ -79,16 +82,18 @@ class RunManifest:
         return True
 
     def save(self, path: str | Path) -> None:
-        payload = json.dumps(asdict(self), indent=2, sort_keys=True)
-        Path(path).write_text(payload + "\n", "utf-8")
+        """Write to a temporary file beside ``path``, then rename it into
+        place, so a crash mid-save leaves the previous manifest whole."""
+        tmp = Path(f"{path}.tmp")
+        tmp.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n", "utf-8")
+        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path: str | Path) -> "RunManifest":
-        payload = json.loads(Path(path).read_text("utf-8"))
-        stages = payload.get("stages", {})
-        return cls(
-            version=payload["version"],
-            config=payload["config"],
-            input_digests=payload.get("input_digests", {}),
-            stages={name: StageRecord(**rec) for name, rec in stages.items()},
-        )
+        """Raises DataError when the file is not a manifest."""
+        try:
+            payload = json.loads(Path(path).read_text("utf-8"))
+            stages = payload.pop("stages", {})
+            return cls(**payload, stages={name: StageRecord(**rec) for name, rec in stages.items()})
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise DataError(f"{path}: not a valid manifest: {exc!r}") from exc

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DegenerateMatrix, DimensionMismatch, EmptyColumn
-from .text_pipeline import Corpus, Vocabulary
+from .text_pipeline import Corpus, Document, Vocabulary
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,14 @@ def canonicalize(mat) -> sparse.csr_matrix:
     return out
 
 
+def _term_ids(doc: Document, index_of: dict[str, int]) -> np.ndarray:
+    """The vocabulary id of every token position of ``doc``; -1 marks an
+    out-of-vocabulary token."""
+    return np.fromiter(
+        (index_of.get(t, -1) for t in doc.tokens), dtype=np.int64, count=len(doc.tokens)
+    )
+
+
 def build_tfidf(corpus: Corpus, vocab: Vocabulary) -> sparse.csr_matrix:
     """TF-IDF matrix, terms x documents.
 
@@ -51,27 +59,18 @@ def build_tfidf(corpus: Corpus, vocab: Vocabulary) -> sparse.csr_matrix:
     Raises EmptyColumn if any document has no in-vocabulary tokens.
     """
     m, n = len(vocab), len(corpus)
-    index_of = vocab.index_of
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[int] = []
-    df = np.zeros(m, dtype=np.int64)
-    for j, doc in enumerate(corpus):
-        counts: dict[int, int] = {}
-        for t in doc.tokens:
-            i = index_of.get(t)
-            if i is not None:
-                counts[i] = counts.get(i, 0) + 1
-        if not counts:
+    per_doc = []
+    for doc in corpus:
+        ids = _term_ids(doc, vocab.index_of)
+        ids = ids[ids >= 0]
+        if ids.size == 0:
             raise EmptyColumn(f"document {doc.id!r} has no in-vocabulary tokens")
-        for i in sorted(counts):
-            rows.append(i)
-            cols.append(j)
-            vals.append(counts[i])
-            df[i] += 1
-    tf = sparse.csr_matrix(
-        (np.asarray(vals, dtype=np.float64), (rows, cols)), shape=(m, n)
-    )
+        per_doc.append(ids)
+    rows = np.concatenate([np.empty(0, dtype=np.int64), *per_doc])
+    cols = np.repeat(np.arange(n), [ids.size for ids in per_doc])
+    # one (term, document) entry per token; canonicalize sums them into counts
+    tf = canonicalize(sparse.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(m, n)))
+    df = np.diff(tf.indptr)
     idf = np.log((1.0 + n) / (1.0 + df)) + 1.0
     weighted = sparse.diags(idf) @ tf
     weighted = canonicalize(weighted)
@@ -91,14 +90,11 @@ def build_cooccurrence(
     Windows never cross document boundaries.
     """
     m = len(vocab)
-    index_of = vocab.index_of
     w = config.window
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     for doc in corpus:
-        idx = np.fromiter(
-            (index_of.get(t, -1) for t in doc.tokens), dtype=np.int64, count=len(doc.tokens)
-        )
+        idx = _term_ids(doc, vocab.index_of)
         L = idx.size
         for d in range(1, min(w, L)):
             a = idx[: L - d]

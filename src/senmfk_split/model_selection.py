@@ -169,18 +169,15 @@ def silhouette(columns: np.ndarray, labels: np.ndarray) -> SilhouetteStats:
     cluster_dist = np.zeros((n, k))
     for c in range(k):
         cluster_dist[:, c] = dist[:, labels == c].sum(axis=1)
-    own = labels
-    scores = np.zeros(n)
-    for i in range(n):
-        size_own = sizes[own[i]]
-        if size_own == 1:
-            scores[i] = 0.0
-            continue
-        a = cluster_dist[i, own[i]] / (size_own - 1)
-        other = [c for c in range(k) if c != own[i]]
-        b = min(cluster_dist[i, c] / sizes[c] for c in other)
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    points = np.arange(n)
+    own_size = sizes[labels]
+    a = cluster_dist[points, labels] / np.maximum(own_size - 1, 1)  # singletons: 0 / 1
+    mean_dist = cluster_dist / sizes
+    mean_dist[points, labels] = np.inf
+    b = mean_dist.min(axis=1)
+    denom = np.maximum(a, b)
+    # a singleton, or a point at distance 0 from everything, scores 0
+    scores = np.divide(b - a, denom, out=np.zeros(n), where=(own_size > 1) & (denom > 0))
     per_cluster = tuple(float(scores[labels == c].min()) for c in range(k))
     return SilhouetteStats(
         per_cluster_min=per_cluster,
@@ -244,16 +241,9 @@ def nmfk(
         centroids_by_k[k] = centroids
 
     stable = [r.k for r in per_k if r.min_silhouette >= config.silhouette_threshold]
-    if stable:
-        chosen = max(stable)
-        fallback = False
-    else:
-        best = per_k[0]
-        for rec in per_k[1:]:
-            if rec.min_silhouette > best.min_silhouette:  # ties keep smaller k
-                best = rec
-        chosen = best.k
-        fallback = True
+    fallback = not stable
+    # max returns the first maximum, so a fallback tie keeps the smaller k
+    chosen = max(stable) if stable else max(per_k, key=lambda r: r.min_silhouette).k
     return SelectionReport(
         per_k=per_k,
         chosen_k=chosen,

@@ -4,7 +4,9 @@ The term-document matrix X and the word-context matrix M are factorized
 separately (each with its own automatic rank selection), their normalized
 topic bases are concatenated and factorized once more to merge co-linear
 factors into k common topics, and document coordinates are recovered by a
-final non-negative regression of X onto the merged basis.
+final non-negative regression of X onto the merged basis.  The three
+factorizations share one body and save W, H and the selection report under a
+named file triple (:data:`FACTORS_X`, :data:`FACTORS_M`, :data:`FACTORS_JOINT`).
 
 The pipeline is written once, as the stage list :data:`STAGES`: preprocess,
 matrices, factorize_x, factorize_m, joint, regression and export.  Each
@@ -61,6 +63,12 @@ from . import storage
 
 INPUT = "input"  # the corpus file: the one stage input outside the workspace
 MANIFEST = "manifest.json"
+# The files of a factorization stage: basis W, coefficients H, selection report.
+FACTORS_X = ("W1.mtx", "H1.mtx", "selection_x.json")
+FACTORS_M = ("W2.mtx", "H2.mtx", "selection_m.json")
+FACTORS_JOINT = ("W.mtx", "Hstar.mtx", "selection_joint.json")
+# A factorization: basis W, coefficients H, and the rank scan behind them.
+Factors = tuple[np.ndarray, np.ndarray, SelectionReport]
 
 
 @dataclass(frozen=True)
@@ -126,26 +134,23 @@ class AssignmentResult:
     zero_columns: tuple[int, ...]
 
 
-def factorize_x(
-    X, selection: SelectionConfig
-) -> tuple[np.ndarray, np.ndarray, SelectionReport]:
-    """Rank-select and factorize the term-document matrix; H1 is re-solved
-    against the unperturbed X with the consensus basis."""
-    report = nmfk(X, selection)
-    W1 = report.consensus_W
-    H1 = solve_h(X, W1, _solver_config(selection.nmf))
-    return W1, H1, report
+def _factorize(A, selection: SelectionConfig, symmetric_perturbation: bool = False) -> Factors:
+    """Rank-select with NMFk, then re-solve H against the unperturbed ``A``
+    with the consensus basis."""
+    report = nmfk(A, selection, symmetric_perturbation=symmetric_perturbation)
+    W = report.consensus_W
+    return W, solve_h(A, W, _solver_config(selection.nmf)), report
 
 
-def factorize_m(
-    M, selection: SelectionConfig
-) -> tuple[np.ndarray, np.ndarray, SelectionReport]:
+def factorize_x(X, selection: SelectionConfig) -> Factors:
+    """Rank-select and factorize the term-document matrix."""
+    return _factorize(X, selection)
+
+
+def factorize_m(M, selection: SelectionConfig) -> Factors:
     """Rank-select and factorize the word-context matrix.  Perturbations are
     applied symmetrically so every ensemble member stays symmetric."""
-    report = nmfk(M, selection, symmetric_perturbation=True)
-    W2 = report.consensus_W
-    H2 = solve_h(M, W2, _solver_config(selection.nmf))
-    return W2, H2, report
+    return _factorize(M, selection, symmetric_perturbation=True)
 
 
 def concat_normalized(W1: np.ndarray, W2: np.ndarray) -> np.ndarray:
@@ -170,9 +175,7 @@ def default_joint_range(k1: int, k2: int, n_rows: int) -> tuple[int, int]:
     return min(lo, hi), hi
 
 
-def joint_factorize(
-    Wcat: np.ndarray, selection: SelectionConfig
-) -> tuple[np.ndarray, np.ndarray, SelectionReport]:
+def joint_factorize(Wcat: np.ndarray, selection: SelectionConfig) -> Factors:
     """Factorize the concatenated basis to merge co-linear topics.
 
     The scan is clamped to [1, min(rows, cols)] of Wcat, which enforces the
@@ -186,11 +189,7 @@ def joint_factorize(
         raise NonNegativityViolation("Wcat must be non-negative and finite")
     k_max = min(selection.k_max, min(Wcat.shape))
     selection = replace(selection, k_min=min(selection.k_min, k_max), k_max=k_max)
-    Wcat_csr = sparse.csr_matrix(Wcat)
-    report = nmfk(Wcat_csr, selection)
-    W = report.consensus_W
-    Hstar = solve_h(Wcat_csr, W, _solver_config(selection.nmf))
-    return W, Hstar, report
+    return _factorize(sparse.csr_matrix(Wcat), selection)
 
 
 def final_regression(X, W: np.ndarray, config: NmfConfig | None = None) -> np.ndarray:
@@ -288,38 +287,27 @@ def build_matrices(
     return X, cooc, M
 
 
-def stage_factorize_x(
-    X, selection: SelectionConfig, workspace: Path
-) -> tuple[np.ndarray, np.ndarray, SelectionReport]:
-    W1, H1, report = factorize_x(X, selection)
-    storage.write_dense(W1, workspace / "W1.mtx")
-    storage.write_dense(H1, workspace / "H1.mtx")
-    storage.write_selection_report(report, workspace / "selection_x.json")
-    return W1, H1, report
+def _write_factorization(result: Factors, names: tuple[str, str, str], workspace: Path) -> Factors:
+    W, H, report = result
+    storage.write_dense(W, workspace / names[0])
+    storage.write_dense(H, workspace / names[1])
+    storage.write_selection_report(report, workspace / names[2])
+    return result
 
 
-def stage_factorize_m(
-    M, selection: SelectionConfig, workspace: Path
-) -> tuple[np.ndarray, np.ndarray, SelectionReport]:
-    W2, H2, report = factorize_m(M, selection)
-    storage.write_dense(W2, workspace / "W2.mtx")
-    storage.write_dense(H2, workspace / "H2.mtx")
-    storage.write_selection_report(report, workspace / "selection_m.json")
-    return W2, H2, report
+def stage_factorize_x(X, selection: SelectionConfig, workspace: Path) -> Factors:
+    return _write_factorization(factorize_x(X, selection), FACTORS_X, workspace)
+
+
+def stage_factorize_m(M, selection: SelectionConfig, workspace: Path) -> Factors:
+    return _write_factorization(factorize_m(M, selection), FACTORS_M, workspace)
 
 
 def stage_joint(
-    W1: np.ndarray,
-    W2: np.ndarray,
-    selection: SelectionConfig,
-    workspace: Path,
-) -> tuple[np.ndarray, np.ndarray, SelectionReport]:
-    Wcat = concat_normalized(W1, W2)
-    W, Hstar, report = joint_factorize(Wcat, selection)
-    storage.write_dense(W, workspace / "W.mtx")
-    storage.write_dense(Hstar, workspace / "Hstar.mtx")
-    storage.write_selection_report(report, workspace / "selection_joint.json")
-    return W, Hstar, report
+    W1: np.ndarray, W2: np.ndarray, selection: SelectionConfig, workspace: Path
+) -> Factors:
+    result = joint_factorize(concat_normalized(W1, W2), selection)
+    return _write_factorization(result, FACTORS_JOINT, workspace)
 
 
 def stage_regression(
@@ -395,10 +383,10 @@ def _joint_selection(run: PipelineRun) -> SelectionConfig:
     return resolve_joint_selection(run.config, k1, k2, X.shape[0])
 
 
-def _read_factorization(run: PipelineRun, w_name: str, h_name: str, report_name: str):
-    W = storage.read_dense(run.path(w_name))
-    H = storage.read_dense(run.path(h_name))
-    return W, H, storage.read_selection_report(run.path(report_name), W)
+def _read_factorization(run: PipelineRun, names: tuple[str, str, str]) -> Factors:
+    W = storage.read_dense(run.path(names[0]))
+    H = storage.read_dense(run.path(names[1]))
+    return W, H, storage.read_selection_report(run.path(names[2]), W)
 
 
 # The stage functions are looked up as module globals when a stage runs, so a
@@ -435,31 +423,31 @@ STAGES: tuple[Stage, ...] = (
         "factorize_x",
         params=lambda r: _selection_params(r.config.selection_x),
         inputs=("X.mtx",),
-        outputs=("W1.mtx", "H1.mtx", "selection_x.json"),
+        outputs=FACTORS_X,
         compute=lambda r: stage_factorize_x(
             r.values["matrices"][0], r.config.selection_x, r.workspace
         ),
-        load=lambda r: _read_factorization(r, "W1.mtx", "H1.mtx", "selection_x.json"),
+        load=lambda r: _read_factorization(r, FACTORS_X),
     ),
     Stage(
         "factorize_m",
         params=lambda r: _selection_params(r.config.selection_m),
         inputs=("M.mtx",),
-        outputs=("W2.mtx", "H2.mtx", "selection_m.json"),
+        outputs=FACTORS_M,
         compute=lambda r: stage_factorize_m(
             r.values["matrices"][2], r.config.selection_m, r.workspace
         ),
-        load=lambda r: _read_factorization(r, "W2.mtx", "H2.mtx", "selection_m.json"),
+        load=lambda r: _read_factorization(r, FACTORS_M),
     ),
     Stage(
         "joint",
         params=lambda r: _selection_params(_joint_selection(r)),
         inputs=("W1.mtx", "W2.mtx"),
-        outputs=("W.mtx", "Hstar.mtx", "selection_joint.json"),
+        outputs=FACTORS_JOINT,
         compute=lambda r: stage_joint(
             r.values["factorize_x"][0], r.values["factorize_m"][0], _joint_selection(r), r.workspace
         ),
-        load=lambda r: _read_factorization(r, "W.mtx", "Hstar.mtx", "selection_joint.json"),
+        load=lambda r: _read_factorization(r, FACTORS_JOINT),
     ),
     Stage(
         "regression",

@@ -2,15 +2,17 @@
 
 Sparse matrices go to MatrixMarket coordinate files and dense factors to
 MatrixMarket array files, both with 17 significant digits so float64 values
-round-trip exactly.  Selection reports are JSON, topic tables JSON, document
-assignments and histograms CSV.  All writers are deterministic: identical
-inputs produce byte-identical files.
+round-trip exactly.  Selection reports are JSON, each per-rank entry the
+fields of a :class:`RankRecord` by name; topic tables are JSON, document
+assignments and histograms CSV.  All writers are deterministic:
+identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -53,17 +55,11 @@ def read_dense(path: str | Path) -> np.ndarray:
 
 
 def write_selection_report(report: SelectionReport, path: str | Path) -> None:
-    """Selection scan as JSON; the consensus basis is persisted separately."""
+    """Selection scan as JSON; the consensus basis is persisted separately.
+    Each ``per_k`` entry holds the :class:`RankRecord` fields in declaration
+    order."""
     payload = {
-        "per_k": [
-            {
-                "k": r.k,
-                "min_silhouette": r.min_silhouette,
-                "mean_silhouette": r.mean_silhouette,
-                "relative_error": r.relative_error,
-            }
-            for r in report.per_k
-        ],
+        "per_k": [asdict(r) for r in report.per_k],
         "chosen_k": report.chosen_k,
         "fallback": report.fallback,
     }
@@ -73,15 +69,7 @@ def write_selection_report(report: SelectionReport, path: str | Path) -> None:
 def read_selection_report(path: str | Path, consensus_W: np.ndarray) -> SelectionReport:
     payload = json.loads(Path(path).read_text("utf-8"))
     return SelectionReport(
-        per_k=[
-            RankRecord(
-                k=int(r["k"]),
-                min_silhouette=float(r["min_silhouette"]),
-                mean_silhouette=float(r["mean_silhouette"]),
-                relative_error=float(r["relative_error"]),
-            )
-            for r in payload["per_k"]
-        ],
+        per_k=[RankRecord(**r) for r in payload["per_k"]],
         chosen_k=int(payload["chosen_k"]),
         consensus_W=consensus_W,
         fallback=bool(payload["fallback"]),

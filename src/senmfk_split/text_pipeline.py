@@ -1,8 +1,8 @@
 """Corpus preparation: tokenization, document filtering, vocabulary construction.
 
 Documents arrive as JSON-lines ({"id": ..., "text": ...}), are tokenized into
-lowercase alphabetic tokens, filtered by a post-stopword length threshold, and
-reduced to a document-frequency-filtered vocabulary whose lexicographic order
+lowercase runs of ASCII letters, filtered by a post-stopword length threshold,
+and reduced to a document-frequency-filtered vocabulary whose lexicographic order
 fixes the row order of every matrix built downstream.
 """
 
@@ -46,11 +46,10 @@ class Corpus:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Term list in fixed order with term -> index and term -> doc-frequency maps."""
+    """Term list in fixed order with its term -> index map."""
 
     terms: tuple[str, ...]
     index_of: dict[str, int]
-    doc_freq: dict[str, int]
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -96,9 +95,10 @@ class PipelineConfig:
 
 
 def tokenize(raw_text: str) -> list[str]:
-    """Lowercase and split on non-alphabetic characters; drop tokens shorter
-    than 2 characters.  Purely digit runs act as separators, so digit-only
-    tokens cannot survive.  Stopwords are kept (removal is corpus-level)."""
+    """Lowercase and keep the runs of ASCII letters a-z; drop tokens shorter
+    than 2 characters.  Every other character, digits and non-ASCII letters
+    included, is a separator, so "résumé" yields "sum".  Stopwords are kept
+    (removal is corpus-level)."""
     if not raw_text:
         return []
     return [t for t in _TOKEN_RE.findall(raw_text.lower()) if len(t) >= 2]
@@ -135,11 +135,7 @@ def build_vocabulary(corpus: Corpus, config: PipelineConfig) -> Vocabulary:
         raise EmptyVocabulary(
             f"no term satisfies {config.min_df} <= doc_freq <= {ceiling} over {n} documents"
         )
-    return Vocabulary(
-        terms=tuple(terms),
-        index_of={t: i for i, t in enumerate(terms)},
-        doc_freq={t: df[t] for t in terms},
-    )
+    return Vocabulary(terms=tuple(terms), index_of={t: i for i, t in enumerate(terms)})
 
 
 def drop_empty_documents(corpus: Corpus, vocab: Vocabulary) -> Corpus:
@@ -201,9 +197,8 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     Path(path).write_text("".join(t + "\n" for t in vocab.terms), encoding="utf-8")
 
 
-def load_vocabulary(path: str | Path, corpus: Corpus | None = None) -> Vocabulary:
-    """Load a term-per-line vocabulary; recount document frequencies from
-    ``corpus`` when given (frequencies default to 0 otherwise)."""
+def load_vocabulary(path: str | Path) -> Vocabulary:
+    """Load a term-per-line vocabulary."""
     terms = tuple(
         line.strip()
         for line in Path(path).read_text("utf-8").splitlines()
@@ -211,13 +206,4 @@ def load_vocabulary(path: str | Path, corpus: Corpus | None = None) -> Vocabular
     )
     if len(set(terms)) != len(terms):
         raise DataError(f"{path}: duplicate terms")
-    df: Counter[str] = Counter()
-    if corpus is not None:
-        term_set = set(terms)
-        for doc in corpus:
-            df.update(set(doc.tokens) & term_set)
-    return Vocabulary(
-        terms=terms,
-        index_of={t: i for i, t in enumerate(terms)},
-        doc_freq={t: df.get(t, 0) for t in terms},
-    )
+    return Vocabulary(terms=terms, index_of={t: i for i, t in enumerate(terms)})

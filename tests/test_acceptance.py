@@ -51,7 +51,6 @@ def vocab_of(terms):
     return Vocabulary(
         terms=tuple(terms),
         index_of={t: i for i, t in enumerate(terms)},
-        doc_freq={t: 1 for t in terms},
     )
 
 

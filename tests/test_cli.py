@@ -269,6 +269,22 @@ class TestRun:
         assert stages["preprocess"].resumed and stages["matrices"].resumed
         assert not stages["factorize_x"].resumed
 
+    def test_damaged_manifest_is_data_error(self, corpus_file, tmp_path, capsys):
+        # a manifest cut short, or one that is valid JSON but lacks its keys
+        path, _ = corpus_file
+        ws = tmp_path / "ws"
+        assert main(["preprocess", str(path), "--workspace", str(ws)]) == 0
+        assert [p.name for p in ws.iterdir() if p.suffix == ".tmp"] == []
+        manifest = ws / "manifest.json"
+        for damaged in (manifest.read_bytes()[:200], b"{}"):
+            manifest.write_bytes(damaged)
+            capsys.readouterr()
+            resume = ["run", str(path), "--workspace", str(ws), "--resume"] + RUN_FLAGS
+            assert main(resume) == 2
+            assert "manifest.json" in capsys.readouterr().err
+            assert main(["matrices", "--workspace", str(ws), "--shift", "1"]) == 2
+            assert "manifest.json" in capsys.readouterr().err
+
     def test_manifest_snapshot_complete(self, corpus_file, tmp_path):
         path, _ = corpus_file
         ws = tmp_path / "ws"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from oracles import cooccurrence_oracle, random_tokens_corpus, sppmi_oracle, tfidf_oracle
@@ -24,7 +26,6 @@ def vocab_of(*terms):
     return Vocabulary(
         terms=tuple(terms),
         index_of={t: i for i, t in enumerate(terms)},
-        doc_freq={t: 1 for t in terms},
     )
 
 
@@ -55,6 +56,18 @@ class TestTfidf:
     def test_empty_column_rejected(self):
         with pytest.raises(EmptyColumn):
             build_tfidf(corpus_of(["oov", "oov"]), vocab_of("a"))
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.data())
+    def test_matches_oracle_property(self, data):
+        # every document has one in-vocabulary token, then any mix of
+        # in-vocabulary and out-of-vocabulary tokens
+        terms = sorted(data.draw(st.sets(st.sampled_from("abcdefgh"), min_size=1)))
+        tokens = st.sampled_from([*terms, "oov", "zz"])
+        doc = st.builds(lambda t, rest: [t, *rest], st.sampled_from(terms), st.lists(tokens))
+        docs = data.draw(st.lists(doc, min_size=1, max_size=10))
+        X = build_tfidf(corpus_of(*docs), vocab_of(*terms))
+        np.testing.assert_allclose(X.toarray(), tfidf_oracle(docs, terms), atol=1e-12)
 
     def test_matches_oracle(self, rng):
         for _ in range(10):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from oracles import block_topic_matrix, separated_topics_problem, silhouette_oracle
@@ -136,6 +138,30 @@ class TestSilhouette:
             scores = silhouette_oracle(cols, labels)
             np.testing.assert_allclose(stats.overall_min, scores.min(), atol=1e-12)
             np.testing.assert_allclose(stats.overall_mean, scores.mean(), atol=1e-12)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 4), st.floats(0.1, 10.0), st.integers(0, 5)),
+            min_size=2,
+            max_size=14,
+        )
+    )
+    def test_matches_oracle_property(self, points):
+        # columns are scaled copies of five fixed directions, so distances
+        # are either 0 (same direction) or well clear of the dust threshold;
+        # labels are renumbered to 0..k-1 and may leave singletons
+        directions = unit_columns(np.random.default_rng(5), 6, 5)
+        cols = np.column_stack([scale * directions[:, d] for d, scale, _ in points])
+        _, labels = np.unique([c for _, _, c in points], return_inverse=True)
+        k = int(labels.max()) + 1
+        assume(k >= 2)
+        stats = silhouette(cols, labels)
+        scores = silhouette_oracle(cols, labels)
+        expected = [scores[labels == c].min() for c in range(k)]
+        np.testing.assert_allclose(stats.per_cluster_min, expected, atol=1e-12)
+        np.testing.assert_allclose(stats.overall_min, scores.min(), atol=1e-12)
+        np.testing.assert_allclose(stats.overall_mean, scores.mean(), atol=1e-12)
 
     def test_values_in_range_and_min_below_mean(self, rng):
         for _ in range(10):

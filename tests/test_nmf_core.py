@@ -11,6 +11,7 @@ from senmfk_split.errors import (
     InvalidRank,
     NonNegativityViolation,
 )
+from senmfk_split import nmf_core
 from senmfk_split.nmf_core import (
     NmfConfig,
     joint_objective,
@@ -209,6 +210,37 @@ class TestRelativeError:
         X = random_nonneg(rng, 5, 5)
         with pytest.raises(DimensionMismatch):
             relative_error(X, np.zeros((5, 2)), np.zeros((3, 5)))
+
+
+class TestGramResidual:
+    """The Gram-expansion residual that large matrices take, forced on small
+    ones, on a CSR operand (density 0.3) and a dense one (density 1.0)."""
+
+    @pytest.fixture(autouse=True)
+    def gram_path(self, monkeypatch):
+        monkeypatch.setattr(nmf_core, "_DENSE_EVAL_CELLS", 0)
+
+    @pytest.mark.parametrize("density", [1.0, 0.3])
+    def test_relative_error_matches_oracle(self, rng, density):
+        X = random_nonneg(rng, 30, 20, density)
+        W = rng.uniform(0.0, 1.0, (30, 4))
+        H = rng.uniform(0.0, 1.0, (4, 20))
+        for A in (X, X.toarray()):
+            np.testing.assert_allclose(
+                relative_error(A, W, H), frobenius_relative_error(X.toarray(), W, H), rtol=1e-9
+            )
+
+    @pytest.mark.parametrize("density", [1.0, 0.3])
+    def test_trace_non_increasing(self, rng, density):
+        X = random_nonneg(rng, 30, 25, density)
+        pair = nmf(X, 4, NmfConfig(seed=2, max_iter=150, tol=1e-12))
+        trace = pair.objective_trace
+        assert len(trace) >= 2
+        for prev, cur in zip(trace, trace[1:]):
+            assert cur <= prev + 1e-9
+        np.testing.assert_allclose(
+            trace[-1], frobenius_relative_error(X.toarray(), pair.W, pair.H), rtol=1e-9
+        )
 
 
 class TestJointObjective:

@@ -46,6 +46,10 @@ class TestTokenize:
         # digit runs split words, and the fragments keep the length rule
         assert tokenize("word2vec x9y 2022") == ["word", "vec"]
 
+    def test_non_ascii_letters_are_separators(self):
+        # tokens are runs of ASCII letters; accented letters split words
+        assert tokenize("résumé naïve") == ["sum", "na", "ve"]
+
     def test_no_empty_tokens(self):
         rng = np.random.default_rng(3)
         alphabet = list("ab1! -\nZ.")
@@ -102,7 +106,6 @@ class TestBuildVocabulary:
             make_corpus(*docs), PipelineConfig(min_df=2, max_df_ratio=1.0, stopwords=frozenset())
         )
         assert vocab.terms == ("a", "b")
-        assert vocab.doc_freq == {"a": 4, "b": 2}
 
     def test_lexicographic_order_and_index(self):
         docs = [["zz", "mm", "aa"]] * 3
@@ -139,7 +142,6 @@ class TestBuildVocabulary:
             for term in vocab.terms:
                 df = sum(1 for d in corpus if term in d.tokens)
                 assert cfg.min_df <= df <= ceiling
-                assert vocab.doc_freq[term] == df
 
 
 class TestDeterminism:
@@ -209,7 +211,7 @@ class TestVocabularyIO:
         path = tmp_path / "vocab.txt"
         save_vocabulary(vocab, path)
         assert path.read_text() == "a\nb\nc\n"
-        again = load_vocabulary(path, corpus)
+        again = load_vocabulary(path)
         assert again == vocab
 
 
