@@ -30,6 +30,7 @@ from typing import Any, Callable
 
 from . import __version__
 from .errors import DataError, PipelineStageError, SenmfkError
+from .fileio import read_utf8
 from .manifest import RunManifest, sha256_text
 from .matrix_builder import SemanticConfig
 from .model_selection import SelectionConfig, child_seed
@@ -77,7 +78,7 @@ class _Parser(argparse.ArgumentParser):
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Flat key=value file; '#' starts a comment, blank lines ignored."""
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
 from .errors import DataError
+from .fileio import atomic_path
 
 
 def sha256_file(path: str | Path) -> str:
@@ -84,9 +84,8 @@ class RunManifest:
     def save(self, path: str | Path) -> None:
         """Write to a temporary file beside ``path``, then rename it into
         place, so a crash mid-save leaves the previous manifest whole."""
-        tmp = Path(f"{path}.tmp")
-        tmp.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n", "utf-8")
-        os.replace(tmp, path)
+        with atomic_path(path) as tmp:
+            tmp.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n", "utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "RunManifest":

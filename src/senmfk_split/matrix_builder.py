@@ -3,6 +3,13 @@
 All matrices are scipy CSR with float64 data in canonical form (sorted
 indices, duplicates summed, no explicit zeros).  Rows are vocabulary terms in
 index order; TF-IDF columns are documents in corpus order.
+
+Memory stays bounded by the inputs and outputs, not by the number of token
+pairs: :func:`build_cooccurrence` walks the corpus one window offset at a
+time and reduces at most about ``_PAIR_BUDGET`` pairs at once into a running
+CSR matrix, so its peak is O(tokens + nnz + _PAIR_BUDGET) rather than
+O(tokens * window); :func:`sppmi` rewrites the values of a canonical input's
+CSR arrays without expanding them to coordinates.
 """
 
 from __future__ import annotations
@@ -14,6 +21,10 @@ from scipy import sparse
 
 from .errors import DegenerateMatrix, DimensionMismatch, EmptyColumn
 from .text_pipeline import Corpus, Document, Vocabulary
+
+# token pairs held by build_cooccurrence before it reduces them into its
+# running CSR matrix (two int64 ids each: 16 MB at 2**20)
+_PAIR_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -88,49 +99,93 @@ def build_cooccurrence(
     p+1 .. p+window-1 of the same document adds 1 to both (i, j) and (j, i).
     Out-of-vocabulary tokens contribute no counts but still occupy positions.
     Windows never cross document boundaries.
+
+    The pairs are enumerated by offset, not by document: the term ids of the
+    whole corpus sit in one array, longest document first, and offset d pairs
+    position p with p + d wherever both lie in one document.  Only the prefix
+    of documents longer than d is scanned, so the work is sum(L * min(window,
+    L)) over document lengths L.  Pairs are reduced into a running CSR matrix
+    whenever _PAIR_BUDGET of them are held, so memory is O(tokens + nnz +
+    _PAIR_BUDGET) rather than O(tokens * window).
     """
     m = len(vocab)
-    w = config.window
+    docs = sorted(corpus, key=lambda doc: len(doc.tokens), reverse=True)
+    lengths = np.array([len(doc.tokens) for doc in docs], dtype=np.int64)
+    ids = np.concatenate(
+        [np.empty(0, dtype=np.int64), *(_term_ids(doc, vocab.index_of) for doc in docs)]
+    )
+    ends = np.cumsum(lengths)
+    # tokens after each position within its document
+    ahead = np.repeat(ends - 1, lengths) - np.arange(ids.size)
+    known = ids >= 0
+    upper = sparse.csr_matrix((m, m), dtype=np.float64)
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
-    for doc in corpus:
-        idx = _term_ids(doc, vocab.index_of)
-        L = idx.size
-        for d in range(1, min(w, L)):
-            a = idx[: L - d]
-            b = idx[d:]
-            ok = (a >= 0) & (b >= 0)
-            if not ok.any():
-                continue
-            rows.append(a[ok])
-            cols.append(b[ok])
-    if not rows:
-        return sparse.csr_matrix((m, m), dtype=np.float64)
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    ones = np.ones(r.size, dtype=np.float64)
-    counts = sparse.coo_matrix((ones, (r, c)), shape=(m, m))
-    counts = counts + counts.T
-    return canonicalize(counts)
+    held = 0
+    longest = int(lengths[0]) if lengths.size else 0
+    for d in range(1, min(config.window, longest)):
+        # documents longer than d form a prefix; p + d stays inside it
+        stop = int(ends[np.count_nonzero(lengths > d) - 1]) - d
+        ok = known[:stop] & known[d : stop + d] & (ahead[:stop] >= d)
+        rows.append(ids[:stop][ok])
+        cols.append(ids[d : stop + d][ok])
+        held += rows[-1].size
+        if held >= _PAIR_BUDGET:
+            upper = _add_pairs(upper, rows, cols)
+            rows, cols, held = [], [], 0
+    if held:
+        upper = _add_pairs(upper, rows, cols)
+    # counts are whole numbers, exact in float64, so the order in which the
+    # pairs were reduced changes no value
+    return canonicalize(upper + upper.T)
+
+
+def _add_pairs(
+    counts: sparse.csr_matrix, rows: list[np.ndarray], cols: list[np.ndarray]
+) -> sparse.csr_matrix:
+    """``counts`` plus one for every (rows[k][t], cols[k][t]) pair."""
+    r = np.concatenate([np.empty(0, dtype=np.int64), *rows])
+    c = np.concatenate([np.empty(0, dtype=np.int64), *cols])
+    pairs = sparse.coo_matrix((np.ones(r.size), (r, c)), shape=counts.shape)
+    return counts + pairs.tocsr()
+
+
+def _is_canonical(mat) -> bool:
+    """True for float64 CSR with sorted indices, no duplicates and no stored
+    zeros: the form :func:`canonicalize` returns."""
+    return (
+        isinstance(mat, sparse.csr_matrix)
+        and mat.dtype == np.float64
+        and mat.has_canonical_format
+        and bool(np.all(mat.data != 0))
+    )
 
 
 def sppmi(cooc: sparse.csr_matrix, shift: float) -> sparse.csr_matrix:
     """Shifted positive pointwise mutual information of a co-occurrence matrix.
 
     Entry (i, j) becomes max(ln(C(i,j) * D / (r(i) * r(j))) - ln(shift), 0)
-    where r are row sums and D the total sum; zero counts stay zero.
+    where r are row sums and D the total sum; zero counts stay zero.  A
+    canonical input (see :func:`canonicalize`) is read without a copy; the
+    output shares nothing with it.
 
     Raises DegenerateMatrix if the total count is zero.
     """
     if cooc.shape[0] != cooc.shape[1]:
         raise DimensionMismatch(f"co-occurrence matrix must be square, got {cooc.shape}")
-    mat = canonicalize(cooc)
+    mat = cooc if _is_canonical(cooc) else canonicalize(cooc)
     row_sums = np.asarray(mat.sum(axis=1)).ravel()
     total = row_sums.sum()
     if total <= 0:
         raise DegenerateMatrix("co-occurrence matrix has zero total count")
-    coo = mat.tocoo()
-    pmi = np.log(coo.data * total / (row_sums[coo.row] * row_sums[coo.col]))
-    vals = np.maximum(pmi - np.log(shift), 0.0)
-    out = sparse.coo_matrix((vals, (coo.row, coo.col)), shape=mat.shape)
-    return canonicalize(out)
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    vals = mat.data * total
+    denom = row_sums[rows]
+    denom *= row_sums[mat.indices]
+    vals /= denom
+    np.log(vals, out=vals)
+    vals -= np.log(shift)
+    np.maximum(vals, 0.0, out=vals)
+    out = sparse.csr_matrix((vals, mat.indices.copy(), mat.indptr.copy()), shape=mat.shape)
+    out.eliminate_zeros()
+    return out

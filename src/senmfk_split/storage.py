@@ -5,7 +5,8 @@ MatrixMarket array files, both with 17 significant digits so float64 values
 round-trip exactly.  Selection reports are JSON, each per-rank entry the
 fields of a :class:`RankRecord` by name; topic tables are JSON, document
 assignments and histograms CSV.  All writers are deterministic:
-identical inputs produce byte-identical files.
+identical inputs produce byte-identical files, and atomic: each writes a
+temporary file beside its target and renames it into place.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from scipy import io as scipy_io
 from scipy import sparse
 
 from .errors import DataError
+from .fileio import atomic_path
 from .model_selection import RankRecord, SelectionReport
 
 _PRECISION = 17  # significant digits; scipy renders %.16e, exact for float64
@@ -27,9 +29,10 @@ _PRECISION = 17  # significant digits; scipy renders %.16e, exact for float64
 
 def write_sparse(mat, path: str | Path) -> None:
     """MatrixMarket coordinate file, 1-based indices, general symmetry."""
-    scipy_io.mmwrite(
-        str(path), sparse.coo_matrix(mat), precision=_PRECISION, symmetry="general"
-    )
+    with atomic_path(path) as tmp:
+        scipy_io.mmwrite(
+            str(tmp), sparse.coo_matrix(mat), precision=_PRECISION, symmetry="general"
+        )
 
 
 def write_dense(mat: np.ndarray, path: str | Path) -> None:
@@ -37,7 +40,8 @@ def write_dense(mat: np.ndarray, path: str | Path) -> None:
     arr = np.asarray(mat, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
-    scipy_io.mmwrite(str(path), arr, precision=_PRECISION)
+    with atomic_path(path) as tmp:
+        scipy_io.mmwrite(str(tmp), arr, precision=_PRECISION)
 
 
 def read_sparse(path: str | Path) -> sparse.csr_matrix:
@@ -63,7 +67,8 @@ def write_selection_report(report: SelectionReport, path: str | Path) -> None:
         "chosen_k": report.chosen_k,
         "fallback": report.fallback,
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    with atomic_path(path) as tmp:
+        tmp.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def read_selection_report(path: str | Path, consensus_W: np.ndarray) -> SelectionReport:
@@ -85,7 +90,8 @@ def write_topics(topics: list[list[tuple[str, float]]], path: str | Path) -> Non
         }
         for t, ranked in enumerate(topics)
     ]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    with atomic_path(path) as tmp:
+        tmp.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def read_topics(path: str | Path) -> list[list[tuple[str, float]]]:
@@ -102,7 +108,7 @@ def write_assignments(
     path: str | Path,
 ) -> None:
     """assignments.csv: doc_id, topic_id, max_weight."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with atomic_path(path) as tmp, tmp.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["doc_id", "topic_id", "max_weight"])
         for doc_id, topic, weight in zip(doc_ids, assignments, max_weights):
@@ -111,7 +117,7 @@ def write_assignments(
 
 def write_histogram(counts: np.ndarray, path: str | Path) -> None:
     """histogram.csv: topic_id, count."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with atomic_path(path) as tmp, tmp.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["topic_id", "count"])
         for t, c in enumerate(counts):
@@ -129,7 +135,7 @@ def read_histogram(path: str | Path) -> list[tuple[int, int]]:
 
 def write_trace_csv(iterations: list[int], errors: list[float], path: str | Path) -> None:
     """Objective trace: iteration, relative_error."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with atomic_path(path) as tmp, tmp.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "relative_error"])
         for it, err in zip(iterations, errors):

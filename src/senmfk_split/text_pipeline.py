@@ -16,6 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import DataError, EmptyCorpus, EmptyVocabulary
+from .fileio import atomic_path, read_utf8, utf8_lines
 
 _TOKEN_RE = re.compile(r"[a-z]+")
 
@@ -66,7 +67,7 @@ def default_stopwords() -> frozenset[str]:
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Stopword file: plain text, one term per line, UTF-8."""
-    lines = Path(path).read_text("utf-8").splitlines()
+    lines = read_utf8(path).splitlines()
     return frozenset(line.strip() for line in lines if line.strip())
 
 
@@ -156,30 +157,29 @@ def load_jsonl_corpus(path: str | Path, pre_tokenized: bool = False) -> Corpus:
     path = Path(path)
     docs: list[Document] = []
     seen: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict) or "id" not in obj:
-                raise DataError(f"{path}:{lineno}: expected an object with an 'id' field")
-            doc_id = str(obj["id"])
-            if doc_id in seen:
-                raise DataError(f"{path}:{lineno}: duplicate document id {doc_id!r}")
-            seen.add(doc_id)
-            if pre_tokenized:
-                if "tokens" not in obj or not isinstance(obj["tokens"], list):
-                    raise DataError(f"{path}:{lineno}: expected a 'tokens' list")
-                tokens = tuple(str(t) for t in obj["tokens"] if str(t))
-            else:
-                if "text" not in obj:
-                    raise DataError(f"{path}:{lineno}: expected a 'text' field")
-                tokens = tuple(tokenize(str(obj["text"])))
-            docs.append(Document(doc_id, tokens))
+    for lineno, line in utf8_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict) or "id" not in obj:
+            raise DataError(f"{path}:{lineno}: expected an object with an 'id' field")
+        doc_id = str(obj["id"])
+        if doc_id in seen:
+            raise DataError(f"{path}:{lineno}: duplicate document id {doc_id!r}")
+        seen.add(doc_id)
+        if pre_tokenized:
+            if "tokens" not in obj or not isinstance(obj["tokens"], list):
+                raise DataError(f"{path}:{lineno}: expected a 'tokens' list")
+            tokens = tuple(str(t) for t in obj["tokens"] if str(t))
+        else:
+            if "text" not in obj:
+                raise DataError(f"{path}:{lineno}: expected a 'text' field")
+            tokens = tuple(tokenize(str(obj["text"])))
+        docs.append(Document(doc_id, tokens))
     if not docs:
         raise EmptyCorpus(f"{path}: no documents")
     return Corpus(tuple(docs))
@@ -187,21 +187,22 @@ def load_jsonl_corpus(path: str | Path, pre_tokenized: bool = False) -> Corpus:
 
 def save_jsonl_corpus(corpus: Corpus, path: str | Path) -> None:
     """Persist a tokenized corpus, one {"id", "tokens"} object per line."""
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with atomic_path(path) as tmp, tmp.open("w", encoding="utf-8") as fh:
         for doc in corpus:
             fh.write(json.dumps({"id": doc.id, "tokens": list(doc.tokens)}) + "\n")
 
 
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     """Persist vocabulary terms in index order, one per line."""
-    Path(path).write_text("".join(t + "\n" for t in vocab.terms), encoding="utf-8")
+    with atomic_path(path) as tmp:
+        tmp.write_text("".join(t + "\n" for t in vocab.terms), encoding="utf-8")
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
     """Load a term-per-line vocabulary."""
     terms = tuple(
         line.strip()
-        for line in Path(path).read_text("utf-8").splitlines()
+        for line in read_utf8(path).splitlines()
         if line.strip()
     )
     if len(set(terms)) != len(terms):

@@ -63,6 +63,30 @@ class TestExitCodes:
         assert code == 1
         assert "k_min <= k_max" in capsys.readouterr().err
 
+    def test_undecodable_config_is_data_error(self, corpus_file, tmp_path, capsys):
+        path, _ = corpus_file
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"seed = 1 # caf\xe9\n")
+        code = main(["run", str(path), "--workspace", str(tmp_path / "ws"), "--config", str(cfg)])
+        assert code == 2
+        assert "latin1.cfg" in capsys.readouterr().err
+
+    def test_undecodable_stopwords_is_data_error(self, corpus_file, tmp_path, capsys):
+        path, _ = corpus_file
+        stop = tmp_path / "latin1_stop.txt"
+        stop.write_bytes(b"the\ncaf\xe9\n")
+        code = main(["preprocess", str(path), "--workspace", str(tmp_path / "ws"),
+                     "--stopwords", str(stop)])
+        assert code == 2
+        assert "latin1_stop.txt" in capsys.readouterr().err
+
+    def test_undecodable_corpus_line_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b'{"id": "a", "text": "aa bb"}\n{"id": "b", "text": "caf\xe9"}\n')
+        code = main(["preprocess", str(path), "--workspace", str(tmp_path / "ws")])
+        assert code == 2
+        assert "latin1.jsonl:2" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # two tiny documents sharing one term: M degenerates at high shift
         lines = [
@@ -274,7 +298,7 @@ class TestRun:
         path, _ = corpus_file
         ws = tmp_path / "ws"
         assert main(["preprocess", str(path), "--workspace", str(ws)]) == 0
-        assert [p.name for p in ws.iterdir() if p.suffix == ".tmp"] == []
+        assert [p.name for p in ws.iterdir() if ".tmp" in p.suffixes] == []
         manifest = ws / "manifest.json"
         for damaged in (manifest.read_bytes()[:200], b"{}"):
             manifest.write_bytes(damaged)

@@ -1,13 +1,16 @@
 """TF-IDF, co-occurrence, and SPPMI construction against brute-force oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
 from oracles import cooccurrence_oracle, random_tokens_corpus, sppmi_oracle, tfidf_oracle
 from senmfk_split.errors import DegenerateMatrix, EmptyColumn
+from senmfk_split import matrix_builder
 from senmfk_split.matrix_builder import (
     SemanticConfig,
     build_cooccurrence,
@@ -125,6 +128,57 @@ class TestCooccurrence:
                 C.toarray(), cooccurrence_oracle(docs, terms, window)
             )
 
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.data())
+    def test_matches_oracle_property(self, data):
+        # documents of any length from 0 up, with out-of-vocabulary tokens,
+        # and windows from 1 to past the longest document
+        terms = sorted(data.draw(st.sets(st.sampled_from("abcdef"), min_size=1)))
+        tokens = st.sampled_from([*terms, "oov"])
+        docs = data.draw(st.lists(st.lists(tokens, max_size=12), min_size=1, max_size=8))
+        window = data.draw(st.integers(1, max(len(d) for d in docs) + 3))
+        C = build_cooccurrence(corpus_of(*docs), vocab_of(*terms), SemanticConfig(window=window))
+        np.testing.assert_array_equal(C.toarray(), cooccurrence_oracle(docs, terms, window))
+        assert C.has_canonical_format and (C.data > 0).all()
+
+    @pytest.mark.parametrize("budget", [1, 7])
+    def test_pair_budget_does_not_change_counts(self, rng, monkeypatch, budget):
+        # a tiny budget reduces the pairs into the running matrix many times
+        monkeypatch.setattr(matrix_builder, "_PAIR_BUDGET", budget)
+        for window in (2, 5, 100):
+            docs, terms = random_tokens_corpus(rng)
+            C = build_cooccurrence(
+                corpus_of(*docs), vocab_of(*terms), SemanticConfig(window=window)
+            )
+            np.testing.assert_array_equal(
+                C.toarray(), cooccurrence_oracle(docs, terms, window)
+            )
+
+    def test_memory_bounded_by_nnz_not_pairs(self):
+        # 200 Zipf documents of 300 tokens over 2,000 terms at window 100:
+        # about 6M token pairs, which held at once as index arrays take
+        # over 300 MB; the output itself is about 14 MB
+        rng = np.random.default_rng(5)
+        weights = 1.0 / np.arange(1, 2001)
+        ids = rng.choice(2000, size=(200, 300), p=weights / weights.sum())
+        terms = [f"w{i:04d}" for i in range(2000)]
+        corpus = corpus_of(*([terms[i] for i in row] for row in ids))
+        tracemalloc.start()
+        try:
+            C = build_cooccurrence(corpus, vocab_of(*terms), SemanticConfig(window=100))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert C.sum() == 2 * 200 * sum(300 - d for d in range(1, 100))
+        assert peak < 100e6
+
+
+def symmetric_counts(data, max_terms=6):
+    m = data.draw(st.integers(1, max_terms))
+    raw = np.array(data.draw(st.lists(st.integers(0, 5), min_size=m * m, max_size=m * m)))
+    raw = raw.reshape(m, m).astype(float)
+    return raw + raw.T
+
 
 class TestSppmi:
     def test_zero_counts_stay_zero(self):
@@ -167,6 +221,50 @@ class TestSppmi:
             np.testing.assert_allclose(
                 sppmi(counts, s).toarray(), sppmi_oracle(counts.toarray(), s), atol=1e-12
             )
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.data(), st.sampled_from([1.0, 1.5, 2.0, 4.0]))
+    def test_matches_oracle_property(self, data, shift):
+        counts = symmetric_counts(data)
+        assume(counts.sum() > 0)
+        np.testing.assert_allclose(
+            sppmi(sparse.csr_matrix(counts), shift).toarray(),
+            sppmi_oracle(counts, shift),
+            atol=1e-12,
+        )
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.data())
+    def test_non_canonical_input_matches_canonical(self, data):
+        # each count split over two duplicate entries, an explicit zero in
+        # every row, entries in a drawn order: as COO and as unsorted CSR
+        counts = symmetric_counts(data)
+        assume(counts.sum() > 0)
+        m = counts.shape[0]
+        r, c = np.nonzero(counts)
+        half = np.floor(counts[r, c] / 2)
+        rows = np.concatenate([r, r, np.arange(m)])
+        cols = np.concatenate([c, c, np.zeros(m, dtype=int)])
+        vals = np.concatenate([half, counts[r, c] - half, np.zeros(m)])
+        order = np.array(data.draw(st.permutations(range(rows.size))), dtype=int)
+        messy = sparse.coo_matrix((vals[order], (rows[order], cols[order])), shape=(m, m))
+        expected = sppmi(canonicalize(messy), 2.0)
+        # by row, then in drawn order within each row: unsorted CSR arrays
+        by_row = order[np.argsort(rows[order], kind="stable")]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))])
+        unsorted = sparse.csr_matrix((vals[by_row], cols[by_row], indptr), shape=(m, m))
+        for mat in (messy, unsorted):
+            out = sppmi(mat, 2.0)
+            np.testing.assert_array_equal(out.toarray(), expected.toarray())
+            assert out.nnz == expected.nnz
+
+    def test_input_left_unchanged(self, rng):
+        raw = rng.integers(0, 4, size=(9, 9)).astype(float)
+        counts = sparse.csr_matrix(raw + raw.T)
+        arrays = [a.copy() for a in (counts.data, counts.indices, counts.indptr)]
+        sppmi(counts, 4.0)
+        for before, after in zip(arrays, (counts.data, counts.indices, counts.indptr)):
+            np.testing.assert_array_equal(before, after)
 
     def test_no_negative_no_nan(self, rng):
         raw = rng.integers(0, 4, size=(12, 12)).astype(float)

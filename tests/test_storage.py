@@ -1,6 +1,9 @@
 """Artifact round-trips and format contracts."""
 
+from pathlib import Path
+
 import numpy as np
+import pytest
 from scipy import sparse
 
 from senmfk_split import storage
@@ -89,3 +92,33 @@ class TestCsvArtifacts:
         lines = path.read_text().splitlines()
         assert lines[0] == "iteration,relative_error"
         assert lines[1] == "10,0.5"
+
+
+class TestAtomicWrites:
+    def test_failed_csv_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "a.csv"
+        storage.write_assignments(["docA"], np.array([1]), np.array([0.5]), path)
+        before = path.read_bytes()
+        # the second weight cannot be formatted: the header and one row are
+        # already written when the writer raises
+        with pytest.raises(ValueError):
+            storage.write_assignments(
+                ["docA", "docB"], np.array([0, 1]), [0.25, "not a number"], path
+            )
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
+
+    def test_failed_matrix_write_keeps_previous_file(self, rng, tmp_path, monkeypatch):
+        path = tmp_path / "X.mtx"
+        storage.write_sparse(sparse.csr_matrix(rng.uniform(0.0, 1.0, (4, 3))), path)
+        before = path.read_bytes()
+
+        def partial_mmwrite(target, *args, **kwargs):
+            Path(target).write_bytes(b"%%MatrixMarket matrix coordinate")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(storage.scipy_io, "mmwrite", partial_mmwrite)
+        with pytest.raises(OSError):
+            storage.write_sparse(sparse.csr_matrix(np.eye(2)), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["X.mtx"]
