@@ -234,9 +234,10 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 def cmd_matrices(args: argparse.Namespace) -> int:
     run, manifest = _merged_manifest(args)
-    X, cooc, M = run_stages(run, manifest, first="matrices", last="matrices")["matrices"]
+    X, M = run_stages(run, manifest, first="matrices", last="matrices")["matrices"]
+    cooc_shape, cooc_nnz = storage.sparse_size(run.path("cooc.mtx"))
     print(
-        f"X {X.shape} ({X.nnz} nnz), cooc {cooc.shape} ({cooc.nnz} nnz), "
+        f"X {X.shape} ({X.nnz} nnz), cooc {cooc_shape} ({cooc_nnz} nnz), "
         f"M {M.shape} ({M.nnz} nnz) -> {run.workspace}"
     )
     return 0

@@ -276,15 +276,16 @@ def prepare_corpus(
 
 def build_matrices(
     corpus: Corpus, vocab: Vocabulary, config: SemanticConfig, workspace: Path
-) -> tuple[sparse.csr_matrix, sparse.csr_matrix, sparse.csr_matrix]:
-    """Stage 2: TF-IDF, co-occurrence counts, and the SPPMI matrix."""
+) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    """Stage 2: TF-IDF X, co-occurrence counts, and the SPPMI matrix M.  The
+    counts are only written to the workspace; X and M are returned."""
     X = build_tfidf(corpus, vocab)
     cooc = build_cooccurrence(corpus, vocab, config)
     M = sppmi(cooc, config.shift)
     storage.write_sparse(X, workspace / "X.mtx")
     storage.write_sparse(cooc, workspace / "cooc.mtx")
     storage.write_sparse(M, workspace / "M.mtx")
-    return X, cooc, M
+    return X, M
 
 
 def _write_factorization(result: Factors, names: tuple[str, str, str], workspace: Path) -> Factors:
@@ -417,7 +418,8 @@ STAGES: tuple[Stage, ...] = (
         inputs=("corpus.jsonl", "vocab.txt"),
         outputs=("X.mtx", "cooc.mtx", "M.mtx"),
         compute=lambda r: build_matrices(*r.values["preprocess"], r.config.semantic, r.workspace),
-        load=lambda r: tuple(storage.read_sparse(r.path(n)) for n in ("X.mtx", "cooc.mtx", "M.mtx")),
+        # cooc.mtx is digested like every output but never read back
+        load=lambda r: tuple(storage.read_sparse(r.path(n)) for n in ("X.mtx", "M.mtx")),
     ),
     Stage(
         "factorize_x",
@@ -435,7 +437,7 @@ STAGES: tuple[Stage, ...] = (
         inputs=("M.mtx",),
         outputs=FACTORS_M,
         compute=lambda r: stage_factorize_m(
-            r.values["matrices"][2], r.config.selection_m, r.workspace
+            r.values["matrices"][1], r.config.selection_m, r.workspace
         ),
         load=lambda r: _read_factorization(r, FACTORS_M),
     ),

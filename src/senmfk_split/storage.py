@@ -25,6 +25,10 @@ from .fileio import atomic_path
 from .model_selection import RankRecord, SelectionReport
 
 _PRECISION = 17  # significant digits; scipy renders %.16e, exact for float64
+# What parsing a damaged JSON or CSV artifact raises: bad syntax, text or
+# number (ValueError), a missing key (KeyError), a short row (IndexError), a
+# value of the wrong kind (TypeError).
+_MALFORMED = (ValueError, KeyError, IndexError, TypeError)
 
 
 def write_sparse(mat, path: str | Path) -> None:
@@ -49,6 +53,13 @@ def read_sparse(path: str | Path) -> sparse.csr_matrix:
     if not sparse.issparse(mat):
         raise DataError(f"{path}: expected a coordinate (sparse) MatrixMarket file")
     return sparse.csr_matrix(mat)
+
+
+def sparse_size(path: str | Path) -> tuple[tuple[int, int], int]:
+    """(shape, stored entries) of a file written by :func:`write_sparse`,
+    from its header alone."""
+    rows, cols, entries, *_ = scipy_io.mminfo(str(path))
+    return (rows, cols), entries
 
 
 def read_dense(path: str | Path) -> np.ndarray:
@@ -95,10 +106,17 @@ def write_topics(topics: list[list[tuple[str, float]]], path: str | Path) -> Non
 
 
 def read_topics(path: str | Path) -> list[list[tuple[str, float]]]:
-    payload = json.loads(Path(path).read_text("utf-8"))
-    return [
-        [(e["term"], float(e["weight"])) for e in entry["terms"]] for entry in payload
-    ]
+    """Raises DataError naming the file when it is not a topic table."""
+    try:
+        payload = json.loads(Path(path).read_text("utf-8"))
+        topics = [
+            [(e["term"], float(e["weight"])) for e in entry["terms"]] for entry in payload
+        ]
+    except _MALFORMED as exc:
+        raise DataError(f"{path}: not a valid topic table: {exc!r}") from exc
+    if not all(isinstance(term, str) for ranked in topics for term, _ in ranked):
+        raise DataError(f"{path}: not a valid topic table: a term is not a string")
+    return topics
 
 
 def write_assignments(
@@ -125,12 +143,16 @@ def write_histogram(counts: np.ndarray, path: str | Path) -> None:
 
 
 def read_histogram(path: str | Path) -> list[tuple[int, int]]:
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["topic_id", "count"]:
-            raise DataError(f"{path}: unexpected histogram header {header}")
-        return [(int(row[0]), int(row[1])) for row in reader]
+    """Raises DataError naming the file when it is not a histogram."""
+    try:
+        with Path(path).open("r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != ["topic_id", "count"]:
+                raise DataError(f"{path}: unexpected histogram header {header}")
+            return [(int(row[0]), int(row[1])) for row in reader]
+    except (*_MALFORMED, csv.Error) as exc:
+        raise DataError(f"{path}: not a valid histogram: {exc!r}") from exc
 
 
 def write_trace_csv(iterations: list[int], errors: list[float], path: str | Path) -> None:

@@ -142,6 +142,25 @@ def mu_oracle(
     return W, H
 
 
+def assignment_oracle(H: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+    """Per column, the first row holding the column's largest value (so ties
+    go to the smallest topic index); per row, the number of columns that
+    chose it; and the columns whose entries are all zero."""
+    k, n = H.shape
+    assignments = []
+    zero_columns = []
+    for j in range(n):
+        best = 0
+        for t in range(1, k):
+            if H[t, j] > H[best, j]:
+                best = t
+        assignments.append(best)
+        if all(H[t, j] == 0.0 for t in range(k)):
+            zero_columns.append(j)
+    counts = [sum(1 for a in assignments if a == t) for t in range(k)]
+    return assignments, counts, zero_columns
+
+
 def frobenius_relative_error(X: np.ndarray, W: np.ndarray, H: np.ndarray) -> float:
     denom = np.linalg.norm(X)
     if denom == 0:

@@ -1,6 +1,7 @@
 """CLI commands, exit codes, config precedence, manifests, and resume."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +167,18 @@ class TestMatrices:
     def test_requires_preprocess_first(self, tmp_path):
         assert main(["matrices", "--workspace", str(tmp_path / "fresh")]) == 2
 
+    def test_summary_counts_stored_entries(self, corpus_file, tmp_path, capsys):
+        path, _ = corpus_file
+        ws = tmp_path / "ws"
+        assert main(["preprocess", str(path), "--workspace", str(ws)]) == 0
+        assert main(["matrices", "--workspace", str(ws), "--shift", "1"]) == 0
+        out = capsys.readouterr().out.splitlines()[-1]
+        X, C, M = (storage.read_sparse(ws / n) for n in ("X.mtx", "cooc.mtx", "M.mtx"))
+        assert out == (
+            f"X {X.shape} ({X.nnz} nnz), cooc {C.shape} ({C.nnz} nnz), "
+            f"M {M.shape} ({M.nnz} nnz) -> {ws}"
+        )
+
     def test_default_window_and_shift_recorded(self, tmp_path):
         docs = {f"d{i}": "aa bb cc dd " * 6 for i in range(3)}
         path = write_jsonl(
@@ -241,6 +254,19 @@ class TestRun:
         assert main(["run", str(path), "--workspace", str(ws), "--resume"] + RUN_FLAGS) == 0
         assert all(rec.resumed for rec in RunManifest.load(ws / "manifest.json").stages.values())
         assert capsys.readouterr().out == first
+
+    def test_resume_does_not_read_cooc(self, corpus_file, tmp_path, monkeypatch):
+        path, _ = corpus_file
+        ws = tmp_path / "ws"
+        assert main(["run", str(path), "--workspace", str(ws)] + RUN_FLAGS) == 0
+        read = []
+        read_sparse = storage.read_sparse
+        monkeypatch.setattr(
+            storage, "read_sparse", lambda p: read.append(Path(p).name) or read_sparse(p)
+        )
+        assert main(["run", str(path), "--workspace", str(ws), "--resume"] + RUN_FLAGS) == 0
+        assert read == ["X.mtx", "M.mtx"]
+        assert RunManifest.load(ws / "manifest.json").stages["matrices"].resumed
 
     def test_resume_reruns_on_parameter_change(self, corpus_file, tmp_path):
         path, _ = corpus_file
@@ -380,3 +406,24 @@ class TestReport:
 
     def test_report_requires_artifacts(self, tmp_path):
         assert main(["report", "--workspace", str(tmp_path / "none")]) == 2
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("topics.json", '[{"topic_id": 0, "terms": ['),
+            ("topics.json", '[{"topic_id": 0, "words": []}]\n'),
+            ("topics.json", '[{"topic_id": 0, "terms": [{"term": "a", "weight": "heavy"}]}]\n'),
+            ("topics.json", '[{"topic_id": 0, "terms": [{"term": 7, "weight": 1.0}]}]\n'),
+            ("histogram.csv", "topic_id,count\n0,many\n"),
+            ("histogram.csv", "topic_id,count\n0\n"),
+        ],
+    )
+    def test_damaged_artifact_exits_2_naming_it(self, tmp_path, capsys, name, text):
+        ws = tmp_path / "ws"
+        ws.mkdir()
+        storage.write_topics([[("alpha", 1.0)]], ws / "topics.json")
+        storage.write_histogram(np.array([3]), ws / "histogram.csv")
+        (ws / name).write_text(text, encoding="utf-8")
+        assert main(["report", "--workspace", str(ws)]) == 2
+        err = capsys.readouterr().err
+        assert "DataError" in err and str(ws / name) in err

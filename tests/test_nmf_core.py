@@ -148,11 +148,11 @@ class TestSolveH:
 
 class TestMatchesMuOracle:
     """40 updates of the library kernel against the plain dense reference.
-    Density 1.0 runs the dense operand, 0.3 the sparse one."""
+    Densities 1.0 and 0.3 run the dense operand, 0.1 the sparse one."""
 
     ITERS = 40
 
-    @pytest.mark.parametrize("density", [1.0, 0.3])
+    @pytest.mark.parametrize("density", [1.0, 0.3, 0.1])
     def test_nmf(self, rng, density):
         X = random_nonneg(rng, 30, 24, density=density)
         k, seed = 4, 5
@@ -166,7 +166,7 @@ class TestMatchesMuOracle:
         np.testing.assert_allclose(pair.W, W, rtol=1e-9)
         np.testing.assert_allclose(pair.H, H, rtol=1e-9)
 
-    @pytest.mark.parametrize("density", [1.0, 0.3])
+    @pytest.mark.parametrize("density", [1.0, 0.3, 0.1])
     def test_solve_h(self, rng, density):
         X = random_nonneg(rng, 30, 24, density=density)
         W = rng.uniform(0.1, 1.0, size=(30, 4))
@@ -210,6 +210,65 @@ class TestRelativeError:
         X = random_nonneg(rng, 5, 5)
         with pytest.raises(DimensionMismatch):
             relative_error(X, np.zeros((5, 2)), np.zeros((3, 5)))
+
+
+class TestUpdateLoop:
+    """The operand rule and the residual check folded from the update's own
+    products."""
+
+    @pytest.mark.parametrize("nnz, dense", [(20, True), (19, False)])
+    def test_dense_operand_from_quarter_density(self, monkeypatch, nnz, dense):
+        X = np.zeros((8, 10))
+        X.flat[:nnz] = np.arange(1.0, nnz + 1.0)
+        shapes = []
+        toarray = sparse.csr_matrix.toarray
+
+        def spy(self, *args, **kwargs):
+            shapes.append(self.shape)
+            return toarray(self, *args, **kwargs)
+
+        monkeypatch.setattr(sparse.csr_matrix, "toarray", spy)
+        nmf(X, 2, NmfConfig(seed=1, max_iter=1))
+        assert ((8, 10) in shapes) == dense
+
+    @pytest.mark.parametrize("density", [1.0, 0.1])
+    def test_nmf_trace_ends_at_exact_error(self, rng, density):
+        X = random_nonneg(rng, 40, 30, density)
+        pair = nmf(X, 4, NmfConfig(seed=8, max_iter=120, tol=1e-12))
+        np.testing.assert_allclose(
+            pair.objective_trace[-1], relative_error(X, pair.W, pair.H), rtol=1e-10
+        )
+
+    @pytest.mark.parametrize("density", [1.0, 0.1])
+    def test_fixed_w_trace_ends_at_exact_error(self, rng, density):
+        X = random_nonneg(rng, 40, 30, density)
+        W = rng.uniform(0.1, 1.0, (40, 4))
+        H0 = rng.uniform(0.0, 1.0, (4, 30))
+        cfg = NmfConfig(max_iter=120, tol=1e-12)
+        pair = nmf_core._run_updates(nmf_core._as_csr(X), W, H0, cfg, update_w=False)
+        np.testing.assert_allclose(
+            pair.objective_trace[-1], relative_error(X, W, pair.H), rtol=1e-10
+        )
+
+    # every row and column (dense operand) or every third (density 1/9, CSR)
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_exact_fit_takes_exact_residual(self, rng, monkeypatch, stride):
+        w = np.zeros((30, 1))
+        h = np.zeros((1, 24))
+        w[::stride] = rng.uniform(0.5, 1.5, w[::stride].shape)
+        h[:, ::stride] = rng.uniform(0.5, 1.5, h[:, ::stride].shape)
+        X = sparse.csr_matrix(w @ h)
+        calls = []
+        exact = nmf_core._residual_sq
+        monkeypatch.setattr(
+            nmf_core, "_residual_sq", lambda *args: calls.append(1) or exact(*args)
+        )
+        pair = nmf(X, 1, NmfConfig(seed=9, max_iter=100, tol=1e-12))
+        assert calls
+        trace = pair.objective_trace
+        for prev, cur in zip(trace, trace[1:]):
+            assert cur <= prev + 1e-9
+        assert trace[-1] < 1e-9
 
 
 class TestGramResidual:

@@ -4,10 +4,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
 from conftest import small_split_config, write_jsonl
-from oracles import block_topic_matrix, purity, separated_topics_problem, topic_corpus_jsonl
+from oracles import (
+    assignment_oracle,
+    block_topic_matrix,
+    purity,
+    separated_topics_problem,
+    topic_corpus_jsonl,
+)
 from senmfk_split.errors import DegenerateMatrix, NonNegativityViolation, ShapeMismatch
 from senmfk_split.matrix_builder import SemanticConfig
 from senmfk_split.model_selection import SelectionConfig
@@ -195,6 +204,24 @@ class TestAssignDocuments:
         a = assign_documents(H)
         b = assign_documents(H * 17.5)
         np.testing.assert_array_equal(a.assignments, b.assignments)
+
+    # entries from a few values, so ties and all-zero columns are common
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 5), st.integers(0, 12)),
+            elements=st.sampled_from([0.0, 0.5, 1.0, 3.0]) | st.floats(0.0, 10.0),
+        )
+    )
+    def test_matches_argmax_oracle_property(self, H):
+        assignments, counts, zero_columns = assignment_oracle(H)
+        out = assign_documents(H)
+        assert out.assignments.tolist() == assignments
+        assert out.counts.tolist() == counts
+        assert out.zero_columns == tuple(zero_columns)
+        assert out.counts.sum() == H.shape[1]
+        assert all(out.assignments[j] == 0 for j in out.zero_columns)
 
 
 class TestTopWords:
