@@ -32,7 +32,6 @@ from .model_selection import (
 from .nmf_core import (
     FactorPair,
     NmfConfig,
-    joint_objective,
     nmf,
     perturb,
     relative_error,
@@ -97,7 +96,6 @@ __all__ = [
     "nmf",
     "solve_h",
     "relative_error",
-    "joint_objective",
     "perturb",
     # model selection
     "SelectionConfig",

@@ -6,7 +6,7 @@ clustered under the constraint that each cluster takes exactly one column per
 ensemble member; cluster tightness is scored with cosine-distance silhouettes.
 The chosen rank is the largest k whose minimum silhouette clears the
 configured threshold, and that rank's cluster centroids become the consensus
-basis.
+basis, with the coefficients solved against them on the unperturbed matrix.
 """
 
 from __future__ import annotations
@@ -58,12 +58,13 @@ class RankRecord:
 @dataclass
 class SelectionReport:
     """Scan results: one record per candidate rank, the chosen rank, its
-    consensus basis, and whether the choice fell back to the most stable rank
-    because no rank met the threshold."""
+    consensus basis W and the H solved for it (None if W has a zero column),
+    and whether it fell back to the most stable rank as none met the threshold."""
 
     per_k: list[RankRecord]
     chosen_k: int
     consensus_W: np.ndarray
+    consensus_H: np.ndarray | None = None
     fallback: bool = False
 
 
@@ -202,7 +203,7 @@ def nmfk(
     Per rank: factorize ``n_perturbations`` perturbed copies from distinct
     seeds, L2-normalize the basis columns, cluster them one-per-member, score
     the clustering with silhouettes, and record the reconstruction error of
-    the centroid basis (H re-solved on the unperturbed matrix).  The chosen
+    the centroid basis with H solved on the unperturbed matrix.  The chosen
     rank is the largest one with min silhouette >= the threshold; if none
     qualifies the most stable rank is returned with ``fallback`` set.
 
@@ -220,11 +221,12 @@ def nmfk(
     ks = list(range(config.k_min, config.k_max + 1))
 
     per_k: list[RankRecord] = []
-    centroids_by_k: dict[int, np.ndarray] = {}
+    consensus_by_k: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
     for k in ks:
         ensemble = [_ensemble_member(X, k, j, config, symmetric_perturbation) for j in range(p)]
         labels, centroids = cluster_columns(ensemble)
         stats = silhouette(np.hstack(ensemble), labels.ravel())
+        H = None
         if (np.linalg.norm(centroids, axis=0) == 0).any():
             err = 1.0  # dead consensus column: rank is unusable, worst-case fit
         else:
@@ -238,15 +240,17 @@ def nmfk(
                 relative_error=err,
             )
         )
-        centroids_by_k[k] = centroids
+        consensus_by_k[k] = (centroids, H)
 
     stable = [r.k for r in per_k if r.min_silhouette >= config.silhouette_threshold]
     fallback = not stable
     # max returns the first maximum, so a fallback tie keeps the smaller k
     chosen = max(stable) if stable else max(per_k, key=lambda r: r.min_silhouette).k
+    consensus_W, consensus_H = consensus_by_k[chosen]
     return SelectionReport(
         per_k=per_k,
         chosen_k=chosen,
-        consensus_W=centroids_by_k[chosen],
+        consensus_W=consensus_W,
+        consensus_H=consensus_H,
         fallback=fallback,
     )

@@ -6,8 +6,8 @@ Implements the alternating Lee-Seung updates
     W <- W * (X H^T) / (W H H^T + eps)
 
 together with the fixed-W variant used for document regression, a sparse-safe
-relative reconstruction error, the two-term diagnostic objective, and the
-multiplicative perturbation used to generate factorization ensembles.
+relative reconstruction error, and the multiplicative perturbation used to
+generate factorization ensembles.
 
 Inputs are validated and held as CSR, but the update loop runs on a dense
 copy when ``4 * nnz >= m * n`` (density at least 1/4), where dense BLAS is
@@ -28,13 +28,12 @@ Sparser inputs stay CSR.  The dense copy (8 bytes per cell) can be up to
 of value plus 4 of column index per stored entry).  The transpose is taken
 once per solve: a view for an array, a CSC view (no copy) for CSR.
 
-Every 10 iterations the loop records the relative error.  The squared
-residual is folded from products the update already holds,
-``||X||^2 - 2<W, X H^T> + <W^T W, H H^T>`` after the W step, or
-``||X||^2 - 2<H, W^T X> + <W^T W, H H^T>`` in the fixed-W solve, at O(k^2 n +
-m k) per check.  Only when that value is within cancellation range of zero
-(below ``_CANCELLATION * ||X||^2``) is the exact :func:`_residual_sq` taken
-instead.
+The loop's check every 10 iterations and :func:`relative_error` take the
+squared residual by one rule, :func:`_folded_error`: the expansion
+``||X||^2 - 2<X, WH> + <W^T W, H H^T>`` with the cross term from a product
+at hand (``X H^T``, or ``W^T X`` in the fixed-W solve), and the exact
+:func:`_residual_sq` instead only within cancellation range of zero, at any
+size of X.
 """
 
 from __future__ import annotations
@@ -53,14 +52,15 @@ from .errors import (
 from .matrix_builder import canonicalize
 
 _TRACE_STRIDE = 10
+# Additive guard in the update denominators.
+_EPSILON = 1e-12
 # A folded residual below this share of ||X||^2 has lost too many digits to
 # cancellation and is recomputed exactly.
 _CANCELLATION = 1e-6
-# Residuals on matrices up to this many cells are evaluated by streaming row
-# blocks (exact subtraction, no cancellation); larger problems fall back to
-# the O(nnz*k) Gram expansion, whose ~1e-8 noise floor only matters within
-# rounding distance of an exact fit.
-_DENSE_EVAL_CELLS = 4_000_000
+# A smaller change of the relative error between checks is rounding noise:
+# the folded error is accurate to ~2.2e-16 / (2 err) <= 1.1e-13, and an exact
+# fit's error (~1e-14) jitters by ~4e-16, which tol * err alone never admits.
+_CHANGE_FLOOR = 1e-13
 _BLOCK_CELLS = 1 << 20
 
 
@@ -73,13 +73,11 @@ class NmfConfig:
     max_iter : hard iteration cap.
     tol : stop when the relative objective change over a 10-iteration stride
         falls below this value.
-    epsilon : additive guard in update denominators.
     seed : seed for the uniform factor initialization.
     """
 
     max_iter: int = 1000
     tol: float = 1e-6
-    epsilon: float = 1e-12
     seed: int = 42
 
     def __post_init__(self):
@@ -87,8 +85,6 @@ class NmfConfig:
             raise ValueError("max_iter must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
 
 
 @dataclass
@@ -106,45 +102,44 @@ class FactorPair:
         return self.W.shape[1]
 
 
-def _as_csr(X) -> sparse.csr_matrix:
-    if sparse.issparse(X):
-        return canonicalize(X)
-    return canonicalize(sparse.csr_matrix(np.asarray(X, dtype=np.float64)))
-
-
 def _check_nonnegative(X: sparse.csr_matrix, name: str) -> None:
     if X.nnz and (not np.isfinite(X.data).all() or X.data.min() < 0):
         raise NonNegativityViolation(f"{name} must be non-negative and finite")
 
 
-def _residual_sq(X, W: np.ndarray, H: np.ndarray, norm_sq: float) -> float:
-    """||X - WH||_F^2 without materializing WH whole; X is CSR or an ndarray.
-
-    Used by :func:`relative_error` and :func:`joint_objective`, and inside the
-    update loop only when the folded residual is within cancellation range of
-    zero.  Small problems stream row blocks and subtract before squaring;
-    large ones use the Gram expansion over the entries of X and the k x k
-    factor Grams, clamping the tiny negatives cancellation can produce."""
+def _residual_sq(X, W: np.ndarray, H: np.ndarray) -> float:
+    """||X - WH||_F^2 exactly, streaming row blocks of WH and subtracting X
+    (CSR or an ndarray) before squaring, so nothing cancels."""
     m, n = X.shape
-    if m * n <= _DENSE_EVAL_CELLS:
-        dense = isinstance(X, np.ndarray)
-        rows_per_block = max(1, _BLOCK_CELLS // max(n, 1))
-        total = 0.0
-        for start in range(0, m, rows_per_block):
-            stop = min(start + rows_per_block, m)
-            block = W[start:stop] @ H
-            block -= X[start:stop] if dense else X[start:stop].toarray()
-            total += float(np.einsum("ij,ij->", block, block))
-        return total
-    cross = float(np.sum((X.T @ W) * H.T))
-    gram = float(np.sum((W.T @ W) * (H @ H.T)))
-    return max(norm_sq - 2.0 * cross + gram, 0.0)
+    dense = isinstance(X, np.ndarray)
+    rows_per_block = max(1, _BLOCK_CELLS // max(n, 1))
+    total = 0.0
+    for start in range(0, m, rows_per_block):
+        stop = min(start + rows_per_block, m)
+        block = W[start:stop] @ H
+        block -= X[start:stop] if dense else X[start:stop].toarray()
+        total += float(np.einsum("ij,ij->", block, block))
+    return total
+
+
+def _folded_error(X, W, H, norm_sq: float, cross: float, gram_w, hht) -> float:
+    """||X - WH||_F / ||X||_F, the squared residual folded as ||X||^2 - 2 cross
+    + <W^T W, H H^T> (``cross`` = <X, WH>, ``gram_w`` = W^T W, ``hht`` = H H^T)
+    or, below ``_CANCELLATION * ||X||^2``, exact by :func:`_residual_sq`.  A
+    zero X scores 0 when fitted exactly and inf otherwise."""
+    rsq = norm_sq - 2.0 * cross + float(np.einsum("ij,ij->", gram_w, hht))
+    if rsq < _CANCELLATION * norm_sq:
+        rsq = _residual_sq(X, W, H)
+    if norm_sq == 0.0:
+        return 0.0 if rsq == 0.0 else np.inf
+    return float(np.sqrt(rsq) / np.sqrt(norm_sq))
 
 
 def relative_error(X, W: np.ndarray, H: np.ndarray) -> float:
-    """||X - WH||_F / ||X||_F, accumulated blockwise over the sparse entries
-    of X and the low-rank factors; X is never densified whole."""
-    X = _as_csr(X)
+    """||X - WH||_F / ||X||_F from the sparse entries of X and the low-rank
+    factors, by the rule of :func:`_folded_error` with the cross term from
+    X H^T; X is never densified whole."""
+    X = canonicalize(X)
     W = np.asarray(W, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
     m, n = X.shape
@@ -153,33 +148,8 @@ def relative_error(X, W: np.ndarray, H: np.ndarray) -> float:
             f"X {X.shape}, W {W.shape}, H {H.shape} do not conform"
         )
     norm_sq = float((X.data**2).sum())
-    resid = np.sqrt(_residual_sq(X, W, H, norm_sq))
-    if norm_sq == 0.0:
-        return 0.0 if resid == 0.0 else np.inf
-    return float(resid / np.sqrt(norm_sq))
-
-
-def joint_objective(X, M, W, H, G, alpha: float) -> float:
-    """Diagnostic two-term objective 0.5 * ||X - WH||_F^2 + alpha * ||M - WG||_F^2.
-
-    The split pipeline never minimizes this directly; it exists to audit how
-    well a shared W fits both the term-document and word-context matrices.
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    X = _as_csr(X)
-    M = _as_csr(M)
-    W = np.asarray(W, dtype=np.float64)
-    H = np.asarray(H, dtype=np.float64)
-    G = np.asarray(G, dtype=np.float64)
-    if W.shape[0] != X.shape[0] or W.shape[1] != H.shape[0] or H.shape[1] != X.shape[1]:
-        raise DimensionMismatch(f"X {X.shape}, W {W.shape}, H {H.shape} do not conform")
-    if M.shape[0] != W.shape[0] or G.shape[0] != W.shape[1] or G.shape[1] != M.shape[1]:
-        raise DimensionMismatch(f"M {M.shape}, W {W.shape}, G {G.shape} do not conform")
-
-    term_x = _residual_sq(X, W, H, float((X.data**2).sum()))
-    term_m = _residual_sq(M, W, G, float((M.data**2).sum()))
-    return 0.5 * term_x + alpha * term_m
+    cross = float(np.einsum("ij,ij->", W, X @ H.T))
+    return _folded_error(X, W, H, norm_sq, cross, W.T @ W, H @ H.T)
 
 
 def _run_updates(
@@ -189,9 +159,7 @@ def _run_updates(
     config: NmfConfig,
     update_w: bool,
 ) -> FactorPair:
-    eps = config.epsilon
     norm_sq = float((X.data**2).sum())
-    norm = np.sqrt(norm_sq)
     m, n = X.shape
     A = X.toarray() if 4 * X.nnz >= m * n else X
     AT = A.T
@@ -201,25 +169,22 @@ def _run_updates(
     gram_w = W.T @ W
     for it in range(1, config.max_iter + 1):
         wtx = (AT @ W).T
-        H *= wtx / (gram_w @ H + eps)
+        H *= wtx / (gram_w @ H + _EPSILON)
         if update_w:
             hht = H @ H.T
             xht = A @ H.T
-            W *= xht / (W @ hht + eps)
+            W *= xht / (W @ hht + _EPSILON)
             gram_w = W.T @ W
         if it % _TRACE_STRIDE == 0 or it == config.max_iter:
-            # ||X||^2 - 2<X, WH> + <W^T W, H H^T>, the cross term from the
-            # update's own X H^T (W step) or W^T X (fixed-W step)
+            # the cross term from the update's own X H^T (W step) or W^T X
+            # (fixed-W step)
             if not update_w:
                 hht = H @ H.T
             cross = np.einsum("ij,ij->", W, xht) if update_w else np.einsum("ij,ij->", H, wtx)
-            rsq = norm_sq - 2.0 * cross + np.einsum("ij,ij->", gram_w, hht)
-            if rsq < _CANCELLATION * norm_sq:
-                rsq = _residual_sq(A, W, H, norm_sq)
-            err = float(np.sqrt(rsq) / norm) if norm > 0 else 0.0
+            err = _folded_error(A, W, H, norm_sq, float(cross), gram_w, hht)
             trace.append(err)
             iters.append(it)
-            if prev is not None and abs(prev - err) < config.tol * max(prev, eps):
+            if prev is not None and abs(prev - err) < max(config.tol * prev, _CHANGE_FLOOR):
                 break
             prev = err
     return FactorPair(W=W, H=H, objective_trace=trace, trace_iterations=iters)
@@ -230,14 +195,15 @@ def nmf(X, k: int, config: NmfConfig | None = None) -> FactorPair:
 
     W and H start from uniform (0, 1) draws scaled by mean(X) / k using
     ``config.seed`` (W drawn first), then alternate multiplicative updates
-    until the relative objective change over a 10-iteration stride drops
-    below ``config.tol`` or ``max_iter`` is reached.
+    until the change of the relative error over a 10-iteration stride drops
+    below ``config.tol`` times the error (or below ``_CHANGE_FLOOR``), or
+    ``max_iter`` is reached.
 
     Raises InvalidRank if k is outside [1, min(m, n)] and
     NonNegativityViolation if X has negative or non-finite entries.
     """
     config = config or NmfConfig()
-    X = _as_csr(X)
+    X = canonicalize(X)
     m, n = X.shape
     if not isinstance(k, (int, np.integer)) or k < 1 or k > min(m, n):
         raise InvalidRank(f"rank {k} outside [1, {min(m, n)}] for shape {X.shape}")
@@ -256,7 +222,7 @@ def solve_h(X, W: np.ndarray, config: NmfConfig | None = None) -> np.ndarray:
     Raises DegenerateBasis if any column of W is all-zero.
     """
     config = config or NmfConfig()
-    X = _as_csr(X)
+    X = canonicalize(X)
     W = np.asarray(W, dtype=np.float64)
     m, n = X.shape
     if W.ndim != 2 or W.shape[0] != m:
@@ -280,7 +246,7 @@ def perturb(X, delta: float, seed, symmetric: bool = False) -> sparse.csr_matrix
     """
     if not (0 <= delta < 1):
         raise ValueError("delta must be in [0, 1)")
-    X = _as_csr(X)
+    X = canonicalize(X)
     rng = np.random.default_rng(seed)
     if not symmetric:
         out = X.copy()

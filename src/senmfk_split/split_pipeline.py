@@ -32,6 +32,7 @@ from scipy import sparse
 
 from .errors import (
     DataError,
+    DegenerateBasis,
     NonNegativityViolation,
     PipelineStageError,
     SenmfkError,
@@ -135,11 +136,12 @@ class AssignmentResult:
 
 
 def _factorize(A, selection: SelectionConfig, symmetric_perturbation: bool = False) -> Factors:
-    """Rank-select with NMFk, then re-solve H against the unperturbed ``A``
-    with the consensus basis."""
+    """Rank-select with NMFk and take the chosen rank's consensus basis and
+    the H the scan solved for it; DegenerateBasis if it has a zero column."""
     report = nmfk(A, selection, symmetric_perturbation=symmetric_perturbation)
-    W = report.consensus_W
-    return W, solve_h(A, W, _solver_config(selection.nmf)), report
+    if report.consensus_H is None:
+        raise DegenerateBasis(f"rank-{report.chosen_k} consensus basis has an all-zero column")
+    return report.consensus_W, report.consensus_H, report
 
 
 def factorize_x(X, selection: SelectionConfig) -> Factors:
@@ -195,7 +197,8 @@ def joint_factorize(Wcat: np.ndarray, selection: SelectionConfig) -> Factors:
 def final_regression(X, W: np.ndarray, config: NmfConfig | None = None) -> np.ndarray:
     """Document coordinates in the merged topic space: fixed-W non-negative
     regression of the original term-document matrix."""
-    return solve_h(X, W, _solver_config(config or NmfConfig()))
+    config = config or NmfConfig()
+    return solve_h(X, W, replace(config, seed=child_seed(config.seed, 11)))
 
 
 def assign_documents(H: np.ndarray) -> AssignmentResult:
@@ -227,10 +230,6 @@ def top_words(
         order = sorted(zip(vocab.terms, W[:, t]), key=lambda p: (-p[1], p[0]))
         ranked.append([(term, float(w)) for term, w in order[:limit]])
     return ranked
-
-
-def _solver_config(base: NmfConfig) -> NmfConfig:
-    return replace(base, seed=child_seed(base.seed, 11))
 
 
 def resolve_joint_selection(
@@ -387,7 +386,7 @@ def _joint_selection(run: PipelineRun) -> SelectionConfig:
 def _read_factorization(run: PipelineRun, names: tuple[str, str, str]) -> Factors:
     W = storage.read_dense(run.path(names[0]))
     H = storage.read_dense(run.path(names[1]))
-    return W, H, storage.read_selection_report(run.path(names[2]), W)
+    return W, H, storage.read_selection_report(run.path(names[2]), W, H)
 
 
 # The stage functions are looked up as module globals when a stage runs, so a

@@ -70,7 +70,7 @@ def read_dense(path: str | Path) -> np.ndarray:
 
 
 def write_selection_report(report: SelectionReport, path: str | Path) -> None:
-    """Selection scan as JSON; the consensus basis is persisted separately.
+    """Selection scan as JSON; the consensus factors are persisted separately.
     Each ``per_k`` entry holds the :class:`RankRecord` fields in declaration
     order."""
     payload = {
@@ -82,12 +82,15 @@ def write_selection_report(report: SelectionReport, path: str | Path) -> None:
         tmp.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def read_selection_report(path: str | Path, consensus_W: np.ndarray) -> SelectionReport:
+def read_selection_report(
+    path: str | Path, consensus_W: np.ndarray, consensus_H: np.ndarray
+) -> SelectionReport:
     payload = json.loads(Path(path).read_text("utf-8"))
     return SelectionReport(
         per_k=[RankRecord(**r) for r in payload["per_k"]],
         chosen_k=int(payload["chosen_k"]),
         consensus_W=consensus_W,
+        consensus_H=consensus_H,
         fallback=bool(payload["fallback"]),
     )
 
@@ -153,12 +156,3 @@ def read_histogram(path: str | Path) -> list[tuple[int, int]]:
             return [(int(row[0]), int(row[1])) for row in reader]
     except (*_MALFORMED, csv.Error) as exc:
         raise DataError(f"{path}: not a valid histogram: {exc!r}") from exc
-
-
-def write_trace_csv(iterations: list[int], errors: list[float], path: str | Path) -> None:
-    """Objective trace: iteration, relative_error."""
-    with atomic_path(path) as tmp, tmp.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "relative_error"])
-        for it, err in zip(iterations, errors):
-            writer.writerow([it, format(err, ".17g")])

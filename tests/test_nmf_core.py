@@ -1,4 +1,4 @@
-"""Multiplicative-update NMF, fixed-basis regression, objectives, perturbation."""
+"""Multiplicative-update NMF, fixed-basis regression, residuals, perturbation."""
 
 import numpy as np
 import pytest
@@ -12,9 +12,9 @@ from senmfk_split.errors import (
     NonNegativityViolation,
 )
 from senmfk_split import nmf_core
+from senmfk_split.matrix_builder import canonicalize
 from senmfk_split.nmf_core import (
     NmfConfig,
-    joint_objective,
     nmf,
     perturb,
     relative_error,
@@ -49,7 +49,7 @@ class TestNmf:
         W = pair.W.copy()
         W[2, 1] = 0.0
         H = pair.H.copy()
-        eps = cfg.epsilon
+        eps = nmf_core._EPSILON
         # one multiplicative W update by hand: the zero is a fixed point
         W_next = W * ((X @ H.T) / (W @ (H @ H.T) + eps))
         assert W_next[2, 1] == 0.0
@@ -211,6 +211,18 @@ class TestRelativeError:
         with pytest.raises(DimensionMismatch):
             relative_error(X, np.zeros((5, 2)), np.zeros((3, 5)))
 
+    def test_near_exact_fit_of_large_input(self, rng):
+        # 2100 x 2000 with every third row and column stored (466,900
+        # entries): the folded value cancels to rounding noise, so the exact
+        # residual must decide
+        w = np.zeros((2100, 1))
+        h = np.zeros((1, 2000))
+        w[::3] = rng.uniform(0.5, 1.5, w[::3].shape)
+        h[:, ::3] = rng.uniform(0.5, 1.5, h[:, ::3].shape)
+        X = sparse.csr_matrix(w @ h)
+        assert X.nnz == 466_900
+        np.testing.assert_allclose(relative_error(X, w, h * (1 + 1e-9)), 1e-9, rtol=1e-6)
+
 
 class TestUpdateLoop:
     """The operand rule and the residual check folded from the update's own
@@ -245,7 +257,7 @@ class TestUpdateLoop:
         W = rng.uniform(0.1, 1.0, (40, 4))
         H0 = rng.uniform(0.0, 1.0, (4, 30))
         cfg = NmfConfig(max_iter=120, tol=1e-12)
-        pair = nmf_core._run_updates(nmf_core._as_csr(X), W, H0, cfg, update_w=False)
+        pair = nmf_core._run_updates(canonicalize(X), W, H0, cfg, update_w=False)
         np.testing.assert_allclose(
             pair.objective_trace[-1], relative_error(X, W, pair.H), rtol=1e-10
         )
@@ -270,14 +282,19 @@ class TestUpdateLoop:
             assert cur <= prev + 1e-9
         assert trace[-1] < 1e-9
 
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    def test_exact_fit_stops_at_rounding_floor(self, rng, tol):
+        # the error reaches ~4e-15 at once and then only jitters
+        w = rng.uniform(0.5, 1.5, (200, 1))
+        h = rng.uniform(0.5, 1.5, (1, 150))
+        pair = nmf(w @ h, 1, NmfConfig(seed=4, max_iter=300, tol=tol))
+        assert pair.trace_iterations[-1] < 300
+        assert max(pair.objective_trace) < 1e-12
+
 
 class TestGramResidual:
-    """The Gram-expansion residual that large matrices take, forced on small
-    ones, on a CSR operand (density 0.3) and a dense one (density 1.0)."""
-
-    @pytest.fixture(autouse=True)
-    def gram_path(self, monkeypatch):
-        monkeypatch.setattr(nmf_core, "_DENSE_EVAL_CELLS", 0)
+    """The Gram-expansion residual, on a CSR operand (density 0.3) and a
+    dense one (density 1.0)."""
 
     @pytest.mark.parametrize("density", [1.0, 0.3])
     def test_relative_error_matches_oracle(self, rng, density):
@@ -300,31 +317,6 @@ class TestGramResidual:
         np.testing.assert_allclose(
             trace[-1], frobenius_relative_error(X.toarray(), pair.W, pair.H), rtol=1e-9
         )
-
-
-class TestJointObjective:
-    def test_alpha_zero_single_term(self, rng):
-        X = random_nonneg(rng, 6, 5)
-        M = random_nonneg(rng, 6, 6)
-        W = rng.uniform(0.0, 1.0, (6, 2))
-        H = rng.uniform(0.0, 1.0, (2, 5))
-        G = rng.uniform(0.0, 1.0, (2, 6))
-        val = joint_objective(X, M, W, H, G, 0.0)
-        expected = 0.5 * np.linalg.norm(X.toarray() - W @ H) ** 2
-        np.testing.assert_allclose(val, expected, rtol=1e-12)
-
-    def test_exact_factors_zero(self, rng):
-        W = rng.uniform(0.1, 1.0, (6, 2))
-        H = rng.uniform(0.1, 1.0, (2, 5))
-        G = rng.uniform(0.1, 1.0, (2, 6))
-        X = sparse.csr_matrix(W @ H)
-        M = sparse.csr_matrix(W @ G)
-        assert joint_objective(X, M, W, H, G, 1.0) < 1e-18
-
-    def test_scalar_arithmetic(self):
-        one = lambda v: np.array([[float(v)]])
-        val = joint_objective(one(2), one(2), one(1), one(0), one(0), 1.0)
-        assert val == 6.0
 
 
 class TestPerturb:
@@ -367,9 +359,9 @@ class TestPerturb:
 class TestNmfConfigValidation:
     def test_defaults(self):
         cfg = NmfConfig()
-        assert cfg.max_iter == 1000 and cfg.tol == 1e-6 and cfg.epsilon == 1e-12
+        assert cfg.max_iter == 1000 and cfg.tol == 1e-6
 
-    @pytest.mark.parametrize("kwargs", [{"max_iter": 0}, {"tol": 0.0}, {"epsilon": 0.0}])
+    @pytest.mark.parametrize("kwargs", [{"max_iter": 0}, {"tol": 0.0}])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             NmfConfig(**kwargs)

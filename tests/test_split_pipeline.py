@@ -17,7 +17,13 @@ from oracles import (
     separated_topics_problem,
     topic_corpus_jsonl,
 )
-from senmfk_split.errors import DegenerateMatrix, NonNegativityViolation, ShapeMismatch
+from senmfk_split import model_selection, nmf_core, split_pipeline
+from senmfk_split.errors import (
+    DegenerateBasis,
+    DegenerateMatrix,
+    NonNegativityViolation,
+    ShapeMismatch,
+)
 from senmfk_split.matrix_builder import SemanticConfig
 from senmfk_split.model_selection import SelectionConfig
 from senmfk_split.nmf_core import NmfConfig, relative_error
@@ -64,6 +70,33 @@ class TestFactorizeX:
         W1, _H1, report = factorize_x(X, selection(1, 3, seed=2))
         assert report.chosen_k == 1
         assert W1.shape == (8, 1)
+
+    def test_one_consensus_solve_per_rank(self, rng, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return nmf_core.solve_h(*args, **kwargs)
+
+        monkeypatch.setattr(model_selection, "solve_h", counting)
+        monkeypatch.setattr(split_pipeline, "solve_h", counting)
+        X = sparse.csr_matrix(separated_topics_problem(rng, 3, rows_per_topic=6, docs_per_topic=10))
+        W1, H1, report = factorize_x(X, selection(2, 6, seed=3, perturbations=2, max_iter=50))
+        assert len(calls) == 5
+        assert W1 is report.consensus_W and H1 is report.consensus_H
+
+    def test_dead_consensus_column_rejected(self, rng, monkeypatch):
+        cluster = model_selection.cluster_columns
+
+        def dead_first_centroid(column_sets):
+            labels, centroids = cluster(column_sets)
+            centroids[:, 0] = 0.0
+            return labels, centroids
+
+        monkeypatch.setattr(model_selection, "cluster_columns", dead_first_centroid)
+        X = sparse.csr_matrix(separated_topics_problem(rng, 3, rows_per_topic=6, docs_per_topic=10))
+        with pytest.raises(DegenerateBasis):
+            factorize_x(X, selection(3, 3, seed=4, perturbations=2, max_iter=50))
 
 
 class TestFactorizeM:

@@ -63,11 +63,12 @@ class TestSelectionReportIO:
             ],
             chosen_k=3,
             consensus_W=rng.uniform(0.0, 1.0, (6, 3)),
+            consensus_H=rng.uniform(0.0, 1.0, (3, 4)),
             fallback=False,
         )
         path = tmp_path / "sel.json"
         storage.write_selection_report(report, path)
-        back = storage.read_selection_report(path, report.consensus_W)
+        back = storage.read_selection_report(path, report.consensus_W, report.consensus_H)
         assert back == report
 
 
@@ -85,13 +86,6 @@ class TestCsvArtifacts:
         path = tmp_path / "h.csv"
         storage.write_histogram(np.array([3, 0, 7]), path)
         assert storage.read_histogram(path) == [(0, 3), (1, 0), (2, 7)]
-
-    def test_trace_csv(self, tmp_path):
-        path = tmp_path / "t.csv"
-        storage.write_trace_csv([10, 20], [0.5, 0.25], path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "iteration,relative_error"
-        assert lines[1] == "10,0.5"
 
 
 class TestAtomicWrites:
