@@ -234,7 +234,8 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 def cmd_matrices(args: argparse.Namespace) -> int:
     run, manifest = _merged_manifest(args)
-    X, M = run_stages(run, manifest, first="matrices", last="matrices")["matrices"]
+    matrices = run_stages(run, manifest, first="matrices", last="matrices")["matrices"]
+    X, M = matrices["X"], matrices["M"]
     cooc_shape, cooc_nnz = storage.sparse_size(run.path("cooc.mtx"))
     print(
         f"X {X.shape} ({X.nnz} nnz), cooc {cooc_shape} ({cooc_nnz} nnz), "

@@ -12,11 +12,13 @@ The pipeline is written once, as the stage list :data:`STAGES`: preprocess,
 matrices, factorize_x, factorize_m, joint, regression and export.  Each
 :class:`Stage` names its manifest parameters, its input and output files, how
 to compute its value (persisting the outputs into the workspace) and how to
-load that value back from the outputs.  :func:`run_stages` executes a slice
-of the list and is the one runner behind every entry point: :func:`run_split`
-runs every stage without a manifest; the CLI runs all stages or a single one
-and records a manifest that is saved after every stage, so a run can be
-audited and resumed after the last stage that finished.
+load that value back from the outputs; a stage that a run does not compute
+is loaded only when a later stage first reads its value.  :func:`run_stages`
+executes a slice of the list and is the one runner behind every entry
+point: :func:`run_split` runs every stage without a manifest; the CLI runs
+all stages or a single one and records a manifest that is saved after every
+stage, so a run can be audited and resumed after the last stage that
+finished.
 """
 
 from __future__ import annotations
@@ -275,16 +277,16 @@ def prepare_corpus(
 
 def build_matrices(
     corpus: Corpus, vocab: Vocabulary, config: SemanticConfig, workspace: Path
-) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+) -> dict[str, sparse.csr_matrix]:
     """Stage 2: TF-IDF X, co-occurrence counts, and the SPPMI matrix M.  The
-    counts are only written to the workspace; X and M are returned."""
+    counts are only written to the workspace; X and M are returned by name."""
     X = build_tfidf(corpus, vocab)
     cooc = build_cooccurrence(corpus, vocab, config)
     M = sppmi(cooc, config.shift)
     storage.write_sparse(X, workspace / "X.mtx")
     storage.write_sparse(cooc, workspace / "cooc.mtx")
     storage.write_sparse(M, workspace / "M.mtx")
-    return X, M
+    return {"X": X, "M": M}
 
 
 def _write_factorization(result: Factors, names: tuple[str, str, str], workspace: Path) -> Factors:
@@ -356,16 +358,37 @@ class Stage:
     load: Callable[[PipelineRun], Any]
 
 
+class Deferred(dict):
+    """A dict that loads a missing key on first read and keeps the value:
+    ``load(key)`` runs inside :func:`stage_scope` of ``stage``, or of the key
+    itself when ``stage`` is None, so a load error names its stage."""
+
+    def __init__(self, load: Callable[[str], Any], stage: str | None = None):
+        super().__init__()
+        self._load = load
+        self._stage = stage
+
+    def __missing__(self, key: str) -> Any:
+        with stage_scope(self._stage or key):
+            value = self[key] = self._load(key)
+        return value
+
+
 @dataclass
 class PipelineRun:
     """One execution of the stage list: its configuration, its workspace,
-    the corpus it reads, and the value of every stage run or loaded so far."""
+    the corpus it reads, and the value of every stage by name.  A stage that
+    was not computed in this run is loaded from its outputs when its value is
+    first read."""
 
     config: SplitConfig
     workspace: Path
     corpus_path: str | Path | None = None
     pre_tokenized: bool = False
-    values: dict[str, Any] = field(default_factory=dict)
+    values: Deferred = field(init=False)
+
+    def __post_init__(self):
+        self.values = Deferred(lambda name: _STAGE_BY_NAME[name].load(self))
 
     def path(self, name: str) -> Path:
         return Path(self.corpus_path) if name == INPUT else self.workspace / name
@@ -378,9 +401,9 @@ def _selection_params(selection: SelectionConfig) -> dict[str, Any]:
 
 
 def _joint_selection(run: PipelineRun) -> SelectionConfig:
-    X = run.values["matrices"][0]
+    n_rows = len(run.values["preprocess"][1])  # the rows of X and M: one per term
     k1, k2 = run.values["factorize_x"][0].shape[1], run.values["factorize_m"][0].shape[1]
-    return resolve_joint_selection(run.config, k1, k2, X.shape[0])
+    return resolve_joint_selection(run.config, k1, k2, n_rows)
 
 
 def _read_factorization(run: PipelineRun, names: tuple[str, str, str]) -> Factors:
@@ -417,8 +440,9 @@ STAGES: tuple[Stage, ...] = (
         inputs=("corpus.jsonl", "vocab.txt"),
         outputs=("X.mtx", "cooc.mtx", "M.mtx"),
         compute=lambda r: build_matrices(*r.values["preprocess"], r.config.semantic, r.workspace),
-        # cooc.mtx is digested like every output but never read back
-        load=lambda r: tuple(storage.read_sparse(r.path(n)) for n in ("X.mtx", "M.mtx")),
+        # X and M are each read on first use; cooc.mtx is digested like every
+        # output but never read back
+        load=lambda r: Deferred(lambda n: storage.read_sparse(r.path(f"{n}.mtx")), "matrices"),
     ),
     Stage(
         "factorize_x",
@@ -426,7 +450,7 @@ STAGES: tuple[Stage, ...] = (
         inputs=("X.mtx",),
         outputs=FACTORS_X,
         compute=lambda r: stage_factorize_x(
-            r.values["matrices"][0], r.config.selection_x, r.workspace
+            r.values["matrices"]["X"], r.config.selection_x, r.workspace
         ),
         load=lambda r: _read_factorization(r, FACTORS_X),
     ),
@@ -436,7 +460,7 @@ STAGES: tuple[Stage, ...] = (
         inputs=("M.mtx",),
         outputs=FACTORS_M,
         compute=lambda r: stage_factorize_m(
-            r.values["matrices"][1], r.config.selection_m, r.workspace
+            r.values["matrices"]["M"], r.config.selection_m, r.workspace
         ),
         load=lambda r: _read_factorization(r, FACTORS_M),
     ),
@@ -460,7 +484,7 @@ STAGES: tuple[Stage, ...] = (
         inputs=("X.mtx", "W.mtx"),
         outputs=("H.mtx",),
         compute=lambda r: stage_regression(
-            r.values["matrices"][0], r.values["joint"][0], r.config.selection_x.nmf, r.workspace
+            r.values["matrices"]["X"], r.values["joint"][0], r.config.selection_x.nmf, r.workspace
         ),
         load=lambda r: storage.read_dense(r.path("H.mtx")),
     ),
@@ -484,6 +508,7 @@ STAGES: tuple[Stage, ...] = (
         ),
     ),
 )
+_STAGE_BY_NAME = {stage.name: stage for stage in STAGES}
 
 
 def run_stages(
@@ -496,12 +521,14 @@ def run_stages(
     """Run the stages ``first``..``last`` (default: all) in list order and
     return ``run.values``.
 
-    Earlier stages are loaded from their outputs, which must exist, and are
-    not recorded.  Each stage runs inside :func:`stage_scope`.  Without a
-    manifest nothing is digested or recorded.  With one, every stage is
-    recorded in it and the manifest is saved to the workspace after each
-    stage; a stage that ``previous`` records with the same parameters,
-    inputs and still-matching outputs is loaded instead of computed.
+    Earlier stages are not recorded; their outputs must exist.  Each stage
+    runs inside :func:`stage_scope`.  Without a manifest nothing is digested
+    or recorded.  With one, every stage is recorded in it and the manifest is
+    saved to the workspace after each stage; a stage that ``previous``
+    records with the same parameters, inputs and still-matching outputs is
+    resumed instead of computed.  An earlier or resumed stage is loaded from
+    its outputs only when a later stage, or the caller, first reads its
+    value, so a full resume reads no matrix the run does not use.
     """
     names = [stage.name for stage in STAGES]
     begin = names.index(first) if first else 0
@@ -510,7 +537,6 @@ def run_stages(
         for name in stage.outputs:
             if not run.path(name).is_file():
                 raise DataError(f"{run.path(name)} missing: run '{stage.name}' first")
-        run.values[stage.name] = stage.load(run)
     digests: dict[str, str] = {}  # files digested so far in this run
     for stage in STAGES[begin:end]:
         with stage_scope(stage.name):
@@ -524,7 +550,6 @@ def run_stages(
                 stage.name, params, inputs, run.workspace
             )
             if resumed:
-                run.values[stage.name] = stage.load(run)
                 outputs = previous.stages[stage.name].outputs  # checked by can_skip
             else:
                 run.values[stage.name] = stage.compute(run)

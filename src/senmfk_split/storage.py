@@ -1,12 +1,18 @@
 """Workspace artifact persistence.
 
 Sparse matrices go to MatrixMarket coordinate files and dense factors to
-MatrixMarket array files, both with 17 significant digits so float64 values
-round-trip exactly.  Selection reports are JSON, each per-rank entry the
-fields of a :class:`RankRecord` by name; topic tables are JSON, document
-assignments and histograms CSV.  All writers are deterministic:
-identical inputs produce byte-identical files, and atomic: each writes a
-temporary file beside its target and renames it into place.
+MatrixMarket array files.  A sparse file's layout follows from the matrix
+itself, each fact checked exactly: a matrix equal to its transpose stores
+only its lower triangle (``symmetric``), and one whose values are all whole
+numbers is written in the ``integer`` field; anything else is ``real
+general``.  Real values are written with 17 significant digits, so every
+float64 round-trips exactly, and :func:`read_sparse` returns the same
+canonical float64 CSR matrix whatever layout the file has.  Selection
+reports are JSON, each per-rank entry the fields of a :class:`RankRecord` by
+name; topic tables are JSON, document assignments and histograms CSV.  All
+writers are deterministic: identical inputs produce byte-identical files,
+and atomic: each writes a temporary file beside its target and renames it
+into place.
 """
 
 from __future__ import annotations
@@ -22,20 +28,49 @@ from scipy import sparse
 
 from .errors import DataError
 from .fileio import atomic_path
+from .matrix_builder import canonicalize
 from .model_selection import RankRecord, SelectionReport
 
 _PRECISION = 17  # significant digits; scipy renders %.16e, exact for float64
+# Whole numbers below this magnitude are exact in both float64 and int64.
+_EXACT_WHOLE = 2.0**53
 # What parsing a damaged JSON or CSV artifact raises: bad syntax, text or
 # number (ValueError), a missing key (KeyError), a short row (IndexError), a
 # value of the wrong kind (TypeError).
 _MALFORMED = (ValueError, KeyError, IndexError, TypeError)
 
 
+def _is_symmetric(mat: sparse.csr_matrix) -> bool:
+    """True when ``mat`` and its transpose have identical CSR arrays.  For a
+    canonical matrix that is exact equality; a non-canonical one may read as
+    not symmetric, never the reverse."""
+    if mat.shape[0] != mat.shape[1]:
+        return False
+    t = mat.T.tocsr()
+    return all(np.array_equal(getattr(mat, a), getattr(t, a)) for a in ("indptr", "indices", "data"))
+
+
+def _is_whole(values: np.ndarray) -> bool:
+    """True when every value is a whole number that int64 holds exactly."""
+    return bool(np.all(np.abs(values) < _EXACT_WHOLE) and np.all(np.trunc(values) == values))
+
+
 def write_sparse(mat, path: str | Path) -> None:
-    """MatrixMarket coordinate file, 1-based indices, general symmetry."""
+    """MatrixMarket coordinate file, 1-based indices: ``symmetric`` with the
+    lower triangle only when ``mat`` equals its transpose, ``integer`` when
+    its values are all whole, ``real general`` otherwise.  scipy's writer
+    trusts both settings (it drops the upper triangle and truncates floats
+    unchecked), so both are checked here first."""
+    csr = sparse.csr_matrix(mat)
+    symmetric = _is_symmetric(csr)
+    coo = sparse.tril(csr, format="coo") if symmetric else csr.tocoo()
     with atomic_path(path) as tmp:
         scipy_io.mmwrite(
-            str(tmp), sparse.coo_matrix(mat), precision=_PRECISION, symmetry="general"
+            str(tmp),
+            coo,
+            field="integer" if _is_whole(coo.data) else None,
+            precision=_PRECISION,
+            symmetry="symmetric" if symmetric else "general",
         )
 
 
@@ -49,16 +84,22 @@ def write_dense(mat: np.ndarray, path: str | Path) -> None:
 
 
 def read_sparse(path: str | Path) -> sparse.csr_matrix:
+    """The matrix of a coordinate file as canonical float64 CSR (see
+    :func:`canonicalize`), whatever its field; a symmetric file's stored
+    triangle is mirrored."""
     mat = scipy_io.mmread(str(path))
     if not sparse.issparse(mat):
         raise DataError(f"{path}: expected a coordinate (sparse) MatrixMarket file")
-    return sparse.csr_matrix(mat)
+    return canonicalize(mat)
 
 
 def sparse_size(path: str | Path) -> tuple[tuple[int, int], int]:
-    """(shape, stored entries) of a file written by :func:`write_sparse`,
-    from its header alone."""
-    rows, cols, entries, *_ = scipy_io.mminfo(str(path))
+    """(shape, stored entries) of a file written by :func:`write_sparse`.  A
+    general file answers from its header; a symmetric one stores a single
+    triangle, so its entries, both triangles, are counted from its matrix."""
+    rows, cols, entries, _format, _field, symmetry = scipy_io.mminfo(str(path))
+    if symmetry != "general":
+        entries = read_sparse(path).nnz
     return (rows, cols), entries
 
 

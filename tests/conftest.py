@@ -43,6 +43,14 @@ def small_split_config(
     )
 
 
+def assert_same_csr(actual, expected) -> None:
+    """Equal shape and CSR arrays, bit for bit, with float64 values."""
+    assert actual.shape == expected.shape
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(actual, name), getattr(expected, name), err_msg=name)
+    assert actual.data.dtype == np.float64
+
+
 def write_jsonl(path: Path, lines: list[str]) -> Path:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path

@@ -5,14 +5,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import io as scipy_io
 
-from conftest import write_jsonl
+from conftest import assert_same_csr, write_jsonl
 from oracles import cooccurrence_oracle, purity, tfidf_oracle, topic_corpus_jsonl
 from senmfk_split import storage
 from senmfk_split.cli import main, parse_config_file
 from senmfk_split.errors import NumericalError
-from senmfk_split.manifest import RunManifest
+from senmfk_split.manifest import RunManifest, sha256_file
 from senmfk_split.text_pipeline import load_jsonl_corpus
+
+
+def assert_same_outputs(ws: Path, other: Path, skip: tuple[str, ...] = ()) -> None:
+    """The two workspaces hold the same files, byte for byte, apart from
+    manifest.json (it carries wall-clock times) and ``skip``."""
+    names = sorted(p.name for p in ws.iterdir() if p.name != "manifest.json")
+    assert names == sorted(p.name for p in other.iterdir() if p.name != "manifest.json")
+    for name in names:
+        if name not in skip:
+            assert (ws / name).read_bytes() == (other / name).read_bytes(), name
 
 
 RUN_FLAGS = [
@@ -24,6 +35,20 @@ RUN_FLAGS = [
     "--tol", "1e-7",
     "--seed", "11",
 ]
+# The chosen rank is the largest stable one, so dropping k = 2 from the M
+# scan keeps it and its basis: of RUN_FLAGS' stages only factorize_m reruns.
+NEW_M_RANGE = RUN_FLAGS[:4] + ["--km-min", "3"] + RUN_FLAGS[6:]
+
+
+@pytest.fixture
+def sparse_reads(monkeypatch):
+    """The names of the files storage.read_sparse reads, in order."""
+    read = []
+    read_sparse = storage.read_sparse
+    monkeypatch.setattr(
+        storage, "read_sparse", lambda p: read.append(Path(p).name) or read_sparse(p)
+    )
+    return read
 
 
 @pytest.fixture
@@ -167,6 +192,18 @@ class TestMatrices:
     def test_requires_preprocess_first(self, tmp_path):
         assert main(["matrices", "--workspace", str(tmp_path / "fresh")]) == 2
 
+    def test_damaged_earlier_output_names_its_stage(self, corpus_file, tmp_path, capsys):
+        # preprocess's outputs are read when matrices first needs them, and
+        # the error still names the stage that wrote them
+        path, _ = corpus_file
+        ws = tmp_path / "ws"
+        assert main(["preprocess", str(path), "--workspace", str(ws)]) == 0
+        (ws / "corpus.jsonl").write_text('{"id": "a", "tokens": \n', encoding="utf-8")
+        capsys.readouterr()
+        assert main(["matrices", "--workspace", str(ws), "--shift", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "stage 'preprocess'" in err and "corpus.jsonl" in err
+
     def test_summary_counts_stored_entries(self, corpus_file, tmp_path, capsys):
         path, _ = corpus_file
         ws = tmp_path / "ws"
@@ -213,10 +250,7 @@ class TestRun:
         ws_a, ws_b = tmp_path / "a", tmp_path / "b"
         main(["run", str(path), "--workspace", str(ws_a)] + RUN_FLAGS)
         main(["run", str(path), "--workspace", str(ws_b)] + RUN_FLAGS)
-        for p in sorted(ws_a.iterdir()):
-            if p.name == "manifest.json":  # carries wall-clock times
-                continue
-            assert p.read_bytes() == (ws_b / p.name).read_bytes(), p.name
+        assert_same_outputs(ws_a, ws_b)
 
     def test_resume_skips_all_stages(self, corpus_file, tmp_path):
         path, _ = corpus_file
@@ -255,18 +289,52 @@ class TestRun:
         assert all(rec.resumed for rec in RunManifest.load(ws / "manifest.json").stages.values())
         assert capsys.readouterr().out == first
 
-    def test_resume_does_not_read_cooc(self, corpus_file, tmp_path, monkeypatch):
+    def test_resume_does_not_read_cooc(self, corpus_file, tmp_path, sparse_reads):
         path, _ = corpus_file
         ws = tmp_path / "ws"
         assert main(["run", str(path), "--workspace", str(ws)] + RUN_FLAGS) == 0
-        read = []
-        read_sparse = storage.read_sparse
-        monkeypatch.setattr(
-            storage, "read_sparse", lambda p: read.append(Path(p).name) or read_sparse(p)
-        )
         assert main(["run", str(path), "--workspace", str(ws), "--resume"] + RUN_FLAGS) == 0
-        assert read == ["X.mtx", "M.mtx"]
+        assert sparse_reads == []
         assert RunManifest.load(ws / "manifest.json").stages["matrices"].resumed
+
+    def test_resume_with_new_m_range_reads_only_m(self, corpus_file, tmp_path, sparse_reads):
+        path, _ = corpus_file
+        ws, fresh = tmp_path / "ws", tmp_path / "fresh"
+        assert main(["run", str(path), "--workspace", str(ws)] + RUN_FLAGS) == 0
+        assert main(["run", str(path), "--workspace", str(ws), "--resume"] + NEW_M_RANGE) == 0
+        assert sparse_reads == ["M.mtx"]
+        stages = RunManifest.load(ws / "manifest.json").stages
+        assert [name for name, rec in stages.items() if not rec.resumed] == ["factorize_m"]
+        assert main(["run", str(path), "--workspace", str(fresh)] + NEW_M_RANGE) == 0
+        assert_same_outputs(ws, fresh)
+
+    def test_resume_reads_general_real_matrices(self, corpus_file, tmp_path):
+        # a workspace whose word-context files are in the older layout:
+        # every matrix as real general, and the manifest digests of those files
+        path, _ = corpus_file
+        ws, fresh = tmp_path / "ws", tmp_path / "fresh"
+        assert main(["run", str(path), "--workspace", str(ws)] + RUN_FLAGS) == 0
+        manifest = json.loads((ws / "manifest.json").read_text())
+        for name in ("X.mtx", "cooc.mtx", "M.mtx"):
+            mat = storage.read_sparse(ws / name)
+            scipy_io.mmwrite(ws / name, mat.tocoo(), precision=17, symmetry="general")
+            assert (ws / name).read_text().startswith("%%MatrixMarket matrix coordinate real general")
+            for rec in manifest["stages"].values():
+                for files in (rec["inputs"], rec["outputs"]):
+                    if name in files:
+                        files[name] = sha256_file(ws / name)
+        (ws / "manifest.json").write_text(json.dumps(manifest))
+        before = {p.name: p.read_bytes() for p in ws.iterdir() if p.name != "manifest.json"}
+        assert main(["run", str(path), "--workspace", str(ws), "--resume"] + RUN_FLAGS) == 0
+        assert all(rec.resumed for rec in RunManifest.load(ws / "manifest.json").stages.values())
+        assert before == {p.name: p.read_bytes() for p in ws.iterdir() if p.name != "manifest.json"}
+        # a stage that runs again reads the older M.mtx to the same result
+        assert main(["run", str(path), "--workspace", str(ws), "--resume"] + NEW_M_RANGE) == 0
+        assert not RunManifest.load(ws / "manifest.json").stages["factorize_m"].resumed
+        assert main(["run", str(path), "--workspace", str(fresh)] + NEW_M_RANGE) == 0
+        assert_same_outputs(ws, fresh, skip=("X.mtx", "cooc.mtx", "M.mtx"))
+        for name in ("X.mtx", "cooc.mtx", "M.mtx"):
+            assert_same_csr(storage.read_sparse(ws / name), storage.read_sparse(fresh / name))
 
     def test_resume_reruns_on_parameter_change(self, corpus_file, tmp_path):
         path, _ = corpus_file
@@ -303,10 +371,7 @@ class TestRun:
             "regression": False,
             "export": False,
         }
-        names = sorted(p.name for p in clean.iterdir() if p.name != "manifest.json")
-        assert names == sorted(p.name for p in ws.iterdir() if p.name != "manifest.json")
-        for name in names:
-            assert (clean / name).read_bytes() == (ws / name).read_bytes(), name
+        assert_same_outputs(clean, ws)
 
     def test_resume_after_single_stage_commands(self, corpus_file, tmp_path):
         # preprocess and matrices record the same stages that run resumes

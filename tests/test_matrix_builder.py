@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
+from conftest import assert_same_csr
 from oracles import cooccurrence_oracle, random_tokens_corpus, sppmi_oracle, tfidf_oracle
 from senmfk_split.errors import DegenerateMatrix, EmptyColumn
 from senmfk_split import matrix_builder
@@ -141,6 +143,21 @@ class TestCooccurrence:
         np.testing.assert_array_equal(C.toarray(), cooccurrence_oracle(docs, terms, window))
         assert C.has_canonical_format and (C.data > 0).all()
 
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.data(), st.sampled_from([1.0, 1.5, 4.0]))
+    def test_output_and_its_sppmi_equal_their_transposes(self, data, shift):
+        # storage writes one triangle of a matrix that equals its transpose,
+        # so both word-context matrices must be symmetric to the last bit
+        terms = sorted(data.draw(st.sets(st.sampled_from("abcdefgh"), min_size=1)))
+        tokens = st.sampled_from([*terms, "oov"])
+        docs = data.draw(st.lists(st.lists(tokens, max_size=30), min_size=1, max_size=8))
+        window = data.draw(st.integers(1, max(len(d) for d in docs) + 3))
+        C = build_cooccurrence(corpus_of(*docs), vocab_of(*terms), SemanticConfig(window=window))
+        assert_same_csr(C, C.T.tocsr())
+        if C.nnz:
+            M = sppmi(C, shift)
+            assert_same_csr(M, M.T.tocsr())
+
     @pytest.mark.parametrize("budget", [1, 7])
     def test_pair_budget_does_not_change_counts(self, rng, monkeypatch, budget):
         # a tiny budget reduces the pairs into the running matrix many times
@@ -232,6 +249,19 @@ class TestSppmi:
             sppmi_oracle(counts, shift),
             atol=1e-12,
         )
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        arrays(np.int64, st.integers(1, 8).map(lambda m: (m, m)), elements=st.integers(0, 10**9)),
+        st.sampled_from([1.0, 1.5, 2.0, 4.0]),
+    )
+    def test_output_equals_its_transpose_property(self, raw, shift):
+        # counts over nine orders of magnitude, so the rounding of every
+        # product and quotient is exercised
+        counts = (raw + raw.T).astype(float)
+        assume(counts.sum() > 0)
+        M = sppmi(canonicalize(counts), shift)
+        assert_same_csr(M, M.T.tocsr())
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(st.data())

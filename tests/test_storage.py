@@ -1,12 +1,18 @@
 """Artifact round-trips and format contracts."""
 
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
+from conftest import assert_same_csr
 from senmfk_split import storage
+from senmfk_split.matrix_builder import canonicalize
 from senmfk_split.model_selection import RankRecord, SelectionReport
 
 
@@ -22,13 +28,44 @@ class TestMatrixMarket:
         back = storage.read_sparse(path)
         np.testing.assert_array_equal(back.toarray(), X.toarray())
 
-    def test_symmetric_matrix_still_general_format(self, rng, tmp_path):
-        raw = rng.uniform(0.0, 1.0, (4, 4))
+    def test_symmetric_matrix_stores_one_triangle(self, rng, tmp_path):
+        raw = rng.uniform(0.0, 1.0, (5, 5))
+        raw[raw < 0.4] = 0.0
         S = sparse.csr_matrix(raw + raw.T)
         path = tmp_path / "S.mtx"
         storage.write_sparse(S, path)
-        assert "general" in path.read_text().splitlines()[0]
-        np.testing.assert_array_equal(storage.read_sparse(path).toarray(), S.toarray())
+        lines = path.read_text().splitlines()
+        assert lines[0] == "%%MatrixMarket matrix coordinate real symmetric"
+        lower = sparse.tril(S).nnz
+        assert lines[2].split() == ["5", "5", str(lower)] and len(lines) == 3 + lower
+        assert_same_csr(storage.read_sparse(path), S)
+        assert storage.sparse_size(path) == ((5, 5), S.nnz)
+
+    def test_one_ulp_from_symmetric_stays_general(self, rng, tmp_path):
+        raw = rng.uniform(0.0, 1.0, (5, 5))
+        raw = raw + raw.T
+        raw[3, 1] = np.nextafter(raw[3, 1], np.inf)
+        A = sparse.csr_matrix(raw)
+        path = tmp_path / "A.mtx"
+        storage.write_sparse(A, path)
+        assert path.read_text().splitlines()[0] == "%%MatrixMarket matrix coordinate real general"
+        assert_same_csr(storage.read_sparse(path), A)
+        assert storage.sparse_size(path) == ((5, 5), 25)
+
+    def test_integer_field_only_for_whole_values(self, tmp_path):
+        counts = sparse.csr_matrix(np.array([[0.0, 3.0, 1.0], [3.0, 2.0, 0.0], [1.0, 0.0, 7.0]]))
+        path = tmp_path / "counts.mtx"
+        storage.write_sparse(counts, path)
+        assert path.read_text().splitlines()[0] == "%%MatrixMarket matrix coordinate integer symmetric"
+        assert_same_csr(storage.read_sparse(path), counts)
+        # one value a hair off a whole number, or one at 2**53, keeps the
+        # real field
+        for bad in (3.0 + 2.0**-50, 2.0**53):
+            data = np.array([1.0, bad, 5.0])
+            A = sparse.csr_matrix((data, [0, 1, 1], [0, 1, 2, 3]), shape=(3, 2))
+            storage.write_sparse(A, path)
+            assert path.read_text().splitlines()[0] == "%%MatrixMarket matrix coordinate real general"
+            assert_same_csr(storage.read_sparse(path), A)
 
     def test_float64_exact_roundtrip(self, tmp_path):
         # 17 significant digits must reproduce doubles bit for bit
@@ -38,6 +75,40 @@ class TestMatrixMarket:
         storage.write_sparse(X, path)
         back = storage.read_sparse(path).toarray()
         assert (back == vals).all()
+        # and so in the symmetric layout
+        S = sparse.csr_matrix(np.array([[np.pi, 1.0 / 3.0], [1.0 / 3.0, 1e-300]]))
+        storage.write_sparse(S, path)
+        assert "real symmetric" in path.read_text().splitlines()[0]
+        assert_same_csr(storage.read_sparse(path), S)
+
+    # whole counts and arbitrary doubles, symmetric or not
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.integers(1, 6)),
+            elements=st.just(0.0)
+            | st.integers(1, 50).map(float)
+            | st.floats(1e-300, 1e300, allow_nan=False, allow_infinity=False),
+        ),
+        st.booleans(),
+    )
+    def test_roundtrip_is_exact(self, raw, symmetric):
+        if symmetric:
+            n = min(raw.shape)
+            raw = np.triu(raw[:n, :n]) + np.triu(raw[:n, :n], 1).T
+        A = canonicalize(raw)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "A.mtx"
+            storage.write_sparse(A, path)
+            header = path.read_text().splitlines()[0]
+            back = storage.read_sparse(path)
+        square = A.shape[0] == A.shape[1]
+        assert ("symmetric" in header) == (square and (A != A.T).nnz == 0)
+        whole = np.all(A.data == np.trunc(A.data)) and np.all(A.data < 2.0**53)
+        if A.nnz:  # an empty matrix has no values to judge the field by
+            assert ("integer" in header) == whole
+        assert_same_csr(back, A)
 
     def test_dense_array_roundtrip(self, rng, tmp_path):
         W = rng.uniform(0.0, 1.0, (6, 3))
