@@ -18,7 +18,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import DegenerateMatrix, InvalidRank, ShapeMismatch
 from .matrix_builder import canonicalize
-from .nmf_core import NmfConfig, nmf, perturb, relative_error, solve_h
+from .nmf_core import NmfConfig, nmf_stack, perturb, relative_error, solve_h, stack_size
 
 _MAX_CLUSTER_ROUNDS = 100
 _DISTANCE_DUST = 1e-12
@@ -187,12 +187,18 @@ def silhouette(columns: np.ndarray, labels: np.ndarray) -> SilhouetteStats:
     )
 
 
-def _ensemble_member(X, k, j, config: SelectionConfig, symmetric: bool) -> np.ndarray:
+def _ensemble_stack(
+    X, k, members: range, config: SelectionConfig, symmetric: bool
+) -> list[np.ndarray]:
+    """The L2-normalized bases of the given ensemble members, factorized
+    as one stack; the perturbed copies live only for this call."""
     base = config.nmf.seed
-    Xp = perturb(X, config.delta, seed=child_seed(base, k, j, 0), symmetric=symmetric)
-    pair = nmf(Xp, k, replace(config.nmf, seed=child_seed(base, k, j, 1)))
-    unit, _ = normalize_columns(pair.W)
-    return unit
+    copies = [
+        perturb(X, config.delta, seed=child_seed(base, k, j, 0), symmetric=symmetric)
+        for j in members
+    ]
+    configs = [replace(config.nmf, seed=child_seed(base, k, j, 1)) for j in members]
+    return [normalize_columns(pair.W)[0] for pair in nmf_stack(copies, k, configs)]
 
 
 def nmfk(
@@ -201,8 +207,9 @@ def nmfk(
     """Scan ranks k_min..k_max and pick the number of latent factors.
 
     Per rank: factorize ``n_perturbations`` perturbed copies from distinct
-    seeds, L2-normalize the basis columns, cluster them one-per-member, score
-    the clustering with silhouettes, and record the reconstruction error of
+    seeds, as many in one stacked solve as :func:`nmf_core.stack_size`
+    allows; L2-normalize the basis columns, cluster them one-per-member,
+    score the clustering with silhouettes, and record the reconstruction error of
     the centroid basis with H solved on the unperturbed matrix.  The chosen
     rank is the largest one with min silhouette >= the threshold; if none
     qualifies the most stable rank is returned with ``fallback`` set.
@@ -218,12 +225,16 @@ def nmfk(
         raise InvalidRank(f"k_max {config.k_max} exceeds min{X.shape} = {min(m, n)}")
     base = config.nmf.seed
     p = config.n_perturbations
+    b = stack_size(X)
     ks = list(range(config.k_min, config.k_max + 1))
 
     per_k: list[RankRecord] = []
     consensus_by_k: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
     for k in ks:
-        ensemble = [_ensemble_member(X, k, j, config, symmetric_perturbation) for j in range(p)]
+        ensemble = []
+        for start in range(0, p, b):
+            members = range(start, min(start + b, p))
+            ensemble += _ensemble_stack(X, k, members, config, symmetric_perturbation)
         labels, centroids = cluster_columns(ensemble)
         stats = silhouette(np.hstack(ensemble), labels.ravel())
         H = None

@@ -28,6 +28,29 @@ Sparser inputs stay CSR.  The dense copy (8 bytes per cell) can be up to
 of value plus 4 of column index per stored entry).  The transpose is taken
 once per solve: a view for an array, a CSC view (no copy) for CSR.
 
+Members of one rank's ensemble run as one stack when their operand is
+dense: W (b, m, k), H (b, k, n) and every product one stacked matmul, so
+the ~12 numpy calls of an iteration are paid once per stack, and each
+member is still checked alone and leaves the stack when it stops; every
+result equals that member's solve alone bit for bit.  A stack holds at
+most ``_STACK_CELLS`` = 2^17 cells (1 MB), a CSR operand one member.
+Measured on the same machine (min of 15, k = 4, k = 3 at 90 x 90), time
+per member-iteration alone over stacked:
+
+    ========== ==== ============== ===============
+    shape       p    all p stacked  <= 2^17 cells
+    ========== ==== ============== ===============
+    60 x 150    6    1.9x           1.9x  (b = 6)
+    90 x 90     4    1.9x           1.9x  (b = 4)
+    100 x 300   10   1.02x          1.28x (b = 4)
+    90 x 450    4    1.15x          1.13x (b = 3)
+    150 x 450   6    0.77x          1x    (b = 1)
+    300 x 300   10   0.69x          1x    (b = 1)
+    ========== ==== ============== ===============
+
+The saving is call overhead, so it fades as the members grow, and a stack
+of large members runs slower than one member at a time.
+
 The loop's check every 10 iterations and :func:`relative_error` take the
 squared residual by one rule, :func:`_folded_error`: the expansion
 ``||X||^2 - 2<X, WH> + <W^T W, H H^T>`` with the cross term from a product
@@ -62,6 +85,8 @@ _CANCELLATION = 1e-6
 # fit's error (~1e-14) jitters by ~4e-16, which tol * err alone never admits.
 _CHANGE_FLOOR = 1e-13
 _BLOCK_CELLS = 1 << 20
+# Cells of one stack of dense operands (see the module docstring).
+_STACK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -152,42 +177,131 @@ def relative_error(X, W: np.ndarray, H: np.ndarray) -> float:
     return _folded_error(X, W, H, norm_sq, cross, W.T @ W, H @ H.T)
 
 
-def _run_updates(
-    X: sparse.csr_matrix,
+def _dense_operand(X: sparse.csr_matrix) -> bool:
+    m, n = X.shape
+    return 4 * X.nnz >= m * n
+
+
+def stack_size(X) -> int:
+    """How many equally shaped copies of X one stacked solve may hold: as
+    many dense m x n slabs as fit in ``_STACK_CELLS`` cells (at least one),
+    and one for a CSR operand."""
+    X = canonicalize(X)
+    m, n = X.shape
+    return max(1, _STACK_CELLS // (m * n)) if _dense_operand(X) else 1
+
+
+def _times(A, B: np.ndarray) -> np.ndarray:
+    """A @ B for a dense stack A, or for a CSR A standing for a stack of one."""
+    return np.matmul(A, B) if isinstance(A, np.ndarray) else (A @ B[0])[None]
+
+
+def _solve_stack(
+    Xs: list[sparse.csr_matrix],
     W: np.ndarray,
     H: np.ndarray,
-    config: NmfConfig,
+    configs: list[NmfConfig],
     update_w: bool,
-) -> FactorPair:
-    norm_sq = float((X.data**2).sum())
-    m, n = X.shape
-    A = X.toarray() if 4 * X.nnz >= m * n else X
-    AT = A.T
-    trace: list[float] = []
-    iters: list[int] = []
-    prev: float | None = None
-    gram_w = W.T @ W
-    for it in range(1, config.max_iter + 1):
-        wtx = (AT @ W).T
-        H *= wtx / (gram_w @ H + _EPSILON)
+) -> list[FactorPair]:
+    """Multiplicative updates of the stacked factors W (b, m, k) and H
+    (b, k, n) against b equally shaped matrices, W frozen unless
+    ``update_w``; W and H are updated in place.
+
+    Every product is one stacked matmul over the members still running.
+    Every 10 iterations, and at its own ``max_iter``, each member's error is
+    checked alone, and a member that meets its stopping rule leaves the
+    stack.  A CSR operand is solved as a stack of one.
+    """
+    m, n = Xs[0].shape
+    dense = _dense_operand(Xs[0])
+    if dense:
+        A = np.empty((len(Xs), m, n))
+        for X, slab in zip(Xs, A):
+            X.toarray(out=slab)
+        AT = A.transpose(0, 2, 1)
+    else:
+        (A,) = Xs
+        AT = A.T
+    norm_sq = [float((X.data**2).sum()) for X in Xs]
+    live = list(range(len(Xs)))  # the member in each slot of the stack
+    pairs: list[FactorPair | None] = [None] * len(Xs)
+    traces: list[list[float]] = [[] for _ in Xs]
+    iters: list[list[int]] = [[] for _ in Xs]
+    caps = {config.max_iter for config in configs}
+    gram_w = np.matmul(W.transpose(0, 2, 1), W)
+    it = 0
+    while live:
+        it += 1
+        wtx = _times(AT, W).transpose(0, 2, 1)
+        H *= wtx / (np.matmul(gram_w, H) + _EPSILON)
         if update_w:
-            hht = H @ H.T
-            xht = A @ H.T
-            W *= xht / (W @ hht + _EPSILON)
-            gram_w = W.T @ W
-        if it % _TRACE_STRIDE == 0 or it == config.max_iter:
+            hht = np.matmul(H, H.transpose(0, 2, 1))
+            xht = _times(A, H.transpose(0, 2, 1))
+            W *= xht / (np.matmul(W, hht) + _EPSILON)
+            gram_w = np.matmul(W.transpose(0, 2, 1), W)
+        if it % _TRACE_STRIDE and it not in caps:
+            continue
+        due = [
+            s for s, j in enumerate(live) if it % _TRACE_STRIDE == 0 or it == configs[j].max_iter
+        ]
+        if not update_w:
+            hht = np.matmul(H, H.transpose(0, 2, 1))
+        for s in due:
+            j = live[s]
             # the cross term from the update's own X H^T (W step) or W^T X
             # (fixed-W step)
-            if not update_w:
-                hht = H @ H.T
-            cross = np.einsum("ij,ij->", W, xht) if update_w else np.einsum("ij,ij->", H, wtx)
-            err = _folded_error(A, W, H, norm_sq, float(cross), gram_w, hht)
-            trace.append(err)
-            iters.append(it)
-            if prev is not None and abs(prev - err) < max(config.tol * prev, _CHANGE_FLOOR):
-                break
-            prev = err
-    return FactorPair(W=W, H=H, objective_trace=trace, trace_iterations=iters)
+            if update_w:
+                cross = np.einsum("ij,ij->", W[s], xht[s])
+            else:
+                cross = np.einsum("ij,ij->", H[s], wtx[s])
+            slab = A[s] if dense else A
+            err = _folded_error(slab, W[s], H[s], norm_sq[j], float(cross), gram_w[s], hht[s])
+            last = traces[j][-1] if traces[j] else None
+            traces[j].append(err)
+            iters[j].append(it)
+            if it == configs[j].max_iter or (
+                last is not None and abs(last - err) < max(configs[j].tol * last, _CHANGE_FLOOR)
+            ):
+                pairs[j] = FactorPair(W[s].copy(), H[s].copy(), traces[j], iters[j])
+        keep = [s for s, j in enumerate(live) if pairs[j] is None]
+        if len(keep) < len(live):
+            live = [live[s] for s in keep]
+            W, H, gram_w = W[keep], H[keep], gram_w[keep]
+            if dense:
+                A = A[keep]
+                AT = A.transpose(0, 2, 1)
+    return pairs
+
+
+def nmf_stack(Xs, k: int, configs: list[NmfConfig]) -> list[FactorPair]:
+    """Factorize equally shaped non-negative matrices at rank k, member i
+    with ``configs[i]``, in one stacked multiplicative-update run.
+
+    Each result equals ``nmf(Xs[i], k, configs[i])`` bit for bit: the stack
+    only shares the per-iteration calls.  At most :func:`stack_size` of
+    ``Xs[0]`` matrices fit in one stack; ValueError otherwise, or if the
+    matrices differ in shape or in operand (dense or CSR) or the configs do
+    not pair up with them.
+    """
+    Xs = [canonicalize(X) for X in Xs]
+    if not Xs or len(configs) != len(Xs):
+        raise ValueError(f"{len(Xs)} matrices but {len(configs)} configs")
+    m, n = Xs[0].shape
+    if not isinstance(k, (int, np.integer)) or k < 1 or k > min(m, n):
+        raise InvalidRank(f"rank {k} outside [1, {min(m, n)}] for shape {(m, n)}")
+    for X in Xs:
+        _check_nonnegative(X, "X")
+    if any(X.shape != (m, n) or _dense_operand(X) != _dense_operand(Xs[0]) for X in Xs):
+        raise ValueError("stacked matrices must share their shape and operand")
+    if len(Xs) > stack_size(Xs[0]):
+        raise ValueError(f"{len(Xs)} matrices exceed a stack of {stack_size(Xs[0])}")
+    Ws, Hs = [], []
+    for X, config in zip(Xs, configs):
+        rng = np.random.default_rng(config.seed)
+        scale = float(X.sum()) / (m * n) / k
+        Ws.append(rng.uniform(0.0, 1.0, size=(m, k)) * scale)
+        Hs.append(rng.uniform(0.0, 1.0, size=(k, n)) * scale)
+    return _solve_stack(Xs, np.stack(Ws), np.stack(Hs), configs, update_w=True)
 
 
 def nmf(X, k: int, config: NmfConfig | None = None) -> FactorPair:
@@ -202,17 +316,7 @@ def nmf(X, k: int, config: NmfConfig | None = None) -> FactorPair:
     Raises InvalidRank if k is outside [1, min(m, n)] and
     NonNegativityViolation if X has negative or non-finite entries.
     """
-    config = config or NmfConfig()
-    X = canonicalize(X)
-    m, n = X.shape
-    if not isinstance(k, (int, np.integer)) or k < 1 or k > min(m, n):
-        raise InvalidRank(f"rank {k} outside [1, {min(m, n)}] for shape {X.shape}")
-    _check_nonnegative(X, "X")
-    rng = np.random.default_rng(config.seed)
-    scale = float(X.sum()) / (m * n) / k
-    W = rng.uniform(0.0, 1.0, size=(m, k)) * scale
-    H = rng.uniform(0.0, 1.0, size=(k, n)) * scale
-    return _run_updates(X, W, H, config, update_w=True)
+    return nmf_stack([X], k, [config or NmfConfig()])[0]
 
 
 def solve_h(X, W: np.ndarray, config: NmfConfig | None = None) -> np.ndarray:
@@ -234,7 +338,7 @@ def solve_h(X, W: np.ndarray, config: NmfConfig | None = None) -> np.ndarray:
     rng = np.random.default_rng(config.seed)
     scale = float(X.sum()) / (m * n) / k
     H = rng.uniform(0.0, 1.0, size=(k, n)) * scale
-    return _run_updates(X, W.copy(), H, config, update_w=False).H
+    return _solve_stack([X], W[None].copy(), H[None], [config], update_w=False)[0].H
 
 
 def perturb(X, delta: float, seed, symmetric: bool = False) -> sparse.csr_matrix:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from oracles import block_topic_matrix, separated_topics_problem, silhouette_oracle
+from senmfk_split import nmf_core
 from senmfk_split.errors import DegenerateMatrix, InvalidRank, ShapeMismatch
 from senmfk_split.model_selection import (
     SelectionConfig,
@@ -70,7 +71,7 @@ class TestClusterColumns:
         with pytest.raises(ShapeMismatch):
             cluster_columns([unit_columns(rng, 5, 2), unit_columns(rng, 5, 3)])
 
-    def test_greedy_path_above_twelve(self, rng):
+    def test_exact_assignment_above_twelve(self, rng):
         # a larger k: exact assignment still resolves a permuted identity
         k = 14
         B = np.eye(k)
@@ -277,6 +278,52 @@ class TestNmfk:
             labels, _ = cluster_columns(ensemble)
             stats = silhouette(np.hstack(ensemble), labels.ravel())
             assert stats.overall_min == 1.0
+
+
+class TestEnsembleStacks:
+    """Each rank's members are solved in stacks of ``nmf_core.stack_size``."""
+
+    CONFIG = SelectionConfig(
+        k_min=2, k_max=4, n_perturbations=4, nmf=NmfConfig(max_iter=120, tol=1e-8, seed=3)
+    )
+
+    @staticmethod
+    def problem(rng):
+        return sparse.csr_matrix(separated_topics_problem(rng, 3, rows_per_topic=4, docs_per_topic=4))
+
+    # 12 x 12 = 144 cells: stacks of 1, 2 and 3 (3 + 1) members
+    @pytest.mark.parametrize("stack_cells", [200, 300, 450])
+    def test_stack_size_does_not_change_the_scan(self, rng, monkeypatch, stack_cells):
+        X = self.problem(rng)
+        whole = nmfk(X, self.CONFIG)
+        monkeypatch.setattr(nmf_core, "_STACK_CELLS", stack_cells)
+        report = nmfk(X, self.CONFIG)
+        assert report.per_k == whole.per_k
+        assert np.array_equal(report.consensus_W, whole.consensus_W)
+        assert np.array_equal(report.consensus_H, whole.consensus_H)
+
+    @pytest.mark.parametrize(
+        "stack_cells, stride, stacks",
+        [
+            (100, 1, [1, 1, 1]),  # m n > _STACK_CELLS: one member at a time
+            (1 << 20, 5, [1, 1, 1]),  # density 1/5, a CSR operand: never stacked
+            (1 << 20, 1, [2, 1]),  # members together, then the consensus solve
+        ],
+    )
+    def test_members_solved_per_stack(self, rng, monkeypatch, stack_cells, stride, stacks):
+        X = self.problem(rng).toarray()
+        X.flat[np.arange(X.size) % stride != 0] = 0.0
+        sizes = []
+        solve = nmf_core._solve_stack
+
+        def spy(Xs, W, *args, **kwargs):
+            sizes.append(W.shape[0])
+            return solve(Xs, W, *args, **kwargs)
+
+        monkeypatch.setattr(nmf_core, "_STACK_CELLS", stack_cells)
+        monkeypatch.setattr(nmf_core, "_solve_stack", spy)
+        nmfk(sparse.csr_matrix(X), SelectionConfig(k_min=2, k_max=2, n_perturbations=2))
+        assert sizes == stacks
 
 
 class TestSelectionConfigValidation:

@@ -16,9 +16,11 @@ from senmfk_split.matrix_builder import canonicalize
 from senmfk_split.nmf_core import (
     NmfConfig,
     nmf,
+    nmf_stack,
     perturb,
     relative_error,
     solve_h,
+    stack_size,
 )
 
 
@@ -27,6 +29,51 @@ def random_nonneg(rng, m, n, density=1.0):
     if density < 1.0:
         X[rng.uniform(size=(m, n)) > density] = 0.0
     return sparse.csr_matrix(X)
+
+
+def reference_updates(X, W, H, config, update_w):
+    """The one-member update loop that the stacked solve replaced, kept as
+    the reference it must equal bit for bit."""
+    norm_sq = float((X.data**2).sum())
+    m, n = X.shape
+    A = X.toarray() if 4 * X.nnz >= m * n else X
+    AT = A.T
+    trace, iters, prev = [], [], None
+    gram_w = W.T @ W
+    for it in range(1, config.max_iter + 1):
+        wtx = (AT @ W).T
+        H *= wtx / (gram_w @ H + nmf_core._EPSILON)
+        if update_w:
+            hht = H @ H.T
+            xht = A @ H.T
+            W *= xht / (W @ hht + nmf_core._EPSILON)
+            gram_w = W.T @ W
+        if it % 10 == 0 or it == config.max_iter:
+            if not update_w:
+                hht = H @ H.T
+            cross = np.einsum("ij,ij->", W, xht) if update_w else np.einsum("ij,ij->", H, wtx)
+            err = nmf_core._folded_error(A, W, H, norm_sq, float(cross), gram_w, hht)
+            trace.append(err)
+            iters.append(it)
+            if prev is not None and abs(prev - err) < max(config.tol * prev, nmf_core._CHANGE_FLOOR):
+                break
+            prev = err
+    return nmf_core.FactorPair(W=W, H=H, objective_trace=trace, trace_iterations=iters)
+
+
+def reference_nmf(X, k, config):
+    X = canonicalize(X)
+    m, n = X.shape
+    rng = np.random.default_rng(config.seed)
+    scale = float(X.sum()) / (m * n) / k
+    W = rng.uniform(0.0, 1.0, size=(m, k)) * scale
+    H = rng.uniform(0.0, 1.0, size=(k, n)) * scale
+    return reference_updates(X, W, H, config, update_w=True)
+
+
+def assert_same_pair(a, b):
+    for name in ("W", "H", "objective_trace", "trace_iterations"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 class TestNmf:
@@ -257,7 +304,7 @@ class TestUpdateLoop:
         W = rng.uniform(0.1, 1.0, (40, 4))
         H0 = rng.uniform(0.0, 1.0, (4, 30))
         cfg = NmfConfig(max_iter=120, tol=1e-12)
-        pair = nmf_core._run_updates(canonicalize(X), W, H0, cfg, update_w=False)
+        (pair,) = nmf_core._solve_stack([canonicalize(X)], W[None], H0[None], [cfg], update_w=False)
         np.testing.assert_allclose(
             pair.objective_trace[-1], relative_error(X, W, pair.H), rtol=1e-10
         )
@@ -290,6 +337,58 @@ class TestUpdateLoop:
         pair = nmf(w @ h, 1, NmfConfig(seed=4, max_iter=300, tol=tol))
         assert pair.trace_iterations[-1] < 300
         assert max(pair.objective_trace) < 1e-12
+
+
+class TestStack:
+    """The stacked solve against the one-member reference loop, exactly."""
+
+    def test_members_of_a_stack_equal_each_solved_alone(self, rng):
+        X = random_nonneg(rng, 30, 24)
+        Xs = [perturb(X, 0.05, seed=j) for j in range(5)]
+        configs = [NmfConfig(seed=10 + j, max_iter=120, tol=1e-9) for j in range(5)]
+        pairs = nmf_stack(Xs, 3, configs)
+        for Xj, config, pair in zip(Xs, configs, pairs):
+            assert_same_pair(pair, reference_nmf(Xj, 3, config))
+            assert_same_pair(pair, nmf(Xj, 3, config))
+
+    def test_member_at_rounding_floor_leaves_the_stack(self, rng):
+        # the exact rank-1 input stops at _CHANGE_FLOOR; the noise around it
+        # runs to max_iter, so the stack is compacted mid-run
+        w = rng.uniform(0.5, 1.5, (30, 1))
+        h = rng.uniform(0.5, 1.5, (1, 24))
+        Xs = [random_nonneg(rng, 30, 24), sparse.csr_matrix(w @ h), random_nonneg(rng, 30, 24)]
+        configs = [NmfConfig(seed=s, max_iter=150, tol=1e-15) for s in (1, 2, 3)]
+        pairs = nmf_stack(Xs, 2, configs)
+        assert pairs[1].trace_iterations[-1] < 150
+        assert pairs[0].trace_iterations[-1] == pairs[2].trace_iterations[-1] == 150
+        for Xj, config, pair in zip(Xs, configs, pairs):
+            assert_same_pair(pair, reference_nmf(Xj, 2, config))
+
+    def test_csr_member(self, rng):
+        X = random_nonneg(rng, 40, 30, density=0.1)
+        config = NmfConfig(seed=4, max_iter=80, tol=1e-12)
+        assert stack_size(X) == 1
+        (pair,) = nmf_stack([X], 4, [config])
+        assert_same_pair(pair, reference_nmf(X, 4, config))
+        with pytest.raises(ValueError):
+            nmf_stack([X, X], 4, [config, config])
+
+    @pytest.mark.parametrize("density", [1.0, 0.1])
+    def test_solve_h_equals_reference(self, rng, density):
+        X = random_nonneg(rng, 40, 30, density)
+        W = rng.uniform(0.1, 1.0, (40, 4))
+        config = NmfConfig(seed=6, max_iter=90, tol=1e-12)
+        H0 = np.random.default_rng(6).uniform(0.0, 1.0, (4, 30)) * (X.sum() / (40 * 30) / 4)
+        ref = reference_updates(canonicalize(X), W.copy(), H0, config, update_w=False)
+        assert np.array_equal(solve_h(X, W, config), ref.H)
+
+    def test_stack_size_from_stack_cells(self, rng, monkeypatch):
+        monkeypatch.setattr(nmf_core, "_STACK_CELLS", 1000)
+        assert stack_size(random_nonneg(rng, 20, 24)) == 2
+        assert stack_size(random_nonneg(rng, 40, 30)) == 1
+        assert stack_size(random_nonneg(rng, 4, 5, density=0.1)) == 1
+        with pytest.raises(ValueError):
+            nmf_stack([random_nonneg(rng, 20, 24)] * 3, 2, [NmfConfig()] * 3)
 
 
 class TestGramResidual:

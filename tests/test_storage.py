@@ -118,6 +118,13 @@ class TestMatrixMarket:
         back = storage.read_dense(path)
         assert (back == W).all()
 
+    def test_symmetric_dense_array_written_general(self, tmp_path):
+        W = np.array([[1.0, 2.0], [2.0, 3.0]])
+        path = tmp_path / "W.mtx"
+        storage.write_dense(W, path)
+        assert path.read_text().splitlines()[0] == "%%MatrixMarket matrix array real general"
+        assert np.array_equal(storage.read_dense(path), W)
+
     def test_write_deterministic(self, rng, tmp_path):
         W = rng.uniform(0.0, 1.0, (5, 4))
         storage.write_dense(W, tmp_path / "a.mtx")
