@@ -4,26 +4,28 @@ All matrices are scipy CSR with float64 data in canonical form (sorted
 indices, duplicates summed, no explicit zeros).  Rows are vocabulary terms in
 index order; TF-IDF columns are documents in corpus order.
 
-Memory stays bounded by the inputs and outputs, not by the number of token
-pairs: :func:`build_cooccurrence` walks the corpus one window offset at a
-time and reduces at most about ``_PAIR_BUDGET`` pairs at once into a running
-CSR matrix, so its peak is O(tokens + nnz + _PAIR_BUDGET) rather than
-O(tokens * window); :func:`sppmi` rewrites the values of a canonical input's
-CSR arrays without expanding them to coordinates.
+Both builders map the corpus to term ids in one pass.  Memory stays bounded
+by the inputs and outputs, not by the number of token pairs:
+:func:`build_cooccurrence` walks the in-vocabulary tokens one offset at a
+time and counts at most about ``_PAIR_BUDGET`` pair keys at once into a
+running CSR matrix, so its peak is O(tokens + nnz + _PAIR_BUDGET) rather
+than O(tokens * window); :func:`sppmi` rewrites the values of a canonical
+input's CSR arrays without expanding them to coordinates.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from .errors import DegenerateMatrix, DimensionMismatch, EmptyColumn
-from .text_pipeline import Corpus, Document, Vocabulary
+from .text_pipeline import Corpus, Vocabulary
 
-# token pairs held by build_cooccurrence before it reduces them into its
-# running CSR matrix (two int64 ids each: 16 MB at 2**20)
+# token pairs held by build_cooccurrence before it counts them into its
+# running CSR matrix (one int64 key row * m + col each: 8 MB at 2**20)
 _PAIR_BUDGET = 1 << 20
 
 
@@ -48,7 +50,8 @@ def canonicalize(mat) -> sparse.csr_matrix:
 
     Always a copy: an uncopied ``upper + upper.T`` in :func:`build_cooccurrence`
     keeps scipy's over-allocated buffers (2.99M slots for 2.32M entries on a
-    500-document Zipf corpus) alive through :func:`sppmi`, 205 -> 221 MB RSS."""
+    500-document Zipf corpus) alive through :func:`sppmi`, 205 -> 221 MB RSS.
+    Callers that only read their input take :func:`_canonical` instead."""
     out = sparse.csr_matrix(mat, dtype=np.float64, copy=True)
     out.sum_duplicates()
     out.eliminate_zeros()
@@ -56,12 +59,31 @@ def canonicalize(mat) -> sparse.csr_matrix:
     return out
 
 
-def _term_ids(doc: Document, index_of: dict[str, int]) -> np.ndarray:
-    """The vocabulary id of every token position of ``doc``; -1 marks an
-    out-of-vocabulary token."""
-    return np.fromiter(
-        (index_of.get(t, -1) for t in doc.tokens), dtype=np.int64, count=len(doc.tokens)
+def _is_canonical(mat) -> bool:
+    """True for float64 CSR with sorted indices, no duplicates and no stored
+    zeros: the form :func:`canonicalize` returns."""
+    return (
+        isinstance(mat, sparse.csr_matrix)
+        and mat.dtype == np.float64
+        and mat.has_canonical_format
+        and bool(np.all(mat.data != 0))
     )
+
+
+def _canonical(mat) -> sparse.csr_matrix:
+    """``mat`` itself when it is already canonical, else a canonical copy."""
+    return mat if _is_canonical(mat) else canonicalize(mat)
+
+
+def _term_ids(corpus: Corpus, index_of: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The vocabulary id of every token of ``corpus`` in corpus order (-1
+    marks an out-of-vocabulary token) and the token count of each document."""
+    lengths = np.fromiter((len(doc.tokens) for doc in corpus), dtype=np.int64, count=len(corpus))
+    tokens = itertools.chain.from_iterable(doc.tokens for doc in corpus)
+    ids = np.fromiter(
+        map(index_of.get, tokens, itertools.repeat(-1)), dtype=np.int64, count=int(lengths.sum())
+    )
+    return ids, lengths
 
 
 def build_tfidf(corpus: Corpus, vocab: Vocabulary) -> sparse.csr_matrix:
@@ -74,15 +96,13 @@ def build_tfidf(corpus: Corpus, vocab: Vocabulary) -> sparse.csr_matrix:
     Raises EmptyColumn if any document has no in-vocabulary tokens.
     """
     m, n = len(vocab), len(corpus)
-    per_doc = []
-    for doc in corpus:
-        ids = _term_ids(doc, vocab.index_of)
-        ids = ids[ids >= 0]
-        if ids.size == 0:
-            raise EmptyColumn(f"document {doc.id!r} has no in-vocabulary tokens")
-        per_doc.append(ids)
-    rows = np.concatenate([np.empty(0, dtype=np.int64), *per_doc])
-    cols = np.repeat(np.arange(n), [ids.size for ids in per_doc])
+    ids, lengths = _term_ids(corpus, vocab.index_of)
+    known = ids >= 0
+    rows, cols = ids[known], np.repeat(np.arange(n), lengths)[known]
+    empty = np.flatnonzero(np.bincount(cols, minlength=n) == 0)
+    if empty.size:
+        doc = corpus.documents[empty[0]]
+        raise EmptyColumn(f"document {doc.id!r} has no in-vocabulary tokens")
     # one (term, document) entry per token; canonicalize sums them into counts
     tf = canonicalize(sparse.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(m, n)))
     df = np.diff(tf.indptr)
@@ -104,65 +124,50 @@ def build_cooccurrence(
     Out-of-vocabulary tokens contribute no counts but still occupy positions.
     Windows never cross document boundaries.
 
-    The pairs are enumerated by offset, not by document: the term ids of the
-    whole corpus sit in one array, longest document first, and offset d pairs
-    position p with p + d wherever both lie in one document.  Only the prefix
-    of documents longer than d is scanned, so the work is sum(L * min(window,
-    L)) over document lengths L.  Pairs are reduced into a running CSR matrix
-    whenever _PAIR_BUDGET of them are held, so memory is O(tokens + nnz +
-    _PAIR_BUDGET) rather than O(tokens * window).
+    Only in-vocabulary tokens are kept, each with its position on one axis
+    on which consecutive documents lie ``window`` positions apart (or the
+    longest document's length, if smaller), so no pair across documents
+    qualifies.  Offset d pairs kept token t with kept
+    token t + d wherever their positions differ by less than ``window``;
+    the gaps only widen as d grows, so the scan stops at the first d with
+    no pair.  Each pair is one int64 key ``row * m + col``; whenever
+    _PAIR_BUDGET keys are held they are counted by ``np.unique`` and added
+    to a running CSR matrix, so memory is O(tokens + nnz + _PAIR_BUDGET)
+    rather than O(tokens * window).
     """
     m = len(vocab)
-    docs = sorted(corpus, key=lambda doc: len(doc.tokens), reverse=True)
-    lengths = np.array([len(doc.tokens) for doc in docs], dtype=np.int64)
-    ids = np.concatenate(
-        [np.empty(0, dtype=np.int64), *(_term_ids(doc, vocab.index_of) for doc in docs)]
-    )
-    ends = np.cumsum(lengths)
-    # tokens after each position within its document
-    ahead = np.repeat(ends - 1, lengths) - np.arange(ids.size)
+    ids, lengths = _term_ids(corpus, vocab.index_of)
+    # no gap within a document reaches its length, so a window past the
+    # longest document counts the same pairs, and the spacing stays small
+    window = min(config.window, int(lengths.max(initial=0)))
+    pos = np.arange(ids.size) + np.repeat(np.arange(lengths.size) * window, lengths)
     known = ids >= 0
+    ids, pos = ids[known], pos[known]
+    row_keys = ids * m
     upper = sparse.csr_matrix((m, m), dtype=np.float64)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
+    keys: list[np.ndarray] = []
     held = 0
-    longest = int(lengths[0]) if lengths.size else 0
-    for d in range(1, min(config.window, longest)):
-        # documents longer than d form a prefix; p + d stays inside it
-        stop = int(ends[np.count_nonzero(lengths > d) - 1]) - d
-        ok = known[:stop] & known[d : stop + d] & (ahead[:stop] >= d)
-        rows.append(ids[:stop][ok])
-        cols.append(ids[d : stop + d][ok])
-        held += rows[-1].size
+    for d in range(1, ids.size):
+        near = pos[d:] - pos[:-d] < window
+        if not near.any():
+            break
+        keys.append(row_keys[:-d][near] + ids[d:][near])
+        held += keys[-1].size
         if held >= _PAIR_BUDGET:
-            upper = _add_pairs(upper, rows, cols)
-            rows, cols, held = [], [], 0
+            upper = upper + _count_keys(keys, m)
+            keys, held = [], 0
     if held:
-        upper = _add_pairs(upper, rows, cols)
+        upper = upper + _count_keys(keys, m)
     # counts are whole numbers, exact in float64, so the order in which the
     # pairs were reduced changes no value
     return canonicalize(upper + upper.T)
 
 
-def _add_pairs(
-    counts: sparse.csr_matrix, rows: list[np.ndarray], cols: list[np.ndarray]
-) -> sparse.csr_matrix:
-    """``counts`` plus one for every (rows[k][t], cols[k][t]) pair."""
-    r = np.concatenate([np.empty(0, dtype=np.int64), *rows])
-    c = np.concatenate([np.empty(0, dtype=np.int64), *cols])
-    pairs = sparse.coo_matrix((np.ones(r.size), (r, c)), shape=counts.shape)
-    return counts + pairs.tocsr()
-
-
-def _is_canonical(mat) -> bool:
-    """True for float64 CSR with sorted indices, no duplicates and no stored
-    zeros: the form :func:`canonicalize` returns."""
-    return (
-        isinstance(mat, sparse.csr_matrix)
-        and mat.dtype == np.float64
-        and mat.has_canonical_format
-        and bool(np.all(mat.data != 0))
-    )
+def _count_keys(keys: list[np.ndarray], m: int) -> sparse.csr_matrix:
+    """The m x m matrix counting every pair key ``row * m + col`` in ``keys``."""
+    unique, counts = np.unique(np.concatenate(keys), return_counts=True)
+    indptr = np.searchsorted(unique, np.arange(m + 1) * m)
+    return sparse.csr_matrix((counts.astype(np.float64), unique % m, indptr), shape=(m, m))
 
 
 def sppmi(cooc: sparse.csr_matrix, shift: float) -> sparse.csr_matrix:
@@ -177,14 +182,14 @@ def sppmi(cooc: sparse.csr_matrix, shift: float) -> sparse.csr_matrix:
     """
     if cooc.shape[0] != cooc.shape[1]:
         raise DimensionMismatch(f"co-occurrence matrix must be square, got {cooc.shape}")
-    mat = cooc if _is_canonical(cooc) else canonicalize(cooc)
+    mat = _canonical(cooc)
     row_sums = np.asarray(mat.sum(axis=1)).ravel()
     total = row_sums.sum()
     if total <= 0:
         raise DegenerateMatrix("co-occurrence matrix has zero total count")
-    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
     vals = mat.data * total
-    denom = row_sums[rows]
+    # r(i) of every entry's row, then times r(j)
+    denom = np.repeat(row_sums, np.diff(mat.indptr))
     denom *= row_sums[mat.indices]
     vals /= denom
     np.log(vals, out=vals)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DegenerateMatrix, InvalidRank, ShapeMismatch
-from .matrix_builder import canonicalize
+from .matrix_builder import _canonical
 from .nmf_core import NmfConfig, nmf_stack, perturb, relative_error, solve_h, stack_size
 
 _MAX_CLUSTER_ROUNDS = 100
@@ -217,7 +217,7 @@ def nmfk(
     Raises DegenerateMatrix on an all-zero input and InvalidRank when the
     scan range exceeds min(m, n).
     """
-    X = canonicalize(X)
+    X = _canonical(X)
     if X.nnz == 0:
         raise DegenerateMatrix("cannot select a rank for an all-zero matrix")
     m, n = X.shape

@@ -72,7 +72,7 @@ from .errors import (
     InvalidRank,
     NonNegativityViolation,
 )
-from .matrix_builder import canonicalize
+from .matrix_builder import _canonical
 
 _TRACE_STRIDE = 10
 # Additive guard in the update denominators.
@@ -127,8 +127,8 @@ class FactorPair:
         return self.W.shape[1]
 
 
-def _check_nonnegative(X: sparse.csr_matrix, name: str) -> None:
-    if X.nnz and (not np.isfinite(X.data).all() or X.data.min() < 0):
+def _check_nonnegative(values: np.ndarray, name: str) -> None:
+    if values.size and (not np.isfinite(values).all() or values.min() < 0):
         raise NonNegativityViolation(f"{name} must be non-negative and finite")
 
 
@@ -164,7 +164,7 @@ def relative_error(X, W: np.ndarray, H: np.ndarray) -> float:
     """||X - WH||_F / ||X||_F from the sparse entries of X and the low-rank
     factors, by the rule of :func:`_folded_error` with the cross term from
     X H^T; X is never densified whole."""
-    X = canonicalize(X)
+    X = _canonical(X)
     W = np.asarray(W, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
     m, n = X.shape
@@ -186,7 +186,7 @@ def stack_size(X) -> int:
     """How many equally shaped copies of X one stacked solve may hold: as
     many dense m x n slabs as fit in ``_STACK_CELLS`` cells (at least one),
     and one for a CSR operand."""
-    X = canonicalize(X)
+    X = _canonical(X)
     m, n = X.shape
     return max(1, _STACK_CELLS // (m * n)) if _dense_operand(X) else 1
 
@@ -229,10 +229,12 @@ def _solve_stack(
     iters: list[list[int]] = [[] for _ in Xs]
     caps = {config.max_iter for config in configs}
     gram_w = np.matmul(W.transpose(0, 2, 1), W)
+    # a frozen W's X^T W is taken once
+    xtw = None if update_w else _times(AT, W)
     it = 0
     while live:
         it += 1
-        wtx = _times(AT, W).transpose(0, 2, 1)
+        wtx = (_times(AT, W) if update_w else xtw).transpose(0, 2, 1)
         H *= wtx / (np.matmul(gram_w, H) + _EPSILON)
         if update_w:
             hht = np.matmul(H, H.transpose(0, 2, 1))
@@ -267,6 +269,8 @@ def _solve_stack(
         if len(keep) < len(live):
             live = [live[s] for s in keep]
             W, H, gram_w = W[keep], H[keep], gram_w[keep]
+            if xtw is not None:
+                xtw = xtw[keep]
             if dense:
                 A = A[keep]
                 AT = A.transpose(0, 2, 1)
@@ -283,14 +287,14 @@ def nmf_stack(Xs, k: int, configs: list[NmfConfig]) -> list[FactorPair]:
     matrices differ in shape or in operand (dense or CSR) or the configs do
     not pair up with them.
     """
-    Xs = [canonicalize(X) for X in Xs]
+    Xs = [_canonical(X) for X in Xs]
     if not Xs or len(configs) != len(Xs):
         raise ValueError(f"{len(Xs)} matrices but {len(configs)} configs")
     m, n = Xs[0].shape
     if not isinstance(k, (int, np.integer)) or k < 1 or k > min(m, n):
         raise InvalidRank(f"rank {k} outside [1, {min(m, n)}] for shape {(m, n)}")
     for X in Xs:
-        _check_nonnegative(X, "X")
+        _check_nonnegative(X.data, "X")
     if any(X.shape != (m, n) or _dense_operand(X) != _dense_operand(Xs[0]) for X in Xs):
         raise ValueError("stacked matrices must share their shape and operand")
     if len(Xs) > stack_size(Xs[0]):
@@ -323,15 +327,17 @@ def solve_h(X, W: np.ndarray, config: NmfConfig | None = None) -> np.ndarray:
     """Minimize ||X - WH||_F^2 over H >= 0 with W frozen (multiplicative
     H updates only).
 
-    Raises DegenerateBasis if any column of W is all-zero.
+    Raises NonNegativityViolation if X or W has a negative or non-finite
+    entry and DegenerateBasis if any column of W is all-zero.
     """
     config = config or NmfConfig()
-    X = canonicalize(X)
+    X = _canonical(X)
     W = np.asarray(W, dtype=np.float64)
     m, n = X.shape
     if W.ndim != 2 or W.shape[0] != m:
         raise DimensionMismatch(f"W {W.shape} does not conform with X {X.shape}")
-    _check_nonnegative(X, "X")
+    _check_nonnegative(X.data, "X")
+    _check_nonnegative(W, "W")
     k = W.shape[1]
     if (np.abs(W).sum(axis=0) == 0).any():
         raise DegenerateBasis("W has an all-zero column")
@@ -345,19 +351,33 @@ def perturb(X, delta: float, seed, symmetric: bool = False) -> sparse.csr_matrix
     """Multiply every stored entry by an independent uniform draw from
     [1 - delta, 1 + delta]; the sparsity pattern is unchanged.
 
-    With ``symmetric`` the (i, j) and (j, i) entries share one draw so a
-    symmetric matrix stays exactly symmetric.
+    With ``symmetric`` the (i, j) and (j, i) entries share one draw, so a
+    symmetric matrix stays exactly symmetric: the entries on and above the
+    diagonal draw in CSR order, and each entry below it takes its mirror's
+    draw.  That needs a square X whose sparsity pattern is symmetric (its
+    values need not be); DimensionMismatch or ValueError otherwise.
     """
     if not (0 <= delta < 1):
         raise ValueError("delta must be in [0, 1)")
-    X = canonicalize(X)
+    X = _canonical(X)
     rng = np.random.default_rng(seed)
     if not symmetric:
-        out = X.copy()
-        out.data = X.data * rng.uniform(1.0 - delta, 1.0 + delta, size=X.nnz)
-        return out
-    upper = canonicalize(sparse.triu(X, k=0)).tocoo()
-    draws = rng.uniform(1.0 - delta, 1.0 + delta, size=upper.nnz)
-    factors = sparse.coo_matrix((draws, (upper.row, upper.col)), shape=X.shape).tocsr()
-    factors = factors + sparse.triu(factors, k=1).T
-    return canonicalize(X.multiply(factors))
+        factors = rng.uniform(1.0 - delta, 1.0 + delta, size=X.nnz)
+    elif X.shape[0] != X.shape[1]:
+        raise DimensionMismatch(f"symmetric perturbation needs a square matrix, got {X.shape}")
+    else:
+        # X's CSR positions (1-based) in CSC order; on a symmetric pattern
+        # the t-th of them is the mirror of CSR entry t
+        order = sparse.csr_matrix((np.arange(1, X.nnz + 1), X.indices, X.indptr), shape=X.shape)
+        order = order.tocsc()
+        same = np.array_equal(order.indptr, X.indptr) and np.array_equal(order.indices, X.indices)
+        if not same:
+            raise ValueError("symmetric perturbation needs a symmetric sparsity pattern")
+        lower = X.indices < np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
+        factors = np.empty(X.nnz)
+        draws = X.nnz - np.count_nonzero(lower)
+        factors[~lower] = rng.uniform(1.0 - delta, 1.0 + delta, size=draws)
+        factors[lower] = factors[order.data[lower] - 1]
+    out = X.copy()
+    out.data *= factors
+    return out

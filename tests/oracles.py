@@ -142,6 +142,21 @@ def mu_oracle(
     return W, H
 
 
+def symmetric_perturb_oracle(X: np.ndarray, delta: float, seed: int) -> np.ndarray:
+    """Symmetric multiplicative perturbation of a dense square array whose
+    nonzero pattern is symmetric: one uniform [1 - delta, 1 + delta] draw
+    from ``default_rng(seed)`` per nonzero (i, j) with i <= j, drawn in
+    row-major order, multiplies both X[i, j] and X[j, i]."""
+    m = X.shape[0]
+    upper = [(i, j) for i in range(m) for j in range(i, m) if X[i, j] != 0]
+    draws = np.random.default_rng(seed).uniform(1.0 - delta, 1.0 + delta, size=len(upper))
+    out = np.zeros_like(X)
+    for (i, j), factor in zip(upper, draws):
+        out[i, j] = X[i, j] * factor
+        out[j, i] = X[j, i] * factor
+    return out
+
+
 def assignment_oracle(H: np.ndarray) -> tuple[list[int], list[int], list[int]]:
     """Per column, the first row holding the column's largest value (so ties
     go to the smallest topic index); per row, the number of columns that

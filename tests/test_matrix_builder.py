@@ -59,8 +59,8 @@ class TestTfidf:
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
     def test_empty_column_rejected(self):
-        with pytest.raises(EmptyColumn):
-            build_tfidf(corpus_of(["oov", "oov"]), vocab_of("a"))
+        with pytest.raises(EmptyColumn, match="'d1'"):
+            build_tfidf(corpus_of(["a"], ["oov", "oov"], ["oov"]), vocab_of("a"))
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(st.data())
@@ -157,6 +157,24 @@ class TestCooccurrence:
         if C.nnz:
             M = sppmi(C, shift)
             assert_same_csr(M, M.T.tocsr())
+
+    def test_window_past_int64_spacing(self, rng):
+        # documents three windows of 2**62 apart would lie past 2**63
+        docs, terms = random_tokens_corpus(rng)
+        docs = docs * 3
+        C = build_cooccurrence(corpus_of(*docs), vocab_of(*terms), SemanticConfig(window=2**62))
+        np.testing.assert_array_equal(C.toarray(), cooccurrence_oracle(docs, terms, 2**62))
+
+    @pytest.mark.parametrize("window", [2, 5, 100])
+    def test_document_order_does_not_change_counts(self, rng, window):
+        docs, terms = random_tokens_corpus(rng)
+        docs = [["out-of-vocab" if rng.uniform() < 0.3 else t for t in doc] for doc in docs]
+        config = SemanticConfig(window=window)
+        expected = build_cooccurrence(corpus_of(*docs), vocab_of(*terms), config)
+        for _ in range(3):
+            shuffled = [docs[i] for i in rng.permutation(len(docs))]
+            C = build_cooccurrence(corpus_of(*shuffled), vocab_of(*terms), config)
+            assert_same_csr(C, expected)
 
     @pytest.mark.parametrize("budget", [1, 7])
     def test_pair_budget_does_not_change_counts(self, rng, monkeypatch, budget):

@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
-from oracles import frobenius_relative_error, mu_oracle, nnls_projected_gradient
+from oracles import (
+    frobenius_relative_error,
+    mu_oracle,
+    nnls_projected_gradient,
+    symmetric_perturb_oracle,
+)
 from senmfk_split.errors import (
     DegenerateBasis,
     DimensionMismatch,
@@ -180,6 +188,13 @@ class TestSolveH:
         W[:, 1] = 0.0
         with pytest.raises(DegenerateBasis):
             solve_h(sparse.csr_matrix(np.ones((5, 3))), W)
+
+    @pytest.mark.parametrize("bad", [-5.0, np.nan, np.inf])
+    def test_negative_or_non_finite_basis_rejected(self, rng, bad):
+        W = rng.uniform(0.1, 1.0, (6, 2))
+        W[3, 1] = bad
+        with pytest.raises(NonNegativityViolation, match="W"):
+            solve_h(sparse.csr_matrix(rng.uniform(0.0, 1.0, (6, 4))), W)
 
     def test_matches_projected_gradient_oracle(self, rng):
         for trial in range(10):
@@ -447,6 +462,42 @@ class TestPerturb:
         arr = P.toarray()
         np.testing.assert_array_equal(arr, arr.T)
         assert P.nnz == S.nnz
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(st.data())
+    def test_symmetric_matches_oracle_property(self, data):
+        # a symmetric pattern, diagonal and empty rows included, with values
+        # drawn independently on either side of the diagonal
+        m = data.draw(st.integers(1, 7))
+        upper = np.triu(data.draw(arrays(np.bool_, (m, m))))
+        values = data.draw(arrays(np.float64, (m, m), elements=st.floats(0.01, 100.0)))
+        X = np.where(upper | upper.T, values, 0.0)
+        delta = data.draw(st.sampled_from([0.0, 0.03, 0.5, 0.99]))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        P = perturb(sparse.csr_matrix(X), delta, seed=seed, symmetric=True)
+        np.testing.assert_array_equal(P.toarray(), symmetric_perturb_oracle(X, delta, seed))
+        assert P.nnz == np.count_nonzero(X)
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_canonical_input_left_unchanged(self, rng, symmetric):
+        # a canonical input is read without a copy, so the output must not
+        # share its values
+        raw = rng.uniform(0.0, 1.0, (8, 8))
+        X = canonicalize(raw + raw.T)
+        before = X.data.copy()
+        P = perturb(X, 0.3, seed=2, symmetric=symmetric)
+        np.testing.assert_array_equal(X.data, before)
+        assert not np.shares_memory(P.data, X.data)
+
+    def test_symmetric_rejects_asymmetric_pattern(self):
+        # (1, 0) has no stored mirror
+        X = sparse.csr_matrix(np.array([[1.0, 0.0, 0.0], [2.0, 3.0, 0.0], [0.0, 0.0, 4.0]]))
+        with pytest.raises(ValueError, match="symmetric sparsity pattern"):
+            perturb(X, 0.1, seed=1, symmetric=True)
+
+    def test_symmetric_rejects_non_square(self, rng):
+        with pytest.raises(DimensionMismatch):
+            perturb(random_nonneg(rng, 3, 4), 0.1, seed=1, symmetric=True)
 
     def test_invalid_delta(self, rng):
         X = random_nonneg(rng, 3, 3)
