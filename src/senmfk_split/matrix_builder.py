@@ -7,32 +7,33 @@ index order; TF-IDF columns are documents in corpus order.
 Both builders map the corpus to term ids in one pass.  Memory stays bounded
 by the inputs and outputs, not by the number of token pairs:
 :func:`build_cooccurrence` walks the in-vocabulary tokens one offset at a
-time and counts at most about ``_PAIR_BUDGET`` pair keys at once into a
-running CSR matrix, so its peak is O(tokens + nnz + _PAIR_BUDGET) rather
-than O(tokens * window); :func:`sppmi` rewrites the values of a canonical
-input's CSR arrays without expanding them to coordinates.
+time and counts at most about ``_PAIR_BUDGET`` term pairs at once into a
+triangular CSR matrix, so its peak is O(tokens + nnz + _PAIR_BUDGET) rather
+than O(tokens * window); :func:`sppmi` reads a canonical input's CSR arrays
+in row blocks of as many entries and keeps only the nonzero values.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from .errors import DegenerateMatrix, DimensionMismatch, EmptyColumn
+from .errors import DegenerateMatrix, DimensionMismatch, EmptyColumn, NonNegativityViolation
 from .text_pipeline import Corpus, Vocabulary
 
-# token pairs held by build_cooccurrence before it counts them into its
-# running CSR matrix (one int64 key row * m + col each: 8 MB at 2**20)
+# int64 pair keys build_cooccurrence holds before it counts them (8 MB at
+# 2**20), and the stored entries of one row block of sppmi
 _PAIR_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
 class SemanticConfig:
     """Word-context parameters: co-occurrence window length (in tokens) and
-    the SPPMI shift."""
+    the SPPMI shift, a negative-sample count: finite and >= 1."""
 
     window: int = 100
     shift: float = 4.0
@@ -40,18 +41,18 @@ class SemanticConfig:
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        if self.shift < 1:
-            raise ValueError("shift must be >= 1")
+        if not (math.isfinite(self.shift) and self.shift >= 1):
+            raise ValueError(f"shift must be finite and >= 1, got {self.shift}")
 
 
 def canonicalize(mat) -> sparse.csr_matrix:
     """Return ``mat`` as a canonical float64 CSR matrix: sorted indices,
     duplicates summed, no stored zeros.
 
-    Always a copy: an uncopied ``upper + upper.T`` in :func:`build_cooccurrence`
-    keeps scipy's over-allocated buffers (2.99M slots for 2.32M entries on a
-    500-document Zipf corpus) alive through :func:`sppmi`, 205 -> 221 MB RSS.
-    Callers that only read their input take :func:`_canonical` instead."""
+    Always a copy, so the result owns its arrays: a sum such as ``A + B`` may
+    keep scipy's over-allocated buffers (one slot per entry of A and of B)
+    alive for as long as the result lives.  Callers that only read their
+    input take :func:`_canonical` instead."""
     out = sparse.csr_matrix(mat, dtype=np.float64, copy=True)
     out.sum_duplicates()
     out.eliminate_zeros()
@@ -130,10 +131,10 @@ def build_cooccurrence(
     qualifies.  Offset d pairs kept token t with kept
     token t + d wherever their positions differ by less than ``window``;
     the gaps only widen as d grows, so the scan stops at the first d with
-    no pair.  Each pair is one int64 key ``row * m + col``; whenever
-    _PAIR_BUDGET keys are held they are counted by ``np.unique`` and added
-    to a running CSR matrix, so memory is O(tokens + nnz + _PAIR_BUDGET)
-    rather than O(tokens * window).
+    no pair.  Terms a, b pair as one int64 key ``min(a, b) * m + max(a, b)``;
+    whenever _PAIR_BUDGET keys are held they are counted and added to a
+    running upper-triangular matrix T, and the result is T + T^T, so memory
+    is O(tokens + nnz + _PAIR_BUDGET) rather than O(tokens * window).
     """
     m = len(vocab)
     ids, lengths = _term_ids(corpus, vocab.index_of)
@@ -143,7 +144,6 @@ def build_cooccurrence(
     pos = np.arange(ids.size) + np.repeat(np.arange(lengths.size) * window, lengths)
     known = ids >= 0
     ids, pos = ids[known], pos[known]
-    row_keys = ids * m
     upper = sparse.csr_matrix((m, m), dtype=np.float64)
     keys: list[np.ndarray] = []
     held = 0
@@ -151,7 +151,8 @@ def build_cooccurrence(
         near = pos[d:] - pos[:-d] < window
         if not near.any():
             break
-        keys.append(row_keys[:-d][near] + ids[d:][near])
+        a, b = ids[:-d][near], ids[d:][near]
+        keys.append(np.minimum(a, b) * m + np.maximum(a, b))
         held += keys[-1].size
         if held >= _PAIR_BUDGET:
             upper = upper + _count_keys(keys, m)
@@ -159,13 +160,16 @@ def build_cooccurrence(
     if held:
         upper = upper + _count_keys(keys, m)
     # counts are whole numbers, exact in float64, so the order in which the
-    # pairs were reduced changes no value
-    return canonicalize(upper + upper.T)
+    # pairs were reduced changes no value; T and T^T meet on the diagonal only
+    return _canonical(upper + upper.T)
 
 
 def _count_keys(keys: list[np.ndarray], m: int) -> sparse.csr_matrix:
     """The m x m matrix counting every pair key ``row * m + col`` in ``keys``."""
-    unique, counts = np.unique(np.concatenate(keys), return_counts=True)
+    flat = np.concatenate(keys)
+    flat.sort()  # in place: np.unique would sort a copy
+    starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
+    unique, counts = flat[starts], np.diff(starts, append=flat.size)
     indptr = np.searchsorted(unique, np.arange(m + 1) * m)
     return sparse.csr_matrix((counts.astype(np.float64), unique % m, indptr), shape=(m, m))
 
@@ -176,25 +180,43 @@ def sppmi(cooc: sparse.csr_matrix, shift: float) -> sparse.csr_matrix:
     Entry (i, j) becomes max(ln(C(i,j) * D / (r(i) * r(j))) - ln(shift), 0)
     where r are row sums and D the total sum; zero counts stay zero.  A
     canonical input (see :func:`canonicalize`) is read without a copy; the
-    output shares nothing with it.
+    output shares nothing with it.  Rows go in blocks of about _PAIR_BUDGET
+    stored entries, of which only the nonzero values are kept.
 
-    Raises DegenerateMatrix if the total count is zero.
+    Raises ValueError for a shift SemanticConfig refuses, NonNegativityViolation
+    for a negative or non-finite count, DegenerateMatrix for a zero total.
     """
+    SemanticConfig(shift=shift)  # raises ValueError for a bad shift
     if cooc.shape[0] != cooc.shape[1]:
         raise DimensionMismatch(f"co-occurrence matrix must be square, got {cooc.shape}")
     mat = _canonical(cooc)
+    if mat.nnz and not (np.isfinite(mat.data).all() and mat.data.min() >= 0):
+        raise NonNegativityViolation("co-occurrence counts must be non-negative and finite")
     row_sums = np.asarray(mat.sum(axis=1)).ravel()
     total = row_sums.sum()
     if total <= 0:
         raise DegenerateMatrix("co-occurrence matrix has zero total count")
-    vals = mat.data * total
+    blocks, r0 = [], 0
+    while r0 < mat.shape[0]:
+        # rows r0 .. r1-1 hold at most _PAIR_BUDGET entries, or are one row
+        r1 = max(r0 + 1, np.searchsorted(mat.indptr, mat.indptr[r0] + _PAIR_BUDGET, "right") - 1)
+        blocks.append(_sppmi_rows(mat, r0, r1, row_sums, total, shift))
+        r0 = r1
+    return sparse.vstack(blocks, format="csr")
+
+
+def _sppmi_rows(mat, r0: int, r1: int, row_sums, total, shift):
+    """SPPMI of rows r0 .. r1-1 of canonical ``mat``, its zeros not stored."""
+    lo, hi = mat.indptr[r0], mat.indptr[r1]
+    vals = mat.data[lo:hi] * total
     # r(i) of every entry's row, then times r(j)
-    denom = np.repeat(row_sums, np.diff(mat.indptr))
-    denom *= row_sums[mat.indices]
+    denom = np.repeat(row_sums[r0:r1], np.diff(mat.indptr[r0 : r1 + 1]))
+    denom *= row_sums[mat.indices[lo:hi]]
     vals /= denom
+    del denom
     np.log(vals, out=vals)
     vals -= np.log(shift)
     np.maximum(vals, 0.0, out=vals)
-    out = sparse.csr_matrix((vals, mat.indices.copy(), mat.indptr.copy()), shape=mat.shape)
-    out.eliminate_zeros()
-    return out
+    kept = np.flatnonzero(vals)  # the entries != 0, by position in the block
+    indptr = np.searchsorted(kept, mat.indptr[r0 : r1 + 1] - lo)
+    return sparse.csr_matrix((vals[kept], mat.indices[lo:hi][kept], indptr), (r1 - r0, mat.shape[1]))

@@ -279,12 +279,14 @@ def build_matrices(
     corpus: Corpus, vocab: Vocabulary, config: SemanticConfig, workspace: Path
 ) -> dict[str, sparse.csr_matrix]:
     """Stage 2: TF-IDF X, co-occurrence counts, and the SPPMI matrix M.  The
-    counts are only written to the workspace; X and M are returned by name."""
+    counts are only written to the workspace; X and M are returned by name.
+    Each is written as soon as it exists, and the counts dropped before M."""
     X = build_tfidf(corpus, vocab)
-    cooc = build_cooccurrence(corpus, vocab, config)
-    M = sppmi(cooc, config.shift)
     storage.write_sparse(X, workspace / "X.mtx")
+    cooc = build_cooccurrence(corpus, vocab, config)
     storage.write_sparse(cooc, workspace / "cooc.mtx")
+    M = sppmi(cooc, config.shift)
+    del cooc
     storage.write_sparse(M, workspace / "M.mtx")
     return {"X": X, "M": M}
 

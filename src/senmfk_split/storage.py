@@ -64,11 +64,14 @@ def write_sparse(mat, path: str | Path) -> None:
     csr = sparse.csr_matrix(mat)
     symmetric = _is_symmetric(csr)
     coo = sparse.tril(csr, format="coo") if symmetric else csr.tocoo()
+    whole = _is_whole(coo.data)
+    if whole:  # int64, the type scipy writes integers from, so it copies none
+        coo.data = coo.data.astype(np.int64)
     with atomic_path(path) as tmp:
         scipy_io.mmwrite(
             str(tmp),
             coo,
-            field="integer" if _is_whole(coo.data) else None,
+            field="integer" if whole else None,
             precision=_PRECISION,
             symmetry="symmetric" if symmetric else "general",
         )

@@ -153,10 +153,14 @@ def load_jsonl_corpus(path: str | Path, pre_tokenized: bool = False) -> Corpus:
     Each line is an object with an ``id`` field and either ``text`` (raw, run
     through :func:`tokenize`) or, when ``pre_tokenized`` is set, ``tokens``
     (a list of term strings taken as-is).
+
+    Equal raw-text tokens share one string object; pre-tokenized ones (a
+    resumed ``corpus.jsonl``) are kept as parsed, sparing a lookup a token.
     """
     path = Path(path)
     docs: list[Document] = []
     seen: set[str] = set()
+    shared: dict[str, str] = {}
     for lineno, line in utf8_lines(path):
         line = line.strip()
         if not line:
@@ -178,7 +182,8 @@ def load_jsonl_corpus(path: str | Path, pre_tokenized: bool = False) -> Corpus:
         else:
             if "text" not in obj:
                 raise DataError(f"{path}:{lineno}: expected a 'text' field")
-            tokens = tuple(tokenize(str(obj["text"])))
+            toks = tokenize(str(obj["text"]))
+            tokens = tuple(map(shared.setdefault, toks, toks))
         docs.append(Document(doc_id, tokens))
     if not docs:
         raise EmptyCorpus(f"{path}: no documents")

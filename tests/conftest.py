@@ -1,6 +1,7 @@
 """Shared fixtures for the test suite."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,20 @@ def assert_same_csr(actual, expected) -> None:
     for name in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(actual, name), getattr(expected, name), err_msg=name)
     assert actual.data.dtype == np.float64
+
+
+def traced_peak(fn):
+    """Call ``fn()`` under tracemalloc, started and with its peak reset just
+    before.  Returns (result, peak bytes allocated during the call, bytes
+    still allocated when it returned: what the result holds)."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, held
 
 
 def write_jsonl(path: Path, lines: list[str]) -> Path:

@@ -373,6 +373,23 @@ class TestRun:
         }
         assert_same_outputs(clean, ws)
 
+    def test_resume_after_failed_matrices_stage(self, corpus_file, tmp_path, capsys):
+        # window 1 pairs no tokens, so SPPMI has no counts: X and cooc are
+        # written before the stage fails, but the stage is not recorded
+        path, _ = corpus_file
+        clean, ws = tmp_path / "clean", tmp_path / "ws"
+        assert main(["run", str(path), "--workspace", str(ws), "--window", "1"] + RUN_FLAGS) == 3
+        assert capsys.readouterr().err == (
+            "error: DegenerateMatrix: stage 'matrices': co-occurrence matrix has zero total count\n"
+        )
+        assert "matrices" not in RunManifest.load(ws / "manifest.json").stages
+        window = ["--window", "2"]
+        assert main(["run", str(path), "--workspace", str(ws), "--resume"] + window + RUN_FLAGS) == 0
+        stages = RunManifest.load(ws / "manifest.json").stages
+        assert stages["preprocess"].resumed and not stages["matrices"].resumed
+        assert main(["run", str(path), "--workspace", str(clean)] + window + RUN_FLAGS) == 0
+        assert_same_outputs(clean, ws)
+
     def test_resume_after_single_stage_commands(self, corpus_file, tmp_path):
         # preprocess and matrices record the same stages that run resumes
         path, _ = corpus_file

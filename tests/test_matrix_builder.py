@@ -1,6 +1,6 @@
 """TF-IDF, co-occurrence, and SPPMI construction against brute-force oracles."""
 
-import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
-from conftest import assert_same_csr
+from conftest import assert_same_csr, traced_peak
 from oracles import cooccurrence_oracle, random_tokens_corpus, sppmi_oracle, tfidf_oracle
-from senmfk_split.errors import DegenerateMatrix, EmptyColumn
+from senmfk_split.errors import DegenerateMatrix, EmptyColumn, NonNegativityViolation
 from senmfk_split import matrix_builder
 from senmfk_split.matrix_builder import (
     SemanticConfig,
@@ -32,6 +32,21 @@ def vocab_of(*terms):
         terms=tuple(terms),
         index_of={t: i for i, t in enumerate(terms)},
     )
+
+
+def zipf_corpus():
+    """200 Zipf documents of 300 tokens over 2,000 terms: at window 100,
+    about 6M token pairs, which held at once as index arrays take over
+    300 MB; the co-occurrence matrix itself is about 14 MB."""
+    rng = np.random.default_rng(5)
+    weights = 1.0 / np.arange(1, 2001)
+    ids = rng.choice(2000, size=(200, 300), p=weights / weights.sum())
+    terms = [f"w{i:04d}" for i in range(2000)]
+    return corpus_of(*([terms[i] for i in row] for row in ids)), vocab_of(*terms)
+
+
+def csr_bytes(mat) -> int:
+    return mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
 
 
 class TestTfidf:
@@ -179,33 +194,59 @@ class TestCooccurrence:
     @pytest.mark.parametrize("budget", [1, 7])
     def test_pair_budget_does_not_change_counts(self, rng, monkeypatch, budget):
         # a tiny budget reduces the pairs into the running matrix many times
-        monkeypatch.setattr(matrix_builder, "_PAIR_BUDGET", budget)
         for window in (2, 5, 100):
             docs, terms = random_tokens_corpus(rng)
-            C = build_cooccurrence(
-                corpus_of(*docs), vocab_of(*terms), SemanticConfig(window=window)
-            )
+            args = corpus_of(*docs), vocab_of(*terms), SemanticConfig(window=window)
+            expected = build_cooccurrence(*args)
+            with monkeypatch.context() as patch:
+                patch.setattr(matrix_builder, "_PAIR_BUDGET", budget)
+                C = build_cooccurrence(*args)
+            assert_same_csr(C, expected)
             np.testing.assert_array_equal(
                 C.toarray(), cooccurrence_oracle(docs, terms, window)
             )
 
     def test_memory_bounded_by_nnz_not_pairs(self):
-        # 200 Zipf documents of 300 tokens over 2,000 terms at window 100:
-        # about 6M token pairs, which held at once as index arrays take
-        # over 300 MB; the output itself is about 14 MB
-        rng = np.random.default_rng(5)
-        weights = 1.0 / np.arange(1, 2001)
-        ids = rng.choice(2000, size=(200, 300), p=weights / weights.sum())
-        terms = [f"w{i:04d}" for i in range(2000)]
-        corpus = corpus_of(*([terms[i] for i in row] for row in ids))
-        tracemalloc.start()
-        try:
-            C = build_cooccurrence(corpus, vocab_of(*terms), SemanticConfig(window=100))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        corpus, vocab = zipf_corpus()
+        C, peak, _ = traced_peak(
+            lambda: build_cooccurrence(corpus, vocab, SemanticConfig(window=100))
+        )
         assert C.sum() == 2 * 200 * sum(300 - d for d in range(1, 100))
         assert peak < 100e6
+
+    def test_peak_within_three_outputs(self):
+        # the running matrix holds each term pair once, and its sum with
+        # its transpose is the result itself, with no canonical copy
+        corpus, vocab = zipf_corpus()
+        C, peak, _ = traced_peak(
+            lambda: build_cooccurrence(corpus, vocab, SemanticConfig(window=100))
+        )
+        assert peak <= 3 * csr_bytes(C)
+
+
+def count_keys_reference(keys, m):
+    """``_count_keys`` as it was written with ``np.unique``."""
+    unique, counts = np.unique(np.concatenate(keys), return_counts=True)
+    indptr = np.searchsorted(unique, np.arange(m + 1) * m)
+    return sparse.csr_matrix((counts.astype(np.float64), unique % m, indptr), shape=(m, m))
+
+
+class TestCountKeys:
+    @pytest.mark.parametrize("m", [1, 2, 9, 300])
+    def test_matches_unique_reference(self, rng, m):
+        # few distinct keys among many, in pieces of random sizes, one empty
+        for _ in range(5):
+            pool = rng.integers(0, m * m, size=int(rng.integers(1, 40)))
+            keys = [pool[rng.integers(0, pool.size, size=n)] for n in (0, *rng.integers(1, 200, 3))]
+            before = [k.copy() for k in keys]
+            out, expected = matrix_builder._count_keys(keys, m), count_keys_reference(keys, m)
+            assert_same_csr(out, expected)
+            assert (out.indices.dtype, out.indptr.dtype) == (
+                expected.indices.dtype,
+                expected.indptr.dtype,
+            )
+            for k, b in zip(keys, before):
+                np.testing.assert_array_equal(k, b)
 
 
 def symmetric_counts(data, max_terms=6):
@@ -320,6 +361,47 @@ class TestSppmi:
         out = sppmi(counts, 2.0)
         assert (out.data >= 0).all() and np.isfinite(out.data).all()
 
+    @pytest.mark.parametrize("shift", [0.0, -1.0, 0.5, np.inf, np.nan])
+    def test_invalid_shift_rejected(self, shift):
+        # shift 0 made every entry inf and shift -1 every entry NaN
+        counts = sparse.csr_matrix(np.array([[2.0, 1, 0], [1, 0, 3], [0, 3, 4]]))
+        with pytest.raises(ValueError, match="shift"):
+            sppmi(counts, shift)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.inf, np.nan])
+    def test_invalid_count_rejected(self, bad):
+        # -1 and inf made NaN entries, and NaN made the whole output NaN
+        counts = np.array([[2.0, 1, 0], [1, 0, 3], [0, 3, 4]])
+        counts[1, 2] = counts[2, 1] = bad
+        with pytest.raises(NonNegativityViolation):
+            sppmi(sparse.csr_matrix(counts), 1.0)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.data(), st.sampled_from([1.0, 1.5, 4.0, 1e6]))
+    def test_row_blocks_do_not_change_output(self, data, shift):
+        # blocks of one entry split every row, and blocks of seven group
+        # several; empty rows come from the dropped terms, and shift 1e6
+        # clips every entry of most matrices to 0
+        counts = symmetric_counts(data, max_terms=8)
+        dropped = data.draw(st.lists(st.integers(0, counts.shape[0] - 1), max_size=3))
+        counts[dropped, :] = counts[:, dropped] = 0
+        assume(counts.sum() > 0)
+        expected = sppmi(sparse.csr_matrix(counts), shift)
+        for budget in (1, 2, 7):
+            with mock.patch.object(matrix_builder, "_PAIR_BUDGET", budget):
+                assert_same_csr(sppmi(sparse.csr_matrix(counts), shift), expected)
+
+    def test_transient_bounded_by_output(self, monkeypatch):
+        # with small row blocks, what stays is the kept values twice (the
+        # blocks and the stacked output), not whole-input arrays: 7.4 MB here,
+        # 28 MB with the whole-matrix arrays
+        corpus, vocab = zipf_corpus()
+        C = build_cooccurrence(corpus, vocab, SemanticConfig(window=100))
+        monkeypatch.setattr(matrix_builder, "_PAIR_BUDGET", 1000)
+        M, peak, _ = traced_peak(lambda: sppmi(C, 4.0))
+        assert 0 < M.nnz < C.nnz / 2
+        assert peak < 2 * csr_bytes(M) + 2e6
+
 
 class TestCanonicalize:
     def test_removes_zeros_and_sorts(self):
@@ -337,7 +419,9 @@ class TestSemanticConfigValidation:
         cfg = SemanticConfig()
         assert cfg.window == 100 and cfg.shift == 4.0
 
-    @pytest.mark.parametrize("kwargs", [{"window": 0}, {"shift": 0.5}])
+    @pytest.mark.parametrize(
+        "kwargs", [{"window": 0}, {"shift": 0.5}, {"shift": np.inf}, {"shift": np.nan}]
+    )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SemanticConfig(**kwargs)

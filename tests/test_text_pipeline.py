@@ -1,10 +1,12 @@
 """Tokenization, document filtering, and vocabulary construction."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak, write_jsonl
 from senmfk_split.errors import DataError, EmptyCorpus, EmptyVocabulary
 from senmfk_split.text_pipeline import (
     Corpus,
@@ -181,6 +183,24 @@ class TestJsonlIO:
         save_jsonl_corpus(corpus, out)
         again = load_jsonl_corpus(out, pre_tokenized=True)
         assert again == corpus
+
+    def test_raw_text_tokens_shared(self, tmp_path):
+        # 200 Zipf documents of 300 tokens over 676 three-letter terms:
+        # a str object per token alone takes about 52 bytes
+        rng = np.random.default_rng(7)
+        terms = [f"q{chr(97 + i // 26)}{chr(97 + i % 26)}" for i in range(676)]
+        weights = 1.0 / np.arange(1, len(terms) + 1)
+        ids = rng.choice(len(terms), size=(200, 300), p=weights / weights.sum())
+        lines = [
+            json.dumps({"id": f"d{j}", "text": " ".join(terms[i] for i in row)})
+            for j, row in enumerate(ids)
+        ]
+        path = write_jsonl(tmp_path / "c.jsonl", lines)
+        corpus, _, held = traced_peak(lambda: load_jsonl_corpus(path))
+        tokens = [t for doc in corpus for t in doc.tokens]
+        assert len(tokens) == ids.size
+        assert len({id(t) for t in tokens}) == len(set(tokens))
+        assert held <= 16 * len(tokens)
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
