@@ -193,10 +193,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _pipeline(args: argparse.Namespace) -> tuple[dict[str, Any], PipelineRun]:
-    """The configuration recorded in the manifest (every resolved setting,
-    the stopword digest and the input format) and the pipeline run it
-    configures."""
+def _pipeline(args: argparse.Namespace, *groups: str) -> tuple[dict[str, Any], PipelineRun]:
+    """The settings of the flag ``groups`` to record in the manifest (with
+    ``preprocess`` also the stopword digest and the input format) and the
+    pipeline run that all resolved settings configure."""
     workspace = _workspace(args)
     config_path = getattr(args, "config", None)
     file_cfg = parse_config_file(config_path) if config_path else {}
@@ -208,32 +208,35 @@ def _pipeline(args: argparse.Namespace) -> tuple[dict[str, Any], PipelineRun]:
         config = _split_config(settings, stopwords)
     except ValueError as exc:
         raise CliUsage(str(exc)) from exc
-    settings["stopwords_digest"] = sha256_text("\n".join(sorted(stopwords)))
-    settings["pre_tokenized"] = pre_tokenized
+    recorded = {key: settings[key] for key, (_, _, group) in _OPTIONS.items() if group in groups}
+    if "preprocess" in groups:
+        recorded["stopwords_digest"] = sha256_text("\n".join(sorted(stopwords)))
+        recorded["pre_tokenized"] = pre_tokenized
     run = PipelineRun(config, workspace, getattr(args, "input", None), pre_tokenized)
-    return settings, run
+    return recorded, run
 
 
-def _merged_manifest(args: argparse.Namespace) -> tuple[PipelineRun, RunManifest]:
-    """The pipeline run and the workspace's manifest with this invocation's
-    configuration, so a single stage adds to the record of the others."""
-    settings, run = _pipeline(args)
+def _merged_manifest(args: argparse.Namespace, group: str) -> tuple[PipelineRun, RunManifest]:
+    """The pipeline run and the workspace's manifest with the settings of
+    this command's flag ``group`` updated, so a single stage adds to the
+    record of the others and keeps their settings."""
+    settings, run = _pipeline(args, group)
     path = run.workspace / MANIFEST
     manifest = RunManifest.load(path) if path.is_file() else RunManifest(__version__, {})
     manifest.version = __version__
-    manifest.config = settings
+    manifest.config.update(settings)
     return run, manifest
 
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
-    run, manifest = _merged_manifest(args)
+    run, manifest = _merged_manifest(args, "preprocess")
     corpus, vocab = run_stages(run, manifest, last="preprocess")["preprocess"]
     print(f"{len(corpus)} documents, {len(vocab)} terms -> {run.workspace}")
     return 0
 
 
 def cmd_matrices(args: argparse.Namespace) -> int:
-    run, manifest = _merged_manifest(args)
+    run, manifest = _merged_manifest(args, "matrices")
     matrices = run_stages(run, manifest, first="matrices", last="matrices")["matrices"]
     X, M = matrices["X"], matrices["M"]
     cooc_shape, cooc_nnz = storage.sparse_size(run.path("cooc.mtx"))
@@ -245,7 +248,7 @@ def cmd_matrices(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    settings, run = _pipeline(args)
+    settings, run = _pipeline(args, "preprocess", "matrices", "model")
     path = run.workspace / MANIFEST
     previous = RunManifest.load(path) if args.resume and path.is_file() else None
     manifest = RunManifest(version=__version__, config=settings)

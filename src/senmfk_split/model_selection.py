@@ -197,8 +197,8 @@ def _ensemble_stack(
         perturb(X, config.delta, seed=child_seed(base, k, j, 0), symmetric=symmetric)
         for j in members
     ]
-    configs = [replace(config.nmf, seed=child_seed(base, k, j, 1)) for j in members]
-    return [normalize_columns(pair.W)[0] for pair in nmf_stack(copies, k, configs)]
+    seeds = [child_seed(base, k, j, 1) for j in members]
+    return [normalize_columns(pair.W)[0] for pair in nmf_stack(copies, k, config.nmf, seeds)]
 
 
 def nmfk(

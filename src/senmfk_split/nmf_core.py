@@ -200,7 +200,7 @@ def _solve_stack(
     Xs: list[sparse.csr_matrix],
     W: np.ndarray,
     H: np.ndarray,
-    configs: list[NmfConfig],
+    config: NmfConfig,
     update_w: bool,
 ) -> list[FactorPair]:
     """Multiplicative updates of the stacked factors W (b, m, k) and H
@@ -208,8 +208,8 @@ def _solve_stack(
     ``update_w``; W and H are updated in place.
 
     Every product is one stacked matmul over the members still running.
-    Every 10 iterations, and at its own ``max_iter``, each member's error is
-    checked alone, and a member that meets its stopping rule leaves the
+    Every 10 iterations, and at ``config.max_iter``, each member's error is
+    checked alone, and a member that meets the stopping rule leaves the
     stack.  A CSR operand is solved as a stack of one.
     """
     m, n = Xs[0].shape
@@ -227,7 +227,6 @@ def _solve_stack(
     pairs: list[FactorPair | None] = [None] * len(Xs)
     traces: list[list[float]] = [[] for _ in Xs]
     iters: list[list[int]] = [[] for _ in Xs]
-    caps = {config.max_iter for config in configs}
     gram_w = np.matmul(W.transpose(0, 2, 1), W)
     # a frozen W's X^T W is taken once
     xtw = None if update_w else _times(AT, W)
@@ -241,15 +240,11 @@ def _solve_stack(
             xht = _times(A, H.transpose(0, 2, 1))
             W *= xht / (np.matmul(W, hht) + _EPSILON)
             gram_w = np.matmul(W.transpose(0, 2, 1), W)
-        if it % _TRACE_STRIDE and it not in caps:
+        if it % _TRACE_STRIDE and it != config.max_iter:
             continue
-        due = [
-            s for s, j in enumerate(live) if it % _TRACE_STRIDE == 0 or it == configs[j].max_iter
-        ]
         if not update_w:
             hht = np.matmul(H, H.transpose(0, 2, 1))
-        for s in due:
-            j = live[s]
+        for s, j in enumerate(live):
             # the cross term from the update's own X H^T (W step) or W^T X
             # (fixed-W step)
             if update_w:
@@ -261,8 +256,8 @@ def _solve_stack(
             last = traces[j][-1] if traces[j] else None
             traces[j].append(err)
             iters[j].append(it)
-            if it == configs[j].max_iter or (
-                last is not None and abs(last - err) < max(configs[j].tol * last, _CHANGE_FLOOR)
+            if it == config.max_iter or (
+                last is not None and abs(last - err) < max(config.tol * last, _CHANGE_FLOOR)
             ):
                 pairs[j] = FactorPair(W[s].copy(), H[s].copy(), traces[j], iters[j])
         keep = [s for s, j in enumerate(live) if pairs[j] is None]
@@ -277,19 +272,20 @@ def _solve_stack(
     return pairs
 
 
-def nmf_stack(Xs, k: int, configs: list[NmfConfig]) -> list[FactorPair]:
-    """Factorize equally shaped non-negative matrices at rank k, member i
-    with ``configs[i]``, in one stacked multiplicative-update run.
+def nmf_stack(Xs, k: int, config: NmfConfig, seeds: list[int]) -> list[FactorPair]:
+    """Factorize equally shaped non-negative matrices at rank k in one
+    stacked multiplicative-update run, every member with ``config``'s
+    ``max_iter`` and ``tol``, member i initialized from ``seeds[i]``.
 
-    Each result equals ``nmf(Xs[i], k, configs[i])`` bit for bit: the stack
-    only shares the per-iteration calls.  At most :func:`stack_size` of
-    ``Xs[0]`` matrices fit in one stack; ValueError otherwise, or if the
-    matrices differ in shape or in operand (dense or CSR) or the configs do
-    not pair up with them.
+    Each result equals ``nmf(Xs[i], k, replace(config, seed=seeds[i]))`` bit
+    for bit: the stack only shares the per-iteration calls.  At most
+    :func:`stack_size` of ``Xs[0]`` matrices fit in one stack; ValueError
+    otherwise, or if the matrices differ in shape or in operand (dense or
+    CSR) or the seeds do not pair up with them.
     """
     Xs = [_canonical(X) for X in Xs]
-    if not Xs or len(configs) != len(Xs):
-        raise ValueError(f"{len(Xs)} matrices but {len(configs)} configs")
+    if not Xs or len(seeds) != len(Xs):
+        raise ValueError(f"{len(Xs)} matrices but {len(seeds)} seeds")
     m, n = Xs[0].shape
     if not isinstance(k, (int, np.integer)) or k < 1 or k > min(m, n):
         raise InvalidRank(f"rank {k} outside [1, {min(m, n)}] for shape {(m, n)}")
@@ -300,12 +296,12 @@ def nmf_stack(Xs, k: int, configs: list[NmfConfig]) -> list[FactorPair]:
     if len(Xs) > stack_size(Xs[0]):
         raise ValueError(f"{len(Xs)} matrices exceed a stack of {stack_size(Xs[0])}")
     Ws, Hs = [], []
-    for X, config in zip(Xs, configs):
-        rng = np.random.default_rng(config.seed)
+    for X, seed in zip(Xs, seeds):
+        rng = np.random.default_rng(seed)
         scale = float(X.sum()) / (m * n) / k
         Ws.append(rng.uniform(0.0, 1.0, size=(m, k)) * scale)
         Hs.append(rng.uniform(0.0, 1.0, size=(k, n)) * scale)
-    return _solve_stack(Xs, np.stack(Ws), np.stack(Hs), configs, update_w=True)
+    return _solve_stack(Xs, np.stack(Ws), np.stack(Hs), config, update_w=True)
 
 
 def nmf(X, k: int, config: NmfConfig | None = None) -> FactorPair:
@@ -320,7 +316,8 @@ def nmf(X, k: int, config: NmfConfig | None = None) -> FactorPair:
     Raises InvalidRank if k is outside [1, min(m, n)] and
     NonNegativityViolation if X has negative or non-finite entries.
     """
-    return nmf_stack([X], k, [config or NmfConfig()])[0]
+    config = config or NmfConfig()
+    return nmf_stack([X], k, config, [config.seed])[0]
 
 
 def solve_h(X, W: np.ndarray, config: NmfConfig | None = None) -> np.ndarray:
@@ -344,7 +341,7 @@ def solve_h(X, W: np.ndarray, config: NmfConfig | None = None) -> np.ndarray:
     rng = np.random.default_rng(config.seed)
     scale = float(X.sum()) / (m * n) / k
     H = rng.uniform(0.0, 1.0, size=(k, n)) * scale
-    return _solve_stack([X], W[None].copy(), H[None], [config], update_w=False)[0].H
+    return _solve_stack([X], W[None].copy(), H[None], config, update_w=False)[0].H
 
 
 def perturb(X, delta: float, seed, symmetric: bool = False) -> sparse.csr_matrix:

@@ -11,14 +11,14 @@ named file triple (:data:`FACTORS_X`, :data:`FACTORS_M`, :data:`FACTORS_JOINT`).
 The pipeline is written once, as the stage list :data:`STAGES`: preprocess,
 matrices, factorize_x, factorize_m, joint, regression and export.  Each
 :class:`Stage` names its manifest parameters, its input and output files, how
-to compute its value (persisting the outputs into the workspace) and how to
-load that value back from the outputs; a stage that a run does not compute
-is loaded only when a later stage first reads its value.  :func:`run_stages`
-executes a slice of the list and is the one runner behind every entry
-point: :func:`run_split` runs every stage without a manifest; the CLI runs
-all stages or a single one and records a manifest that is saved after every
-stage, so a run can be audited and resumed after the last stage that
-finished.
+to load its value back from the outputs, and how to compute it: by one
+module-level function of the :class:`PipelineRun` (``prepare_corpus``,
+``build_matrices``, ``stage_*``), looked up by name when the stage runs,
+that writes the outputs.  A stage that a run does not compute is loaded only
+when a later stage first reads its value.  :func:`run_stages` runs a slice of
+the list for every entry point: :func:`run_split` runs all stages without a
+manifest; the CLI runs all or one and saves a manifest after every stage, so
+a run can be audited and resumed after the last stage that finished.
 """
 
 from __future__ import annotations
@@ -234,20 +234,6 @@ def top_words(
     return ranked
 
 
-def resolve_joint_selection(
-    config: SplitConfig, k1: int, k2: int, n_rows: int
-) -> SelectionConfig:
-    """The merge-stage selection config: the explicit one if given, otherwise
-    a copy of the X-side parameters over :func:`default_joint_range`."""
-    if config.selection_joint is not None:
-        return config.selection_joint
-    lo, hi = default_joint_range(k1, k2, n_rows)
-    nmf = config.selection_x.nmf
-    return replace(
-        config.selection_x, k_min=lo, k_max=hi, nmf=replace(nmf, seed=child_seed(nmf.seed, 3))
-    )
-
-
 @contextmanager
 def stage_scope(name: str):
     try:
@@ -258,86 +244,73 @@ def stage_scope(name: str):
         raise PipelineStageError(name, exc) from exc
 
 
-def prepare_corpus(
-    corpus_path: str | Path,
-    config: PipelineConfig,
-    workspace: Path,
-    pre_tokenized: bool = False,
-) -> tuple[Corpus, Vocabulary]:
+def prepare_corpus(r: PipelineRun) -> tuple[Corpus, Vocabulary]:
     """Stage 1: load, filter, build the vocabulary, drop documents that end
     up with no in-vocabulary tokens; persist corpus.jsonl and vocab.txt."""
-    raw = load_jsonl_corpus(corpus_path, pre_tokenized=pre_tokenized)
-    corpus = filter_documents(raw, config)
-    vocab = build_vocabulary(corpus, config)
+    raw = load_jsonl_corpus(r.corpus_path, pre_tokenized=r.pre_tokenized)
+    corpus = filter_documents(raw, r.config.pipeline)
+    vocab = build_vocabulary(corpus, r.config.pipeline)
     corpus = drop_empty_documents(corpus, vocab)
-    save_jsonl_corpus(corpus, workspace / "corpus.jsonl")
-    save_vocabulary(vocab, workspace / "vocab.txt")
+    save_jsonl_corpus(corpus, r.path("corpus.jsonl"))
+    save_vocabulary(vocab, r.path("vocab.txt"))
     return corpus, vocab
 
 
-def build_matrices(
-    corpus: Corpus, vocab: Vocabulary, config: SemanticConfig, workspace: Path
-) -> dict[str, sparse.csr_matrix]:
+def build_matrices(r: PipelineRun) -> dict[str, sparse.csr_matrix]:
     """Stage 2: TF-IDF X, co-occurrence counts, and the SPPMI matrix M.  The
     counts are only written to the workspace; X and M are returned by name.
     Each is written as soon as it exists, and the counts dropped before M."""
+    corpus, vocab = r.values["preprocess"]
     X = build_tfidf(corpus, vocab)
-    storage.write_sparse(X, workspace / "X.mtx")
-    cooc = build_cooccurrence(corpus, vocab, config)
-    storage.write_sparse(cooc, workspace / "cooc.mtx")
-    M = sppmi(cooc, config.shift)
+    storage.write_sparse(X, r.path("X.mtx"))
+    cooc = build_cooccurrence(corpus, vocab, r.config.semantic)
+    storage.write_sparse(cooc, r.path("cooc.mtx"))
+    M = sppmi(cooc, r.config.semantic.shift)
     del cooc
-    storage.write_sparse(M, workspace / "M.mtx")
+    storage.write_sparse(M, r.path("M.mtx"))
     return {"X": X, "M": M}
 
 
-def _write_factorization(result: Factors, names: tuple[str, str, str], workspace: Path) -> Factors:
+def _write_factorization(r: PipelineRun, result: Factors, names: tuple[str, str, str]) -> Factors:
     W, H, report = result
-    storage.write_dense(W, workspace / names[0])
-    storage.write_dense(H, workspace / names[1])
-    storage.write_selection_report(report, workspace / names[2])
+    storage.write_dense(W, r.path(names[0]))
+    storage.write_dense(H, r.path(names[1]))
+    storage.write_selection_report(report, r.path(names[2]))
     return result
 
 
-def stage_factorize_x(X, selection: SelectionConfig, workspace: Path) -> Factors:
-    return _write_factorization(factorize_x(X, selection), FACTORS_X, workspace)
+def stage_factorize_x(r: PipelineRun) -> Factors:
+    result = factorize_x(r.values["matrices"]["X"], r.config.selection_x)
+    return _write_factorization(r, result, FACTORS_X)
 
 
-def stage_factorize_m(M, selection: SelectionConfig, workspace: Path) -> Factors:
-    return _write_factorization(factorize_m(M, selection), FACTORS_M, workspace)
+def stage_factorize_m(r: PipelineRun) -> Factors:
+    result = factorize_m(r.values["matrices"]["M"], r.config.selection_m)
+    return _write_factorization(r, result, FACTORS_M)
 
 
-def stage_joint(
-    W1: np.ndarray, W2: np.ndarray, selection: SelectionConfig, workspace: Path
-) -> Factors:
-    result = joint_factorize(concat_normalized(W1, W2), selection)
-    return _write_factorization(result, FACTORS_JOINT, workspace)
+def stage_joint(r: PipelineRun) -> Factors:
+    Wcat = concat_normalized(r.values["factorize_x"][0], r.values["factorize_m"][0])
+    return _write_factorization(r, joint_factorize(Wcat, _joint_selection(r)), FACTORS_JOINT)
 
 
-def stage_regression(
-    X, W: np.ndarray, nmf_config: NmfConfig, workspace: Path
-) -> np.ndarray:
-    H = final_regression(X, W, nmf_config)
-    storage.write_dense(H, workspace / "H.mtx")
+def stage_regression(r: PipelineRun) -> np.ndarray:
+    H = final_regression(r.values["matrices"]["X"], r.values["joint"][0], r.config.selection_x.nmf)
+    storage.write_dense(H, r.path("H.mtx"))
     return H
 
 
-def stage_export(
-    H: np.ndarray,
-    W: np.ndarray,
-    vocab: Vocabulary,
-    corpus: Corpus,
-    top_n: int,
-    workspace: Path,
-) -> tuple[AssignmentResult, list[list[tuple[str, float]]]]:
+def stage_export(r: PipelineRun) -> tuple[AssignmentResult, list[list[tuple[str, float]]]]:
+    H, W = r.values["regression"], r.values["joint"][0]
+    corpus, vocab = r.values["preprocess"]
     result = assign_documents(H)
-    topics = top_words(W, vocab, top_n)
+    topics = top_words(W, vocab, r.config.top_n_words)
     max_weights = H[result.assignments, np.arange(H.shape[1])]
-    storage.write_topics(topics, workspace / "topics.json")
+    storage.write_topics(topics, r.path("topics.json"))
     storage.write_assignments(
-        corpus.ids(), result.assignments, max_weights, workspace / "assignments.csv"
+        corpus.ids(), result.assignments, max_weights, r.path("assignments.csv")
     )
-    storage.write_histogram(result.counts, workspace / "histogram.csv")
+    storage.write_histogram(result.counts, r.path("histogram.csv"))
     return result, topics
 
 
@@ -396,25 +369,43 @@ class PipelineRun:
         return Path(self.corpus_path) if name == INPUT else self.workspace / name
 
 
-def _selection_params(selection: SelectionConfig) -> dict[str, Any]:
-    params = asdict(selection)
-    params.update(params.pop("nmf"))
-    return params
+def _joint_selection(r: PipelineRun) -> SelectionConfig:
+    """The merge-stage selection config: the explicit one if given, otherwise
+    a copy of the X-side parameters over :func:`default_joint_range` of the
+    selected ranks k1, k2 and the rows of X and M (one per term)."""
+    if r.config.selection_joint is not None:
+        return r.config.selection_joint
+    n_rows = len(r.values["preprocess"][1])
+    k1, k2 = r.values["factorize_x"][0].shape[1], r.values["factorize_m"][0].shape[1]
+    lo, hi = default_joint_range(k1, k2, n_rows)
+    x = r.config.selection_x
+    return replace(x, k_min=lo, k_max=hi, nmf=replace(x.nmf, seed=child_seed(x.nmf.seed, 3)))
 
 
-def _joint_selection(run: PipelineRun) -> SelectionConfig:
-    n_rows = len(run.values["preprocess"][1])  # the rows of X and M: one per term
-    k1, k2 = run.values["factorize_x"][0].shape[1], run.values["factorize_m"][0].shape[1]
-    return resolve_joint_selection(run.config, k1, k2, n_rows)
+def _factor_stage(
+    name: str,
+    inputs: tuple[str, ...],
+    files: tuple[str, str, str],
+    selection: Callable[[PipelineRun], SelectionConfig],
+) -> Stage:
+    """A factorization stage, computed by the module global ``stage_<name>``:
+    its selection config, flattened, as the manifest parameters, and its
+    value read back from its W, H and report files."""
+
+    def params(r: PipelineRun) -> dict[str, Any]:
+        flat = asdict(selection(r))
+        flat.update(flat.pop("nmf"))
+        return flat
+
+    def load(r: PipelineRun) -> Factors:
+        W = storage.read_dense(r.path(files[0]))
+        H = storage.read_dense(r.path(files[1]))
+        return W, H, storage.read_selection_report(r.path(files[2]), W, H)
+
+    return Stage(name, params, inputs, files, lambda r: globals()[f"stage_{name}"](r), load)
 
 
-def _read_factorization(run: PipelineRun, names: tuple[str, str, str]) -> Factors:
-    W = storage.read_dense(run.path(names[0]))
-    H = storage.read_dense(run.path(names[1]))
-    return W, H, storage.read_selection_report(run.path(names[2]), W, H)
-
-
-# The stage functions are looked up as module globals when a stage runs, so a
+# The stage bodies are looked up as module globals when a stage runs, so a
 # rebinding of e.g. ``split_pipeline.stage_joint`` takes effect.
 STAGES: tuple[Stage, ...] = (
     Stage(
@@ -428,9 +419,7 @@ STAGES: tuple[Stage, ...] = (
         },
         inputs=(INPUT,),
         outputs=("corpus.jsonl", "vocab.txt"),
-        compute=lambda r: prepare_corpus(
-            r.corpus_path, r.config.pipeline, r.workspace, r.pre_tokenized
-        ),
+        compute=lambda r: prepare_corpus(r),
         load=lambda r: (
             load_jsonl_corpus(r.path("corpus.jsonl"), pre_tokenized=True),
             load_vocabulary(r.path("vocab.txt")),
@@ -441,53 +430,20 @@ STAGES: tuple[Stage, ...] = (
         params=lambda r: asdict(r.config.semantic),
         inputs=("corpus.jsonl", "vocab.txt"),
         outputs=("X.mtx", "cooc.mtx", "M.mtx"),
-        compute=lambda r: build_matrices(*r.values["preprocess"], r.config.semantic, r.workspace),
+        compute=lambda r: build_matrices(r),
         # X and M are each read on first use; cooc.mtx is digested like every
         # output but never read back
         load=lambda r: Deferred(lambda n: storage.read_sparse(r.path(f"{n}.mtx")), "matrices"),
     ),
-    Stage(
-        "factorize_x",
-        params=lambda r: _selection_params(r.config.selection_x),
-        inputs=("X.mtx",),
-        outputs=FACTORS_X,
-        compute=lambda r: stage_factorize_x(
-            r.values["matrices"]["X"], r.config.selection_x, r.workspace
-        ),
-        load=lambda r: _read_factorization(r, FACTORS_X),
-    ),
-    Stage(
-        "factorize_m",
-        params=lambda r: _selection_params(r.config.selection_m),
-        inputs=("M.mtx",),
-        outputs=FACTORS_M,
-        compute=lambda r: stage_factorize_m(
-            r.values["matrices"]["M"], r.config.selection_m, r.workspace
-        ),
-        load=lambda r: _read_factorization(r, FACTORS_M),
-    ),
-    Stage(
-        "joint",
-        params=lambda r: _selection_params(_joint_selection(r)),
-        inputs=("W1.mtx", "W2.mtx"),
-        outputs=FACTORS_JOINT,
-        compute=lambda r: stage_joint(
-            r.values["factorize_x"][0], r.values["factorize_m"][0], _joint_selection(r), r.workspace
-        ),
-        load=lambda r: _read_factorization(r, FACTORS_JOINT),
-    ),
+    _factor_stage("factorize_x", ("X.mtx",), FACTORS_X, lambda r: r.config.selection_x),
+    _factor_stage("factorize_m", ("M.mtx",), FACTORS_M, lambda r: r.config.selection_m),
+    _factor_stage("joint", ("W1.mtx", "W2.mtx"), FACTORS_JOINT, _joint_selection),
     Stage(
         "regression",
-        params=lambda r: {
-            "max_iter": r.config.selection_x.nmf.max_iter,
-            "tol": r.config.selection_x.nmf.tol,
-            "seed": r.config.selection_x.nmf.seed,
-        },
+        params=lambda r: asdict(r.config.selection_x.nmf),
         inputs=("X.mtx", "W.mtx"),
         outputs=("H.mtx",),
-        compute=lambda r: stage_regression(
-            r.values["matrices"]["X"], r.values["joint"][0], r.config.selection_x.nmf, r.workspace
-        ),
+        compute=lambda r: stage_regression(r),
         load=lambda r: storage.read_dense(r.path("H.mtx")),
     ),
     Stage(
@@ -495,14 +451,7 @@ STAGES: tuple[Stage, ...] = (
         params=lambda r: {"top_n_words": r.config.top_n_words},
         inputs=("H.mtx", "W.mtx", "vocab.txt", "corpus.jsonl"),
         outputs=("topics.json", "assignments.csv", "histogram.csv"),
-        compute=lambda r: stage_export(
-            r.values["regression"],
-            r.values["joint"][0],
-            r.values["preprocess"][1],
-            r.values["preprocess"][0],
-            r.config.top_n_words,
-            r.workspace,
-        ),
+        compute=lambda r: stage_export(r),
         # assignments, counts and zero columns follow from the loaded H
         load=lambda r: (
             assign_documents(r.values["regression"]),

@@ -14,9 +14,12 @@ from senmfk_split.split_pipeline import SplitConfig
 from senmfk_split.text_pipeline import PipelineConfig
 
 
+RNG_SEED = 20240817
+
+
 @pytest.fixture
 def rng():
-    return np.random.default_rng(20240817)
+    return np.random.default_rng(RNG_SEED)
 
 
 def fast_nmf(seed: int, max_iter: int = 300, tol: float = 1e-7) -> NmfConfig:

@@ -51,11 +51,15 @@ def sparse_reads(monkeypatch):
     return read
 
 
+def write_corpus(rng, path: Path) -> tuple[Path, list[int]]:
+    """The three-topic corpus of the CLI tests, written to ``path``."""
+    lines, labels = topic_corpus_jsonl(rng, docs_per_topic=40)
+    return write_jsonl(path, lines), labels
+
+
 @pytest.fixture
 def corpus_file(rng, tmp_path):
-    lines, labels = topic_corpus_jsonl(rng, docs_per_topic=40)
-    path = write_jsonl(tmp_path / "input.jsonl", lines)
-    return path, labels
+    return write_corpus(rng, tmp_path / "input.jsonl")
 
 
 class TestExitCodes:
@@ -400,6 +404,23 @@ class TestRun:
         stages = RunManifest.load(ws / "manifest.json").stages
         assert stages["preprocess"].resumed and stages["matrices"].resumed
         assert not stages["factorize_x"].resumed
+
+    def test_single_stage_commands_keep_each_others_settings(self, corpus_file, tmp_path):
+        # each command updates only its own flags' settings in the manifest
+        path, _ = corpus_file
+        ws = tmp_path / "ws"
+        stopwords = tmp_path / "stop.txt"
+        stopwords.write_text("the\nand\n")
+        preprocess = ["--min-df", "2", "--min-doc-tokens", "3", "--stopwords", str(stopwords)]
+        assert main(["preprocess", str(path), "--workspace", str(ws)] + preprocess) == 0
+        assert main(["matrices", "--workspace", str(ws), "--shift", "1"]) == 0
+        manifest = RunManifest.load(ws / "manifest.json")
+        params = manifest.stages["preprocess"].params
+        assert manifest.config["min-df"] == params["min_df"] == 2
+        assert manifest.config["min-doc-tokens"] == params["min_doc_tokens"] == 3
+        assert manifest.config["stopwords_digest"] == params["stopwords_digest"]
+        assert manifest.config["shift"] == manifest.stages["matrices"].params["shift"] == 1.0
+        assert "seed" not in manifest.config
 
     def test_damaged_manifest_is_data_error(self, corpus_file, tmp_path, capsys):
         # a manifest cut short, or one that is valid JSON but lacks its keys

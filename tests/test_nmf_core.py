@@ -319,7 +319,7 @@ class TestUpdateLoop:
         W = rng.uniform(0.1, 1.0, (40, 4))
         H0 = rng.uniform(0.0, 1.0, (4, 30))
         cfg = NmfConfig(max_iter=120, tol=1e-12)
-        (pair,) = nmf_core._solve_stack([canonicalize(X)], W[None], H0[None], [cfg], update_w=False)
+        (pair,) = nmf_core._solve_stack([canonicalize(X)], W[None], H0[None], cfg, update_w=False)
         np.testing.assert_allclose(
             pair.objective_trace[-1], relative_error(X, W, pair.H), rtol=1e-10
         )
@@ -361,7 +361,7 @@ class TestStack:
         X = random_nonneg(rng, 30, 24)
         Xs = [perturb(X, 0.05, seed=j) for j in range(5)]
         configs = [NmfConfig(seed=10 + j, max_iter=120, tol=1e-9) for j in range(5)]
-        pairs = nmf_stack(Xs, 3, configs)
+        pairs = nmf_stack(Xs, 3, configs[0], [c.seed for c in configs])
         for Xj, config, pair in zip(Xs, configs, pairs):
             assert_same_pair(pair, reference_nmf(Xj, 3, config))
             assert_same_pair(pair, nmf(Xj, 3, config))
@@ -373,7 +373,7 @@ class TestStack:
         h = rng.uniform(0.5, 1.5, (1, 24))
         Xs = [random_nonneg(rng, 30, 24), sparse.csr_matrix(w @ h), random_nonneg(rng, 30, 24)]
         configs = [NmfConfig(seed=s, max_iter=150, tol=1e-15) for s in (1, 2, 3)]
-        pairs = nmf_stack(Xs, 2, configs)
+        pairs = nmf_stack(Xs, 2, configs[0], [c.seed for c in configs])
         assert pairs[1].trace_iterations[-1] < 150
         assert pairs[0].trace_iterations[-1] == pairs[2].trace_iterations[-1] == 150
         for Xj, config, pair in zip(Xs, configs, pairs):
@@ -383,10 +383,12 @@ class TestStack:
         X = random_nonneg(rng, 40, 30, density=0.1)
         config = NmfConfig(seed=4, max_iter=80, tol=1e-12)
         assert stack_size(X) == 1
-        (pair,) = nmf_stack([X], 4, [config])
+        (pair,) = nmf_stack([X], 4, config, [config.seed])
         assert_same_pair(pair, reference_nmf(X, 4, config))
         with pytest.raises(ValueError):
-            nmf_stack([X, X], 4, [config, config])
+            nmf_stack([X, X], 4, config, [config.seed, config.seed])
+        with pytest.raises(ValueError, match="1 matrices but 2 seeds"):
+            nmf_stack([X], 4, config, [config.seed, config.seed])
 
     @pytest.mark.parametrize("density", [1.0, 0.1])
     def test_solve_h_equals_reference(self, rng, density):
@@ -403,7 +405,7 @@ class TestStack:
         assert stack_size(random_nonneg(rng, 40, 30)) == 1
         assert stack_size(random_nonneg(rng, 4, 5, density=0.1)) == 1
         with pytest.raises(ValueError):
-            nmf_stack([random_nonneg(rng, 20, 24)] * 3, 2, [NmfConfig()] * 3)
+            nmf_stack([random_nonneg(rng, 20, 24)] * 3, 2, NmfConfig(), [42] * 3)
 
 
 class TestGramResidual:

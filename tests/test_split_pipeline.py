@@ -327,6 +327,40 @@ class TestRunSplit:
                 tmp_path / "ws_b" / name
             ).read_bytes(), name
 
+    def test_each_stage_body_runs_once_with_the_run(self, rng, tmp_path, monkeypatch):
+        # the tracer times these names and tests rebind them: every stage must
+        # call its body through the module global, once, with the PipelineRun
+        names = (
+            "prepare_corpus",
+            "build_matrices",
+            "stage_factorize_x",
+            "stage_factorize_m",
+            "stage_joint",
+            "stage_regression",
+            "stage_export",
+        )
+        calls = {name: [] for name in names}
+        for name in names:
+            body = getattr(split_pipeline, name)
+
+            def spy(*args, name=name, body=body, **kwargs):
+                calls[name].append((args, kwargs))
+                return body(*args, **kwargs)
+
+            monkeypatch.setattr(split_pipeline, name, spy)
+        lines, _ = topic_corpus_jsonl(rng, docs_per_topic=30)
+        corpus_path = write_jsonl(tmp_path / "input.jsonl", lines)
+        run_split(corpus_path, small_split_config(seed=3), tmp_path / "ws")
+        runs = []
+        for name in names:
+            assert len(calls[name]) == 1, name
+            ((args, kwargs),) = calls[name]
+            assert len(args) == 1 and not kwargs, name
+            assert isinstance(args[0], split_pipeline.PipelineRun), name
+            runs.append(args[0])
+        assert all(r is runs[0] for r in runs)
+        assert runs[0].workspace == tmp_path / "ws"
+
     def test_reconstruction_sanity(self, rng, tmp_path):
         lines, _ = topic_corpus_jsonl(rng, docs_per_topic=40)
         corpus_path = write_jsonl(tmp_path / "input.jsonl", lines)

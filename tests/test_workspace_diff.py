@@ -1,0 +1,57 @@
+"""The file comparison of ``tools/workspace_diff.py``."""
+
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+from workspace_diff import _changed_keys, compare_file  # noqa: E402
+
+
+def write_pair(tmp_path: Path, name: str, old: str, new: str) -> tuple[Path, Path]:
+    (tmp_path / "base").mkdir(exist_ok=True)
+    (tmp_path / "head").mkdir(exist_ok=True)
+    base, head = tmp_path / "base" / name, tmp_path / "head" / name
+    base.write_text(old, encoding="utf-8")
+    head.write_text(new, encoding="utf-8")
+    return base, head
+
+
+class TestCompareFile:
+    def test_identical_files(self, tmp_path):
+        pair = write_pair(tmp_path, "H.mtx", "2 2\n0.5 1e-3\n", "2 2\n0.5 1e-3\n")
+        assert compare_file(*pair) is None
+
+    def test_numbers_only_difference(self, tmp_path):
+        pair = write_pair(tmp_path, "W.mtx", "%x\n2 1\n4.0\n-2.0\n", "%x\n2 1\n4.0\n-1.0\n")
+        assert compare_file(*pair) == "max relative difference 0.25"
+
+    def test_text_difference(self, tmp_path):
+        pair = write_pair(tmp_path, "topics.json", '["alpha", 1.0]', '["beta", 1.0]')
+        assert compare_file(*pair) == "differs in more than its numbers"
+
+    def test_manifest_seconds_ignored(self, tmp_path):
+        old = {"stages": {"joint": {"seconds": 0.5, "params": {"seed": 3}}}, "seconds": 9}
+        new = {"stages": {"joint": {"seconds": 0.7, "params": {"seed": 3}}}, "seconds": 8}
+        pair = write_pair(tmp_path, "manifest.json", json.dumps(old), json.dumps(new))
+        assert compare_file(*pair) is None
+
+    def test_manifest_keys_that_differ(self, tmp_path):
+        old = {"config": {"min-df": 5, "window": 100}, "version": "1"}
+        new = {"config": {"min-df": 2, "window": 100}, "version": "1"}
+        pair = write_pair(tmp_path, "manifest.json", json.dumps(old), json.dumps(new))
+        assert compare_file(*pair) == "differs in config.min-df"
+
+
+class TestChangedKeys:
+    def test_equal_values(self):
+        assert _changed_keys({"a": [1, 2], "b": {"c": 1.5}}, {"b": {"c": 1.5}, "a": [1, 2]}) == []
+
+    def test_nested_and_absent_keys(self):
+        old = {"a": {"b": 1, "c": 2}, "d": 4}
+        new = {"a": {"b": 1, "c": 3}, "e": 5}
+        assert _changed_keys(old, new) == ["a.c", "d", "e"]
+
+    def test_seconds_ignored_at_every_level(self):
+        assert _changed_keys({"seconds": 1, "x": {"seconds": 2}}, {"x": {"seconds": 3}}) == []
