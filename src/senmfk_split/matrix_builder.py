@@ -4,8 +4,10 @@ All matrices are scipy CSR with float64 data in canonical form (sorted
 indices, duplicates summed, no explicit zeros).  Rows are vocabulary terms in
 index order; TF-IDF columns are documents in corpus order.
 
-Both builders map the corpus to term ids in one pass.  Memory stays bounded
-by the inputs and outputs, not by the number of token pairs:
+Both builders map the corpus to term ids in one pass (:func:`map_term_ids`),
+or take that mapping from a caller that builds both and maps it once.
+Memory stays bounded by the inputs and outputs, not by the number of token
+pairs:
 :func:`build_cooccurrence` walks the in-vocabulary tokens one offset at a
 time and counts at most about ``_PAIR_BUDGET`` term pairs at once into a
 triangular CSR matrix, so its peak is O(tokens + nnz + _PAIR_BUDGET) rather
@@ -28,6 +30,9 @@ from .text_pipeline import Corpus, Vocabulary
 # int64 pair keys build_cooccurrence holds before it counts them (8 MB at
 # 2**20), and the stored entries of one row block of sppmi
 _PAIR_BUDGET = 1 << 20
+# A corpus mapped to term ids: every token's id (-1 out of vocabulary) in
+# corpus order, and each document's token count.
+TermIds = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,7 @@ def _canonical(mat) -> sparse.csr_matrix:
     return mat if _is_canonical(mat) else canonicalize(mat)
 
 
-def _term_ids(corpus: Corpus, index_of: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+def map_term_ids(corpus: Corpus, index_of: dict[str, int]) -> TermIds:
     """The vocabulary id of every token of ``corpus`` in corpus order (-1
     marks an out-of-vocabulary token) and the token count of each document."""
     lengths = np.fromiter((len(doc.tokens) for doc in corpus), dtype=np.int64, count=len(corpus))
@@ -87,17 +92,20 @@ def _term_ids(corpus: Corpus, index_of: dict[str, int]) -> tuple[np.ndarray, np.
     return ids, lengths
 
 
-def build_tfidf(corpus: Corpus, vocab: Vocabulary) -> sparse.csr_matrix:
+def build_tfidf(
+    corpus: Corpus, vocab: Vocabulary, *, term_ids: TermIds | None = None
+) -> sparse.csr_matrix:
     """TF-IDF matrix, terms x documents.
 
     tf(i, j) is the raw count of term i in document j and
     idf(i) = ln((1 + n) / (1 + df(i))) + 1 with df recounted from ``corpus``;
-    every column is then scaled to unit L2 norm.
+    every column is then scaled to unit L2 norm.  ``term_ids`` is
+    ``map_term_ids(corpus, vocab.index_of)`` when the caller already holds it.
 
     Raises EmptyColumn if any document has no in-vocabulary tokens.
     """
     m, n = len(vocab), len(corpus)
-    ids, lengths = _term_ids(corpus, vocab.index_of)
+    ids, lengths = map_term_ids(corpus, vocab.index_of) if term_ids is None else term_ids
     known = ids >= 0
     rows, cols = ids[known], np.repeat(np.arange(n), lengths)[known]
     empty = np.flatnonzero(np.bincount(cols, minlength=n) == 0)
@@ -116,7 +124,7 @@ def build_tfidf(corpus: Corpus, vocab: Vocabulary) -> sparse.csr_matrix:
 
 
 def build_cooccurrence(
-    corpus: Corpus, vocab: Vocabulary, config: SemanticConfig
+    corpus: Corpus, vocab: Vocabulary, config: SemanticConfig, *, term_ids: TermIds | None = None
 ) -> sparse.csr_matrix:
     """Symmetric term-pair count matrix, terms x terms.
 
@@ -135,9 +143,11 @@ def build_cooccurrence(
     whenever _PAIR_BUDGET keys are held they are counted and added to a
     running upper-triangular matrix T, and the result is T + T^T, so memory
     is O(tokens + nnz + _PAIR_BUDGET) rather than O(tokens * window).
+    ``term_ids`` is ``map_term_ids(corpus, vocab.index_of)`` when the caller
+    already holds it.
     """
     m = len(vocab)
-    ids, lengths = _term_ids(corpus, vocab.index_of)
+    ids, lengths = map_term_ids(corpus, vocab.index_of) if term_ids is None else term_ids
     # no gap within a document reaches its length, so a window past the
     # longest document counts the same pairs, and the spacing stays small
     window = min(config.window, int(lengths.max(initial=0)))

@@ -41,7 +41,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .manifest import RunManifest, sha256_file, sha256_text
-from .matrix_builder import SemanticConfig, build_cooccurrence, build_tfidf, sppmi
+from .matrix_builder import SemanticConfig, build_cooccurrence, build_tfidf, map_term_ids, sppmi
 from .model_selection import (
     SelectionConfig,
     SelectionReport,
@@ -110,11 +110,10 @@ class TopicModel:
     @classmethod
     def from_stages(cls, values: dict[str, Any]) -> TopicModel:
         """The model from the values of a full :func:`run_stages` run."""
-        corpus, _vocab = values["preprocess"]
         W1, _H1, report_x = values["factorize_x"]
         W2, _H2, report_m = values["factorize_m"]
         W, _Hstar, report_joint = values["joint"]
-        result, topics = values["export"]
+        result, topics, doc_ids = values["export"]
         return cls(
             W=W,
             H=values["regression"],
@@ -124,7 +123,7 @@ class TopicModel:
             k2=W2.shape[1],
             k=W.shape[1],
             reports={"x": report_x, "m": report_m, "joint": report_joint},
-            doc_ids=corpus.ids(),
+            doc_ids=doc_ids,
             histogram=result.counts,
             zero_documents=result.zero_columns,
         )
@@ -259,11 +258,14 @@ def prepare_corpus(r: PipelineRun) -> tuple[Corpus, Vocabulary]:
 def build_matrices(r: PipelineRun) -> dict[str, sparse.csr_matrix]:
     """Stage 2: TF-IDF X, co-occurrence counts, and the SPPMI matrix M.  The
     counts are only written to the workspace; X and M are returned by name.
-    Each is written as soon as it exists, and the counts dropped before M."""
+    Each is written as soon as it exists, and the counts dropped before M.
+    The corpus is mapped to term ids once, for both builders."""
     corpus, vocab = r.values["preprocess"]
-    X = build_tfidf(corpus, vocab)
+    term_ids = map_term_ids(corpus, vocab.index_of)
+    X = build_tfidf(corpus, vocab, term_ids=term_ids)
     storage.write_sparse(X, r.path("X.mtx"))
-    cooc = build_cooccurrence(corpus, vocab, r.config.semantic)
+    cooc = build_cooccurrence(corpus, vocab, r.config.semantic, term_ids=term_ids)
+    del term_ids
     storage.write_sparse(cooc, r.path("cooc.mtx"))
     M = sppmi(cooc, r.config.semantic.shift)
     del cooc
@@ -300,18 +302,19 @@ def stage_regression(r: PipelineRun) -> np.ndarray:
     return H
 
 
-def stage_export(r: PipelineRun) -> tuple[AssignmentResult, list[list[tuple[str, float]]]]:
+def stage_export(
+    r: PipelineRun,
+) -> tuple[AssignmentResult, list[list[tuple[str, float]]], list[str]]:
     H, W = r.values["regression"], r.values["joint"][0]
     corpus, vocab = r.values["preprocess"]
     result = assign_documents(H)
     topics = top_words(W, vocab, r.config.top_n_words)
     max_weights = H[result.assignments, np.arange(H.shape[1])]
+    doc_ids = corpus.ids()
     storage.write_topics(topics, r.path("topics.json"))
-    storage.write_assignments(
-        corpus.ids(), result.assignments, max_weights, r.path("assignments.csv")
-    )
+    storage.write_assignments(doc_ids, result.assignments, max_weights, r.path("assignments.csv"))
     storage.write_histogram(result.counts, r.path("histogram.csv"))
-    return result, topics
+    return result, topics, doc_ids
 
 
 @dataclass(frozen=True)
@@ -372,12 +375,11 @@ class PipelineRun:
 def _joint_selection(r: PipelineRun) -> SelectionConfig:
     """The merge-stage selection config: the explicit one if given, otherwise
     a copy of the X-side parameters over :func:`default_joint_range` of the
-    selected ranks k1, k2 and the rows of X and M (one per term)."""
+    selected ranks k1, k2 and the rows of W1 (one per term)."""
     if r.config.selection_joint is not None:
         return r.config.selection_joint
-    n_rows = len(r.values["preprocess"][1])
-    k1, k2 = r.values["factorize_x"][0].shape[1], r.values["factorize_m"][0].shape[1]
-    lo, hi = default_joint_range(k1, k2, n_rows)
+    W1, W2 = r.values["factorize_x"][0], r.values["factorize_m"][0]
+    lo, hi = default_joint_range(W1.shape[1], W2.shape[1], W1.shape[0])
     x = r.config.selection_x
     return replace(x, k_min=lo, k_max=hi, nmf=replace(x.nmf, seed=child_seed(x.nmf.seed, 3)))
 
@@ -452,10 +454,12 @@ STAGES: tuple[Stage, ...] = (
         inputs=("H.mtx", "W.mtx", "vocab.txt", "corpus.jsonl"),
         outputs=("topics.json", "assignments.csv", "histogram.csv"),
         compute=lambda r: stage_export(r),
-        # assignments, counts and zero columns follow from the loaded H
+        # assignments, counts and zero columns follow from the loaded H; the
+        # document ids come from assignments.csv, not from the corpus
         load=lambda r: (
             assign_documents(r.values["regression"]),
             storage.read_topics(r.path("topics.json")),
+            storage.read_doc_ids(r.path("assignments.csv")),
         ),
     ),
 )

@@ -21,6 +21,7 @@ import csv
 import json
 from dataclasses import asdict
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 from scipy import io as scipy_io
@@ -35,9 +36,11 @@ _PRECISION = 17  # significant digits; scipy renders %.16e, exact for float64
 # Whole numbers below this magnitude are exact in both float64 and int64.
 _EXACT_WHOLE = 2.0**53
 # What parsing a damaged JSON or CSV artifact raises: bad syntax, text or
-# number (ValueError), a missing key (KeyError), a short row (IndexError), a
-# value of the wrong kind (TypeError).
+# number (ValueError), a missing key (KeyError) or index (IndexError), a
+# value of the wrong kind or a row of the wrong length (TypeError).
 _MALFORMED = (ValueError, KeyError, IndexError, TypeError)
+_ASSIGNMENTS_HEADER = ["doc_id", "topic_id", "max_weight"]
+_HISTOGRAM_HEADER = ["topic_id", "count"]
 
 
 def _is_symmetric(mat: sparse.csr_matrix) -> bool:
@@ -176,28 +179,41 @@ def write_assignments(
     """assignments.csv: doc_id, topic_id, max_weight."""
     with atomic_path(path) as tmp, tmp.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["doc_id", "topic_id", "max_weight"])
+        writer.writerow(_ASSIGNMENTS_HEADER)
         for doc_id, topic, weight in zip(doc_ids, assignments, max_weights):
             writer.writerow([doc_id, int(topic), format(float(weight), ".17g")])
+
+
+def read_doc_ids(path: str | Path) -> list[str]:
+    """The doc_id column of assignments.csv, in row order.  Raises DataError
+    naming the file when it is not an assignment table."""
+    return _read_csv(path, _ASSIGNMENTS_HEADER, "assignment table", lambda doc_id, _t, _w: doc_id)
 
 
 def write_histogram(counts: np.ndarray, path: str | Path) -> None:
     """histogram.csv: topic_id, count."""
     with atomic_path(path) as tmp, tmp.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["topic_id", "count"])
+        writer.writerow(_HISTOGRAM_HEADER)
         for t, c in enumerate(counts):
             writer.writerow([t, int(c)])
 
 
 def read_histogram(path: str | Path) -> list[tuple[int, int]]:
     """Raises DataError naming the file when it is not a histogram."""
+    return _read_csv(path, _HISTOGRAM_HEADER, "histogram", lambda t, c: (int(t), int(c)))
+
+
+def _read_csv(path: str | Path, header: list[str], what: str, parse: Callable) -> list:
+    """``parse(*row)`` of every row of a CSV artifact below ``header``;
+    raises DataError naming the file when it is not a valid ``what`` (a row
+    with the wrong number of fields is a TypeError of ``parse``)."""
     try:
         with Path(path).open("r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["topic_id", "count"]:
-                raise DataError(f"{path}: unexpected histogram header {header}")
-            return [(int(row[0]), int(row[1])) for row in reader]
+            found = next(reader, None)
+            if found != header:
+                raise DataError(f"{path}: unexpected {what} header {found}")
+            return [parse(*row) for row in reader]
     except (*_MALFORMED, csv.Error) as exc:
-        raise DataError(f"{path}: not a valid histogram: {exc!r}") from exc
+        raise DataError(f"{path}: not a valid {what}: {exc!r}") from exc

@@ -152,7 +152,8 @@ def load_jsonl_corpus(path: str | Path, pre_tokenized: bool = False) -> Corpus:
 
     Each line is an object with an ``id`` field and either ``text`` (raw, run
     through :func:`tokenize`) or, when ``pre_tokenized`` is set, ``tokens``
-    (a list of term strings taken as-is).
+    (a list of term strings taken as-is).  An id or token that holds a lone
+    surrogate (a valid JSON escape, but not text) is a DataError.
 
     Equal raw-text tokens share one string object; pre-tokenized ones (a
     resumed ``corpus.jsonl``) are kept as parsed, sparing a lookup a token.
@@ -184,6 +185,12 @@ def load_jsonl_corpus(path: str | Path, pre_tokenized: bool = False) -> Corpus:
                 raise DataError(f"{path}:{lineno}: expected a 'text' field")
             toks = tokenize(str(obj["text"]))
             tokens = tuple(map(shared.setdefault, toks, toks))
+        # a JSON escape such as \ud800 decodes to a lone surrogate, which no
+        # artifact can be written with; raw-text tokens are [a-z]+ already
+        try:
+            (doc_id + "".join(tokens) if pre_tokenized else doc_id).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DataError(f"{path}:{lineno}: id or token is not valid text: {exc}") from exc
         docs.append(Document(doc_id, tokens))
     if not docs:
         raise EmptyCorpus(f"{path}: no documents")

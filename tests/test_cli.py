@@ -9,7 +9,7 @@ from scipy import io as scipy_io
 
 from conftest import assert_same_csr, write_jsonl
 from oracles import cooccurrence_oracle, purity, tfidf_oracle, topic_corpus_jsonl
-from senmfk_split import storage
+from senmfk_split import split_pipeline, storage, text_pipeline
 from senmfk_split.cli import main, parse_config_file
 from senmfk_split.errors import NumericalError
 from senmfk_split.manifest import RunManifest, sha256_file
@@ -48,6 +48,19 @@ def sparse_reads(monkeypatch):
     monkeypatch.setattr(
         storage, "read_sparse", lambda p: read.append(Path(p).name) or read_sparse(p)
     )
+    return read
+
+
+@pytest.fixture
+def text_loads(monkeypatch):
+    """The names of the files load_jsonl_corpus and load_vocabulary read, in
+    order, wherever the package calls them from."""
+    read = []
+    for module in (text_pipeline, split_pipeline):
+        for name in ("load_jsonl_corpus", "load_vocabulary"):
+            load = getattr(text_pipeline, name)
+            spy = lambda p, *a, load=load, **k: read.append(Path(p).name) or load(p, *a, **k)
+            monkeypatch.setattr(module, name, spy)
     return read
 
 
@@ -116,6 +129,26 @@ class TestExitCodes:
         code = main(["preprocess", str(path), "--workspace", str(tmp_path / "ws")])
         assert code == 2
         assert "latin1.jsonl:2" in capsys.readouterr().err
+
+    def test_lone_surrogate_id_is_data_error(self, corpus_file, tmp_path, capsys):
+        # "\ud800" is a valid JSON escape, but no artifact can hold what it
+        # decodes to: the run must stop at the corpus line, not in export
+        path, _ = corpus_file
+        lines = path.read_text("utf-8").splitlines()
+        lines[1] = lines[1].replace('"id": "', '"id": "\\ud800', 1)
+        bad = write_jsonl(tmp_path / "surrogate.jsonl", lines)
+        code = main(["run", str(bad), "--workspace", str(tmp_path / "ws")] + RUN_FLAGS)
+        assert code == 2
+        assert "surrogate.jsonl:2" in capsys.readouterr().err
+
+    def test_lone_surrogate_token_is_data_error(self, tmp_path, capsys):
+        lines = [json.dumps({"id": d, "tokens": ["aa", "bb"]}) for d in "abc"]
+        lines[2] = '{"id": "c", "tokens": ["aa", "\\ud800x"]}'
+        path = write_jsonl(tmp_path / "surrogate.jsonl", lines)
+        code = main(["preprocess", str(path), "--workspace", str(tmp_path / "ws"), "--pre-tokenized",
+                     "--min-doc-tokens", "1", "--min-df", "1", "--max-df", "1.0"])
+        assert code == 2
+        assert "surrogate.jsonl:3" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # two tiny documents sharing one term: M degenerates at high shift
@@ -292,6 +325,20 @@ class TestRun:
         assert main(["run", str(path), "--workspace", str(ws), "--resume"] + RUN_FLAGS) == 0
         assert all(rec.resumed for rec in RunManifest.load(ws / "manifest.json").stages.values())
         assert capsys.readouterr().out == first
+
+    def test_full_resume_reads_no_token(self, corpus_file, tmp_path, text_loads, capsys):
+        # the summary's document count comes from assignments.csv and the
+        # joint scan's row count from W1, so neither corpus nor vocabulary is read
+        path, _ = corpus_file
+        ws = tmp_path / "ws"
+        assert main(["run", str(path), "--workspace", str(ws)] + RUN_FLAGS) == 0
+        first = capsys.readouterr().out
+        text_loads.clear()
+        assert main(["run", str(path), "--workspace", str(ws), "--resume"] + RUN_FLAGS) == 0
+        assert text_loads == []
+        assert capsys.readouterr().out == first
+        assert "120 documents" in first
+        assert all(rec.resumed for rec in RunManifest.load(ws / "manifest.json").stages.values())
 
     def test_resume_does_not_read_cooc(self, corpus_file, tmp_path, sparse_reads):
         path, _ = corpus_file

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
-from conftest import small_split_config, write_jsonl
+from conftest import assert_same_csr, small_split_config, write_jsonl
 from oracles import (
     assignment_oracle,
     block_topic_matrix,
@@ -17,14 +17,14 @@ from oracles import (
     separated_topics_problem,
     topic_corpus_jsonl,
 )
-from senmfk_split import model_selection, nmf_core, split_pipeline
+from senmfk_split import matrix_builder, model_selection, nmf_core, split_pipeline, storage
 from senmfk_split.errors import (
     DegenerateBasis,
     DegenerateMatrix,
     NonNegativityViolation,
     ShapeMismatch,
 )
-from senmfk_split.matrix_builder import SemanticConfig
+from senmfk_split.matrix_builder import SemanticConfig, build_cooccurrence, build_tfidf
 from senmfk_split.model_selection import SelectionConfig
 from senmfk_split.nmf_core import NmfConfig, relative_error
 from senmfk_split.split_pipeline import (
@@ -360,6 +360,30 @@ class TestRunSplit:
             runs.append(args[0])
         assert all(r is runs[0] for r in runs)
         assert runs[0].workspace == tmp_path / "ws"
+
+    def test_matrices_stage_maps_tokens_once(self, rng, tmp_path, monkeypatch):
+        # build_tfidf and build_cooccurrence share one term-id mapping, and
+        # build the same matrices as each mapping the corpus itself
+        mapped = []
+        map_term_ids = matrix_builder.map_term_ids
+
+        def spy(corpus, index_of):
+            mapped.append(len(corpus))
+            return map_term_ids(corpus, index_of)
+
+        monkeypatch.setattr(matrix_builder, "map_term_ids", spy)
+        monkeypatch.setattr(split_pipeline, "map_term_ids", spy)
+        lines, _ = topic_corpus_jsonl(rng, docs_per_topic=30)
+        corpus_path = write_jsonl(tmp_path / "input.jsonl", lines)
+        config = small_split_config(seed=3)
+        (tmp_path / "ws").mkdir()
+        run = split_pipeline.PipelineRun(config, tmp_path / "ws", corpus_path)
+        values = split_pipeline.run_stages(run, last="matrices")
+        assert mapped == [90]
+        corpus, vocab = values["preprocess"]
+        assert_same_csr(values["matrices"]["X"], build_tfidf(corpus, vocab))
+        cooc = build_cooccurrence(corpus, vocab, config.semantic)
+        assert_same_csr(storage.read_sparse(tmp_path / "ws" / "cooc.mtx"), cooc)
 
     def test_reconstruction_sanity(self, rng, tmp_path):
         lines, _ = topic_corpus_jsonl(rng, docs_per_topic=40)

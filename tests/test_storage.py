@@ -1,17 +1,19 @@
 """Artifact round-trips and format contracts."""
 
+import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
 from conftest import assert_same_csr
 from senmfk_split import storage
+from senmfk_split.errors import DataError
 from senmfk_split.matrix_builder import canonicalize
 from senmfk_split.model_selection import RankRecord, SelectionReport
 
@@ -164,6 +166,40 @@ class TestCsvArtifacts:
         path = tmp_path / "h.csv"
         storage.write_histogram(np.array([3, 0, 7]), path)
         assert storage.read_histogram(path) == [(0, 3), (1, 0), (2, 7)]
+
+    # separators, quotes, line ends, NUL, non-ASCII, edge spaces and the
+    # empty string, mixed with any character UTF-8 can write
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        st.lists(
+            st.text(st.sampled_from(list(',"\r\n\x00 \té😀')) | st.characters(codec="utf-8")),
+            max_size=6,
+        )
+    )
+    @example(["", " a ", "a,b", 'say "hi"', "cr\rlf\n", "\r\n", "nul\x00", "é😀", '"'])
+    def test_doc_ids_roundtrip(self, doc_ids):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "assignments.csv"
+            n = len(doc_ids)
+            storage.write_assignments(doc_ids, np.zeros(n, int), np.full(n, 0.5), path)
+            assert storage.read_doc_ids(path) == doc_ids
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"",  # no header
+            b"doc,topic_id,max_weight\r\na,0,0.5\r\n",
+            b"doc_id,topic_id,max_weight\r\na,0,0.5\r\nb,1\r\n",  # short row
+            b"doc_id,topic_id,max_weight\r\na,0,0.5,7\r\n",
+            b'doc_id,topic_id,max_weight\r\n"a,0,0.5\r\n',  # quote never closed
+            b"doc_id,topic_id,max_weight\r\ncaf\xe9,0,0.5\r\n",  # not UTF-8
+        ],
+    )
+    def test_damaged_assignments_rejected(self, tmp_path, data):
+        path = tmp_path / "assignments.csv"
+        path.write_bytes(data)
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            storage.read_doc_ids(path)
 
 
 class TestAtomicWrites:

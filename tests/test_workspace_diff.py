@@ -1,4 +1,4 @@
-"""The file comparison of ``tools/workspace_diff.py``."""
+"""The file and stdout comparison of ``tools/workspace_diff.py``."""
 
 import json
 import sys
@@ -6,7 +6,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
-from workspace_diff import _changed_keys, compare_file  # noqa: E402
+from senmfk_split import cli, split_pipeline  # noqa: E402
+from workspace_diff import _changed_keys, compare, compare_file, run_fixtures  # noqa: E402
 
 
 def write_pair(tmp_path: Path, name: str, old: str, new: str) -> tuple[Path, Path]:
@@ -55,3 +56,39 @@ class TestChangedKeys:
 
     def test_seconds_ignored_at_every_level(self):
         assert _changed_keys({"seconds": 1, "x": {"seconds": 2}}, {"x": {"seconds": 3}}) == []
+
+
+class TestStdout:
+    @staticmethod
+    def fixtures_printing(monkeypatch, out: Path, summary: str) -> None:
+        """run_fixtures with a CLI whose ``run --resume`` prints ``summary``
+        (every other command prints its name) and no run_split."""
+
+        def fake_main(argv):
+            ws = argv[argv.index("--workspace") + 1]
+            print(f"{summary if '--resume' in argv else argv[0]} -> {ws}")
+            return 0
+
+        monkeypatch.setattr(cli, "main", fake_main)
+        monkeypatch.setattr(split_pipeline, "run_split", lambda *args: None)
+        run_fixtures({"dir": str(out.parent), "run_flags": [], "zipf_args": []}, out)
+
+    def test_each_fixture_stdout_recorded(self, tmp_path, monkeypatch):
+        self.fixtures_printing(monkeypatch, tmp_path / "base", "k=3; 120 documents")
+        stdout = tmp_path / "base" / "stdout"
+        assert sorted(p.name for p in stdout.iterdir()) == ["cli.txt", "stages.txt", "zipf.txt"]
+        text = "run -> <workspace>\nk=3; 120 documents -> <workspace>\n"
+        assert (stdout / "cli.txt").read_text("utf-8") == text
+        assert (stdout / "stages.txt").read_text("utf-8") == (
+            "preprocess -> <workspace>\nmatrices -> <workspace>\n"
+        )
+
+    def test_stdout_difference_fails_the_comparison(self, tmp_path, monkeypatch, capsys):
+        self.fixtures_printing(monkeypatch, tmp_path / "base", "k=3; 120 documents")
+        self.fixtures_printing(monkeypatch, tmp_path / "same", "k=3; 120 documents")
+        self.fixtures_printing(monkeypatch, tmp_path / "head", "k=3; 119 documents")
+        assert compare(tmp_path / "base", tmp_path / "same")
+        assert not compare(tmp_path / "base", tmp_path / "head")
+        lines = capsys.readouterr().out.splitlines()
+        assert "stdout/cli.txt: max relative difference 0.00833" in lines
+        assert "stdout/stages.txt: identical" in lines[-3:]

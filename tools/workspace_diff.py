@@ -16,13 +16,18 @@ below in its own Python process, with its own ``src`` first on the path:
 
 Every file of every fixture is reported as ``identical`` or by the largest
 relative difference of its numbers; ``manifest.json`` is compared with its
-``seconds`` removed.  The exit code is 0 when everything is identical and 1
+``seconds`` removed.  What each fixture's commands print is compared the
+same way, as the file ``stdout/<fixture>.txt`` (the ``run`` summary line is
+the one result that is not a file), with the workspace path written as
+``<workspace>``.  The exit code is 0 when everything is identical and 1
 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import re
 import subprocess
@@ -59,12 +64,14 @@ def build_inputs(out: Path) -> dict:
 
 def run_fixtures(inputs: dict, out: Path) -> None:
     """Run every fixture with the ``senmfk_split`` that ``sys.path`` finds
-    first, one workspace per fixture under ``out``."""
+    first, one workspace per fixture under ``out``, and what the commands
+    of each fixture print in ``out/stdout/<fixture>.txt``."""
     from conftest import small_split_config
     from senmfk_split.cli import main
     from senmfk_split.split_pipeline import run_split
 
     src = Path(inputs["dir"])
+    (out / "stdout").mkdir(parents=True)
     flags, zipf = inputs["run_flags"], inputs["zipf_args"]
     runs = {
         "cli": [["run", str(src / "cli.jsonl")] + flags] * 2,
@@ -73,10 +80,15 @@ def run_fixtures(inputs: dict, out: Path) -> None:
     }
     for fixture, commands in runs.items():
         ws = out / fixture
+        printed = io.StringIO()
         for i, argv in enumerate(commands):
             resume = ["--resume"] if i and argv[0] == "run" else []
-            if main(argv + ["--workspace", str(ws)] + resume) != 0:
+            with contextlib.redirect_stdout(printed):
+                code = main(argv + ["--workspace", str(ws)] + resume)
+            if code != 0:
                 raise SystemExit(f"{fixture}: {' '.join(argv)} failed")
+        text = printed.getvalue().replace(str(ws), "<workspace>")
+        (out / "stdout" / f"{fixture}.txt").write_text(text, encoding="utf-8")
     run_split(src / "cli.jsonl", small_split_config(seed=3), out / "split")
 
 
