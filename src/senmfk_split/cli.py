@@ -230,18 +230,19 @@ def _merged_manifest(args: argparse.Namespace, group: str) -> tuple[PipelineRun,
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
     run, manifest = _merged_manifest(args, "preprocess")
-    corpus, vocab = run_stages(run, manifest, last="preprocess")["preprocess"]
+    values = run_stages(run, manifest, last="preprocess")
+    corpus, vocab = values["corpus.jsonl"], values["vocab.txt"]
     print(f"{len(corpus)} documents, {len(vocab)} terms -> {run.workspace}")
     return 0
 
 
 def cmd_matrices(args: argparse.Namespace) -> int:
     run, manifest = _merged_manifest(args, "matrices")
-    matrices = run_stages(run, manifest, first="matrices", last="matrices")["matrices"]
-    X, M = matrices["X"], matrices["M"]
-    cooc_shape, cooc_nnz = storage.sparse_size(run.path("cooc.mtx"))
+    values = run_stages(run, manifest, first="matrices", last="matrices")
+    # cooc.mtx is read back in full: its file stores one triangle
+    X, cooc, M = values["X.mtx"], values["cooc.mtx"], values["M.mtx"]
     print(
-        f"X {X.shape} ({X.nnz} nnz), cooc {cooc_shape} ({cooc_nnz} nnz), "
+        f"X {X.shape} ({X.nnz} nnz), cooc {cooc.shape} ({cooc.nnz} nnz), "
         f"M {M.shape} ({M.nnz} nnz) -> {run.workspace}"
     )
     return 0

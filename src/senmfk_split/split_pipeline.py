@@ -10,15 +10,15 @@ named file triple (:data:`FACTORS_X`, :data:`FACTORS_M`, :data:`FACTORS_JOINT`).
 
 The pipeline is written once, as the stage list :data:`STAGES`: preprocess,
 matrices, factorize_x, factorize_m, joint, regression and export.  Each
-:class:`Stage` names its manifest parameters, its input and output files, how
-to load its value back from the outputs, and how to compute it: by one
-module-level function of the :class:`PipelineRun` (``prepare_corpus``,
-``build_matrices``, ``stage_*``), looked up by name when the stage runs,
-that writes the outputs.  A stage that a run does not compute is loaded only
-when a later stage first reads its value.  :func:`run_stages` runs a slice of
-the list for every entry point: :func:`run_split` runs all stages without a
-manifest; the CLI runs all or one and saves a manifest after every stage, so
-a run can be audited and resumed after the last stage that finished.
+:class:`Stage` names its manifest parameters, its input and output files, and
+the module-level function of the :class:`PipelineRun` that computes it
+(``prepare_corpus``, ``build_matrices``, ``stage_*``, looked up by name).
+Values are named by their files: ``run.values["W1.mtx"]`` is the X-side
+basis, and a value the run did not compute is read from its file by one
+reader, :func:`_read`, when it is first used.  :func:`run_stages` runs a slice
+of the list for every entry point: :func:`run_split` runs all stages without
+a manifest; the CLI runs all or one and saves a manifest after every stage,
+so a run can be audited and resumed after the last stage that finished.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .model_selection import (
 )
 from .nmf_core import NmfConfig, solve_h
 from .text_pipeline import (
-    Corpus,
     PipelineConfig,
     Vocabulary,
     build_vocabulary,
@@ -110,20 +109,18 @@ class TopicModel:
     @classmethod
     def from_stages(cls, values: dict[str, Any]) -> TopicModel:
         """The model from the values of a full :func:`run_stages` run."""
-        W1, _H1, report_x = values["factorize_x"]
-        W2, _H2, report_m = values["factorize_m"]
-        W, _Hstar, report_joint = values["joint"]
-        result, topics, doc_ids = values["export"]
+        W, H = values["W.mtx"], values["H.mtx"]
+        result = assign_documents(H)
         return cls(
             W=W,
-            H=values["regression"],
+            H=H,
             assignments=result.assignments,
-            topics=topics,
-            k1=W1.shape[1],
-            k2=W2.shape[1],
+            topics=values["topics.json"],
+            k1=values["W1.mtx"].shape[1],
+            k2=values["W2.mtx"].shape[1],
             k=W.shape[1],
-            reports={"x": report_x, "m": report_m, "joint": report_joint},
-            doc_ids=doc_ids,
+            reports={side: values[f"selection_{side}.json"] for side in ("x", "m", "joint")},
+            doc_ids=values["assignments.csv"],
             histogram=result.counts,
             zero_documents=result.zero_columns,
         )
@@ -243,7 +240,7 @@ def stage_scope(name: str):
         raise PipelineStageError(name, exc) from exc
 
 
-def prepare_corpus(r: PipelineRun) -> tuple[Corpus, Vocabulary]:
+def prepare_corpus(r: PipelineRun) -> None:
     """Stage 1: load, filter, build the vocabulary, drop documents that end
     up with no in-vocabulary tokens; persist corpus.jsonl and vocab.txt."""
     raw = load_jsonl_corpus(r.corpus_path, pre_tokenized=r.pre_tokenized)
@@ -252,15 +249,15 @@ def prepare_corpus(r: PipelineRun) -> tuple[Corpus, Vocabulary]:
     corpus = drop_empty_documents(corpus, vocab)
     save_jsonl_corpus(corpus, r.path("corpus.jsonl"))
     save_vocabulary(vocab, r.path("vocab.txt"))
-    return corpus, vocab
+    r.values.update({"corpus.jsonl": corpus, "vocab.txt": vocab})
 
 
-def build_matrices(r: PipelineRun) -> dict[str, sparse.csr_matrix]:
+def build_matrices(r: PipelineRun) -> None:
     """Stage 2: TF-IDF X, co-occurrence counts, and the SPPMI matrix M.  The
-    counts are only written to the workspace; X and M are returned by name.
-    Each is written as soon as it exists, and the counts dropped before M.
-    The corpus is mapped to term ids once, for both builders."""
-    corpus, vocab = r.values["preprocess"]
+    counts are only written to the workspace; X and M are also kept.  Each
+    is written as soon as it exists, and the counts dropped before M.  The
+    corpus is mapped to term ids once, for both builders."""
+    corpus, vocab = r.values["corpus.jsonl"], r.values["vocab.txt"]
     term_ids = map_term_ids(corpus, vocab.index_of)
     X = build_tfidf(corpus, vocab, term_ids=term_ids)
     storage.write_sparse(X, r.path("X.mtx"))
@@ -270,94 +267,87 @@ def build_matrices(r: PipelineRun) -> dict[str, sparse.csr_matrix]:
     M = sppmi(cooc, r.config.semantic.shift)
     del cooc
     storage.write_sparse(M, r.path("M.mtx"))
-    return {"X": X, "M": M}
+    r.values.update({"X.mtx": X, "M.mtx": M})
 
 
-def _write_factorization(r: PipelineRun, result: Factors, names: tuple[str, str, str]) -> Factors:
+def _write_factorization(r: PipelineRun, result: Factors, names: tuple[str, str, str]) -> None:
     W, H, report = result
     storage.write_dense(W, r.path(names[0]))
     storage.write_dense(H, r.path(names[1]))
     storage.write_selection_report(report, r.path(names[2]))
-    return result
+    r.values.update(zip(names, result))
 
 
-def stage_factorize_x(r: PipelineRun) -> Factors:
-    result = factorize_x(r.values["matrices"]["X"], r.config.selection_x)
-    return _write_factorization(r, result, FACTORS_X)
+def stage_factorize_x(r: PipelineRun) -> None:
+    result = factorize_x(r.values["X.mtx"], r.config.selection_x)
+    _write_factorization(r, result, FACTORS_X)
 
 
-def stage_factorize_m(r: PipelineRun) -> Factors:
-    result = factorize_m(r.values["matrices"]["M"], r.config.selection_m)
-    return _write_factorization(r, result, FACTORS_M)
+def stage_factorize_m(r: PipelineRun) -> None:
+    result = factorize_m(r.values["M.mtx"], r.config.selection_m)
+    _write_factorization(r, result, FACTORS_M)
 
 
-def stage_joint(r: PipelineRun) -> Factors:
-    Wcat = concat_normalized(r.values["factorize_x"][0], r.values["factorize_m"][0])
-    return _write_factorization(r, joint_factorize(Wcat, _joint_selection(r)), FACTORS_JOINT)
+def stage_joint(r: PipelineRun) -> None:
+    Wcat = concat_normalized(r.values["W1.mtx"], r.values["W2.mtx"])
+    _write_factorization(r, joint_factorize(Wcat, _joint_selection(r)), FACTORS_JOINT)
 
 
-def stage_regression(r: PipelineRun) -> np.ndarray:
-    H = final_regression(r.values["matrices"]["X"], r.values["joint"][0], r.config.selection_x.nmf)
+def stage_regression(r: PipelineRun) -> None:
+    H = final_regression(r.values["X.mtx"], r.values["W.mtx"], r.config.selection_x.nmf)
     storage.write_dense(H, r.path("H.mtx"))
-    return H
+    r.values["H.mtx"] = H
 
 
-def stage_export(
-    r: PipelineRun,
-) -> tuple[AssignmentResult, list[list[tuple[str, float]]], list[str]]:
-    H, W = r.values["regression"], r.values["joint"][0]
-    corpus, vocab = r.values["preprocess"]
+def stage_export(r: PipelineRun) -> None:
+    H, W = r.values["H.mtx"], r.values["W.mtx"]
     result = assign_documents(H)
-    topics = top_words(W, vocab, r.config.top_n_words)
+    topics = top_words(W, r.values["vocab.txt"], r.config.top_n_words)
     max_weights = H[result.assignments, np.arange(H.shape[1])]
-    doc_ids = corpus.ids()
+    doc_ids = r.values["corpus.jsonl"].ids()
     storage.write_topics(topics, r.path("topics.json"))
     storage.write_assignments(doc_ids, result.assignments, max_weights, r.path("assignments.csv"))
     storage.write_histogram(result.counts, r.path("histogram.csv"))
-    return result, topics, doc_ids
+    r.values.update({"topics.json": topics, "assignments.csv": doc_ids})
 
 
 @dataclass(frozen=True)
 class Stage:
     """One entry of the stage list.  Every callable takes the
-    :class:`PipelineRun`, whose ``values`` hold the results of the earlier
-    stages by stage name.
+    :class:`PipelineRun`.
 
     ``params`` gives the settings recorded in the manifest; ``inputs`` and
     ``outputs`` name the files whose digests are recorded with them (names
-    are workspace files, except :data:`INPUT`).  ``compute`` runs the stage
-    and writes its outputs; ``load`` rebuilds the same value from them."""
+    are workspace files, except :data:`INPUT`).  ``compute`` reads from
+    ``run.values`` only the values its ``inputs`` name, writes its outputs
+    and keeps their values there (all but ``cooc.mtx`` and ``histogram.csv``)."""
 
     name: str
     params: Callable[[PipelineRun], dict[str, Any]]
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
-    compute: Callable[[PipelineRun], Any]
-    load: Callable[[PipelineRun], Any]
+    compute: Callable[[PipelineRun], None]
 
 
 class Deferred(dict):
-    """A dict that loads a missing key on first read and keeps the value:
-    ``load(key)`` runs inside :func:`stage_scope` of ``stage``, or of the key
-    itself when ``stage`` is None, so a load error names its stage."""
+    """A dict that reads a missing key on first use with ``read(key)`` and
+    keeps the value."""
 
-    def __init__(self, load: Callable[[str], Any], stage: str | None = None):
+    def __init__(self, read: Callable[[str], Any]):
         super().__init__()
-        self._load = load
-        self._stage = stage
+        self._read = read
 
     def __missing__(self, key: str) -> Any:
-        with stage_scope(self._stage or key):
-            value = self[key] = self._load(key)
+        value = self[key] = self._read(key)
         return value
 
 
 @dataclass
 class PipelineRun:
     """One execution of the stage list: its configuration, its workspace,
-    the corpus it reads, and the value of every stage by name.  A stage that
-    was not computed in this run is loaded from its outputs when its value is
-    first read."""
+    the corpus it reads, and the value of every workspace file by name.  A
+    value that was not computed in this run is read from its file by
+    :func:`_read` when it is first used."""
 
     config: SplitConfig
     workspace: Path
@@ -366,7 +356,7 @@ class PipelineRun:
     values: Deferred = field(init=False)
 
     def __post_init__(self):
-        self.values = Deferred(lambda name: _STAGE_BY_NAME[name].load(self))
+        self.values = Deferred(lambda name: _read(self, name))
 
     def path(self, name: str) -> Path:
         return Path(self.corpus_path) if name == INPUT else self.workspace / name
@@ -378,7 +368,7 @@ def _joint_selection(r: PipelineRun) -> SelectionConfig:
     selected ranks k1, k2 and the rows of W1 (one per term)."""
     if r.config.selection_joint is not None:
         return r.config.selection_joint
-    W1, W2 = r.values["factorize_x"][0], r.values["factorize_m"][0]
+    W1, W2 = r.values["W1.mtx"], r.values["W2.mtx"]
     lo, hi = default_joint_range(W1.shape[1], W2.shape[1], W1.shape[0])
     x = r.config.selection_x
     return replace(x, k_min=lo, k_max=hi, nmf=replace(x.nmf, seed=child_seed(x.nmf.seed, 3)))
@@ -390,21 +380,15 @@ def _factor_stage(
     files: tuple[str, str, str],
     selection: Callable[[PipelineRun], SelectionConfig],
 ) -> Stage:
-    """A factorization stage, computed by the module global ``stage_<name>``:
-    its selection config, flattened, as the manifest parameters, and its
-    value read back from its W, H and report files."""
+    """A factorization stage, computed by the module global ``stage_<name>``,
+    with its selection config, flattened, as the manifest parameters."""
 
     def params(r: PipelineRun) -> dict[str, Any]:
         flat = asdict(selection(r))
         flat.update(flat.pop("nmf"))
         return flat
 
-    def load(r: PipelineRun) -> Factors:
-        W = storage.read_dense(r.path(files[0]))
-        H = storage.read_dense(r.path(files[1]))
-        return W, H, storage.read_selection_report(r.path(files[2]), W, H)
-
-    return Stage(name, params, inputs, files, lambda r: globals()[f"stage_{name}"](r), load)
+    return Stage(name, params, inputs, files, lambda r: globals()[f"stage_{name}"](r))
 
 
 # The stage bodies are looked up as module globals when a stage runs, so a
@@ -422,10 +406,6 @@ STAGES: tuple[Stage, ...] = (
         inputs=(INPUT,),
         outputs=("corpus.jsonl", "vocab.txt"),
         compute=lambda r: prepare_corpus(r),
-        load=lambda r: (
-            load_jsonl_corpus(r.path("corpus.jsonl"), pre_tokenized=True),
-            load_vocabulary(r.path("vocab.txt")),
-        ),
     ),
     Stage(
         "matrices",
@@ -433,9 +413,6 @@ STAGES: tuple[Stage, ...] = (
         inputs=("corpus.jsonl", "vocab.txt"),
         outputs=("X.mtx", "cooc.mtx", "M.mtx"),
         compute=lambda r: build_matrices(r),
-        # X and M are each read on first use; cooc.mtx is digested like every
-        # output but never read back
-        load=lambda r: Deferred(lambda n: storage.read_sparse(r.path(f"{n}.mtx")), "matrices"),
     ),
     _factor_stage("factorize_x", ("X.mtx",), FACTORS_X, lambda r: r.config.selection_x),
     _factor_stage("factorize_m", ("M.mtx",), FACTORS_M, lambda r: r.config.selection_m),
@@ -446,7 +423,6 @@ STAGES: tuple[Stage, ...] = (
         inputs=("X.mtx", "W.mtx"),
         outputs=("H.mtx",),
         compute=lambda r: stage_regression(r),
-        load=lambda r: storage.read_dense(r.path("H.mtx")),
     ),
     Stage(
         "export",
@@ -454,16 +430,32 @@ STAGES: tuple[Stage, ...] = (
         inputs=("H.mtx", "W.mtx", "vocab.txt", "corpus.jsonl"),
         outputs=("topics.json", "assignments.csv", "histogram.csv"),
         compute=lambda r: stage_export(r),
-        # assignments, counts and zero columns follow from the loaded H; the
-        # document ids come from assignments.csv, not from the corpus
-        load=lambda r: (
-            assign_documents(r.values["regression"]),
-            storage.read_topics(r.path("topics.json")),
-            storage.read_doc_ids(r.path("assignments.csv")),
-        ),
     ),
 )
-_STAGE_BY_NAME = {stage.name: stage for stage in STAGES}
+_WRITER = {name: stage for stage in STAGES for name in stage.outputs}
+
+
+def _read(run: PipelineRun, name: str) -> Any:
+    """The value of workspace file ``name``, by the reader its name calls for
+    (looked up when called), inside :func:`stage_scope` of the stage whose
+    outputs hold it, so an error names that stage."""
+    stage = _WRITER[name]
+    path = run.path(name)
+    with stage_scope(stage.name):
+        if name == "corpus.jsonl":
+            return load_jsonl_corpus(path, pre_tokenized=True)
+        if name == "vocab.txt":
+            return load_vocabulary(path)
+        if name == "topics.json":
+            return storage.read_topics(path)
+        if name == "assignments.csv":
+            return storage.read_doc_ids(path)
+        if name.startswith("selection_"):  # with the W and H of its stage
+            W, H = (run.values[n] for n in stage.outputs[:2])
+            return storage.read_selection_report(path, W, H)
+        if stage.name == "matrices":
+            return storage.read_sparse(path)
+        return storage.read_dense(path)
 
 
 def run_stages(
@@ -481,9 +473,9 @@ def run_stages(
     or recorded.  With one, every stage is recorded in it and the manifest is
     saved to the workspace after each stage; a stage that ``previous``
     records with the same parameters, inputs and still-matching outputs is
-    resumed instead of computed.  An earlier or resumed stage is loaded from
-    its outputs only when a later stage, or the caller, first reads its
-    value, so a full resume reads no matrix the run does not use.
+    resumed instead of computed.  The output of an earlier or resumed stage
+    is read from its file only when a later stage, or the caller, first uses
+    its value, so a full resume reads no matrix the run does not use.
     """
     names = [stage.name for stage in STAGES]
     begin = names.index(first) if first else 0
@@ -496,7 +488,7 @@ def run_stages(
     for stage in STAGES[begin:end]:
         with stage_scope(stage.name):
             if manifest is None:
-                run.values[stage.name] = stage.compute(run)
+                stage.compute(run)
                 continue
             start = time.perf_counter()
             params = stage.params(run)
@@ -507,7 +499,7 @@ def run_stages(
             if resumed:
                 outputs = previous.stages[stage.name].outputs  # checked by can_skip
             else:
-                run.values[stage.name] = stage.compute(run)
+                stage.compute(run)
                 outputs = {n: sha256_file(run.path(n)) for n in stage.outputs}
             digests.update(inputs)
             digests.update(outputs)

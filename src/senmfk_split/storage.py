@@ -100,16 +100,6 @@ def read_sparse(path: str | Path) -> sparse.csr_matrix:
     return canonicalize(mat)
 
 
-def sparse_size(path: str | Path) -> tuple[tuple[int, int], int]:
-    """(shape, stored entries) of a file written by :func:`write_sparse`.  A
-    general file answers from its header; a symmetric one stores a single
-    triangle, so its entries, both triangles, are counted from its matrix."""
-    rows, cols, entries, _format, _field, symmetry = scipy_io.mminfo(str(path))
-    if symmetry != "general":
-        entries = read_sparse(path).nnz
-    return (rows, cols), entries
-
-
 def read_dense(path: str | Path) -> np.ndarray:
     mat = scipy_io.mmread(str(path))
     if sparse.issparse(mat):

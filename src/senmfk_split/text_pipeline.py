@@ -205,7 +205,11 @@ def save_jsonl_corpus(corpus: Corpus, path: str | Path) -> None:
 
 
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
-    """Persist vocabulary terms in index order, one per line."""
+    """Persist vocabulary terms in index order, one per line.  A term that
+    would not read back as itself (edge whitespace, a line break) is a DataError."""
+    for term in vocab.terms:
+        if term.strip().splitlines() != [term]:
+            raise DataError(f"{path}: term {term!r} cannot be stored one per line")
     with atomic_path(path) as tmp:
         tmp.write_text("".join(t + "\n" for t in vocab.terms), encoding="utf-8")
 

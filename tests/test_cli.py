@@ -150,6 +150,24 @@ class TestExitCodes:
         assert code == 2
         assert "surrogate.jsonl:3" in capsys.readouterr().err
 
+    def test_term_vocab_txt_cannot_hold_is_data_error(self, tmp_path, capsys):
+        # vocab.txt holds one term a line, read back stripped: a term with
+        # edge whitespace or a line boundary (U+2028 is one) would come back
+        # as another term, so preprocess rejects it by name
+        flags = ["--pre-tokenized", "--min-doc-tokens", "1", "--min-df", "1", "--max-df", "1.0"]
+        for term in ("w1 ", "x\u2028y"):
+            lines = [json.dumps({"id": d, "tokens": ["w1", term]}) for d in "abc"]
+            path = write_jsonl(tmp_path / "terms.jsonl", lines)
+            assert main(["preprocess", str(path), "--workspace", str(tmp_path / "ws")] + flags) == 2
+            assert repr(term) in capsys.readouterr().err
+        # a term with inner whitespace reads back as itself
+        lines = [json.dumps({"id": d, "tokens": ["w1", "machine learning"]}) for d in "abc"]
+        path = write_jsonl(tmp_path / "terms.jsonl", lines)
+        assert main(["preprocess", str(path), "--workspace", str(tmp_path / "ws")] + flags) == 0
+        assert text_pipeline.load_vocabulary(tmp_path / "ws" / "vocab.txt").terms == (
+            "machine learning", "w1"
+        )
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # two tiny documents sharing one term: M degenerates at high shift
         lines = [

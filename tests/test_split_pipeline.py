@@ -1,6 +1,7 @@
 """Split factorization stages and the end-to-end pipeline."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -361,6 +362,51 @@ class TestRunSplit:
         assert all(r is runs[0] for r in runs)
         assert runs[0].workspace == tmp_path / "ws"
 
+    def test_each_stage_reads_only_its_declared_inputs(self, rng, tmp_path):
+        # resume skips a stage whose declared inputs still match their
+        # digests, so a stage that read any other value could be skipped wrongly
+        class Recording(split_pipeline.Deferred):
+            """Values that record the name of every one read."""
+
+            def __init__(self, read):
+                super().__init__(read)
+                self.names = set()
+
+            def __getitem__(self, name):
+                self.names.add(name)
+                return super().__getitem__(name)
+
+        lines, _ = topic_corpus_jsonl(rng, docs_per_topic=30)
+        corpus_path = write_jsonl(tmp_path / "input.jsonl", lines)
+        config = small_split_config(seed=3)
+        run_split(corpus_path, config, tmp_path / "ws")
+        for stage in split_pipeline.STAGES:
+            run = split_pipeline.PipelineRun(config, tmp_path / "ws", corpus_path)
+            run.values = Recording(lambda name, run=run: split_pipeline._read(run, name))
+            stage.params(run)
+            split_pipeline.run_stages(run, first=stage.name, last=stage.name)
+            assert run.values.names <= set(stage.inputs), stage.name
+
+    def test_model_read_back_equals_computed(self, rng, tmp_path):
+        # the model of a finished workspace, every value read from its file
+        lines, _ = topic_corpus_jsonl(rng, docs_per_topic=30)
+        corpus_path = write_jsonl(tmp_path / "input.jsonl", lines)
+        config = small_split_config(seed=3)
+        model = run_split(corpus_path, config, tmp_path / "ws")
+        run = split_pipeline.PipelineRun(config, tmp_path / "ws")
+        loaded = split_pipeline.TopicModel.from_stages(run.values)
+        for name in ("W", "H", "assignments", "histogram"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name), err_msg=name)
+        for name in ("topics", "k1", "k2", "k", "doc_ids", "zero_documents"):
+            assert getattr(loaded, name) == getattr(model, name), name
+        assert loaded.reports.keys() == model.reports.keys()
+        for side, report in model.reports.items():
+            back = loaded.reports[side]
+            assert (back.chosen_k, back.fallback) == (report.chosen_k, report.fallback), side
+            np.testing.assert_equal([asdict(r) for r in back.per_k], [asdict(r) for r in report.per_k])
+            np.testing.assert_array_equal(back.consensus_W, report.consensus_W, err_msg=side)
+            np.testing.assert_array_equal(back.consensus_H, report.consensus_H, err_msg=side)
+
     def test_matrices_stage_maps_tokens_once(self, rng, tmp_path, monkeypatch):
         # build_tfidf and build_cooccurrence share one term-id mapping, and
         # build the same matrices as each mapping the corpus itself
@@ -380,8 +426,8 @@ class TestRunSplit:
         run = split_pipeline.PipelineRun(config, tmp_path / "ws", corpus_path)
         values = split_pipeline.run_stages(run, last="matrices")
         assert mapped == [90]
-        corpus, vocab = values["preprocess"]
-        assert_same_csr(values["matrices"]["X"], build_tfidf(corpus, vocab))
+        corpus, vocab = values["corpus.jsonl"], values["vocab.txt"]
+        assert_same_csr(values["X.mtx"], build_tfidf(corpus, vocab))
         cooc = build_cooccurrence(corpus, vocab, config.semantic)
         assert_same_csr(storage.read_sparse(tmp_path / "ws" / "cooc.mtx"), cooc)
 

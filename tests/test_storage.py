@@ -41,7 +41,6 @@ class TestMatrixMarket:
         lower = sparse.tril(S).nnz
         assert lines[2].split() == ["5", "5", str(lower)] and len(lines) == 3 + lower
         assert_same_csr(storage.read_sparse(path), S)
-        assert storage.sparse_size(path) == ((5, 5), S.nnz)
 
     def test_one_ulp_from_symmetric_stays_general(self, rng, tmp_path):
         raw = rng.uniform(0.0, 1.0, (5, 5))
@@ -52,7 +51,6 @@ class TestMatrixMarket:
         storage.write_sparse(A, path)
         assert path.read_text().splitlines()[0] == "%%MatrixMarket matrix coordinate real general"
         assert_same_csr(storage.read_sparse(path), A)
-        assert storage.sparse_size(path) == ((5, 5), 25)
 
     def test_integer_field_only_for_whole_values(self, tmp_path):
         counts = sparse.csr_matrix(np.array([[0.0, 3.0, 1.0], [3.0, 2.0, 0.0], [1.0, 0.0, 7.0]]))

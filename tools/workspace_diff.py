@@ -10,6 +10,9 @@ Zipf corpus from ``perfbench/inputs.py``.  Then each side runs every fixture
 below in its own Python process, with its own ``src`` first on the path:
 
     cli     ``senmfk run`` with ``test_cli.RUN_FLAGS``, then ``run --resume``
+    partial the same ``run``, then ``run --resume`` with ``test_cli.NEW_M_RANGE``
+            and ``--top-n-words 5``: factorize_m and export rerun, and read
+            their inputs and the summary's values from the files of the others
     split   ``run_split`` of the same corpus with ``small_split_config(seed=3)``
     stages  ``senmfk preprocess``, then ``senmfk matrices --shift 1``
     zipf    a Zipf-corpus ``senmfk run`` with ``ZIPF_ARGS``, then ``--resume``
@@ -58,6 +61,7 @@ def build_inputs(out: Path) -> dict:
     return {
         "dir": str(out),
         "run_flags": test_cli.RUN_FLAGS,
+        "new_m_range": test_cli.NEW_M_RANGE,
         "zipf_args": workloads.ZIPF_ARGS,
     }
 
@@ -75,6 +79,10 @@ def run_fixtures(inputs: dict, out: Path) -> None:
     flags, zipf = inputs["run_flags"], inputs["zipf_args"]
     runs = {
         "cli": [["run", str(src / "cli.jsonl")] + flags] * 2,
+        "partial": [
+            ["run", str(src / "cli.jsonl")] + flags,
+            ["run", str(src / "cli.jsonl")] + inputs["new_m_range"] + ["--top-n-words", "5"],
+        ],
         "stages": [["preprocess", str(src / "cli.jsonl")], ["matrices", "--shift", "1"]],
         "zipf": [["run", str(src / "zipf.jsonl")] + zipf] * 2,
     }
