@@ -268,6 +268,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    if args.top < 1:
+        raise CliUsage(f"--top must be >= 1, got {args.top}")
     workspace = _workspace(args)
     topics_path = workspace / "topics.json"
     histogram_path = workspace / "histogram.csv"
@@ -277,11 +279,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     topics = storage.read_topics(topics_path)
     histogram = dict(storage.read_histogram(histogram_path))
     total = sum(histogram.values())
-    top = max(args.top, 1)
     print(f"{len(topics)} topics over {total} documents")
     print(f"{'topic':>5}  {'docs':>6}  top words")
     for topic_id, ranked in enumerate(topics):
-        words = ", ".join(term for term, _ in ranked[:top])
+        words = ", ".join(term for term, _ in ranked[:args.top])
         print(f"{topic_id:>5}  {histogram.get(topic_id, 0):>6}  {words}")
     print(f"histogram: {histogram_path}")
     return 0

@@ -6,13 +6,17 @@ index order; TF-IDF columns are documents in corpus order.
 
 Both builders map the corpus to term ids in one pass (:func:`map_term_ids`),
 or take that mapping from a caller that builds both and maps it once.
+The word-context matrices are symmetric, so the pipeline holds each as its
+lower triangle L, diagonal included, from counting to the files:
+:func:`cooccurrence_triangle` counts L, :func:`sppmi_triangle` maps it to
+the triangle of M, and :func:`mirror_triangle` gives a full matrix.  The
+exported :func:`build_cooccurrence` and :func:`sppmi` return full matrices.
 Memory stays bounded by the inputs and outputs, not by the number of token
-pairs:
-:func:`build_cooccurrence` walks the in-vocabulary tokens one offset at a
-time and counts at most about ``_PAIR_BUDGET`` term pairs at once into a
-triangular CSR matrix, so its peak is O(tokens + nnz + _PAIR_BUDGET) rather
-than O(tokens * window); :func:`sppmi` reads a canonical input's CSR arrays
-in row blocks of as many entries and keeps only the nonzero values.
+pairs: counting walks the in-vocabulary tokens one offset at a time and
+counts at most about ``_PAIR_BUDGET`` term pairs at once into L, so its peak
+is O(tokens + nnz + _PAIR_BUDGET) rather than O(tokens * window); SPPMI
+reads a canonical input's CSR arrays in row blocks of as many entries and
+keeps only the nonzero values.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -27,7 +32,7 @@ from scipy import sparse
 from .errors import DegenerateMatrix, DimensionMismatch, EmptyColumn, NonNegativityViolation
 from .text_pipeline import Corpus, Vocabulary
 
-# int64 pair keys build_cooccurrence holds before it counts them (8 MB at
+# int64 pair keys cooccurrence_triangle holds before it counts them (8 MB at
 # 2**20), and the stored entries of one row block of sppmi
 _PAIR_BUDGET = 1 << 20
 # A corpus mapped to term ids: every token's id (-1 out of vocabulary) in
@@ -126,12 +131,22 @@ def build_tfidf(
 def build_cooccurrence(
     corpus: Corpus, vocab: Vocabulary, config: SemanticConfig, *, term_ids: TermIds | None = None
 ) -> sparse.csr_matrix:
-    """Symmetric term-pair count matrix, terms x terms.
+    """Symmetric term-pair count matrix C, terms x terms: the mirror of
+    :func:`cooccurrence_triangle`.
 
     For every token position p, each in-vocabulary token at positions
     p+1 .. p+window-1 of the same document adds 1 to both (i, j) and (j, i).
     Out-of-vocabulary tokens contribute no counts but still occupy positions.
     Windows never cross document boundaries.
+    """
+    return mirror_triangle(cooccurrence_triangle(corpus, vocab, config, term_ids=term_ids))
+
+
+def cooccurrence_triangle(
+    corpus: Corpus, vocab: Vocabulary, config: SemanticConfig, *, term_ids: TermIds | None = None
+) -> sparse.csr_matrix:
+    """The lower triangle L of :func:`build_cooccurrence`'s C, diagonal
+    included, as canonical CSR.
 
     Only in-vocabulary tokens are kept, each with its position on one axis
     on which consecutive documents lie ``window`` positions apart (or the
@@ -139,10 +154,10 @@ def build_cooccurrence(
     qualifies.  Offset d pairs kept token t with kept
     token t + d wherever their positions differ by less than ``window``;
     the gaps only widen as d grows, so the scan stops at the first d with
-    no pair.  Terms a, b pair as one int64 key ``min(a, b) * m + max(a, b)``;
-    whenever _PAIR_BUDGET keys are held they are counted and added to a
-    running upper-triangular matrix T, and the result is T + T^T, so memory
-    is O(tokens + nnz + _PAIR_BUDGET) rather than O(tokens * window).
+    no pair.  Terms a, b pair as one int64 key ``max(a, b) * m + min(a, b)``;
+    whenever _PAIR_BUDGET keys are held they are counted and added to the
+    running matrix, which is L itself, so memory is
+    O(tokens + nnz + _PAIR_BUDGET) rather than O(tokens * window).
     ``term_ids`` is ``map_term_ids(corpus, vocab.index_of)`` when the caller
     already holds it.
     """
@@ -154,7 +169,7 @@ def build_cooccurrence(
     pos = np.arange(ids.size) + np.repeat(np.arange(lengths.size) * window, lengths)
     known = ids >= 0
     ids, pos = ids[known], pos[known]
-    upper = sparse.csr_matrix((m, m), dtype=np.float64)
+    lower = sparse.csr_matrix((m, m), dtype=np.float64)
     keys: list[np.ndarray] = []
     held = 0
     for d in range(1, ids.size):
@@ -162,16 +177,27 @@ def build_cooccurrence(
         if not near.any():
             break
         a, b = ids[:-d][near], ids[d:][near]
-        keys.append(np.minimum(a, b) * m + np.maximum(a, b))
+        keys.append(np.maximum(a, b) * m + np.minimum(a, b))
         held += keys[-1].size
         if held >= _PAIR_BUDGET:
-            upper = upper + _count_keys(keys, m)
+            lower = lower + _count_keys(keys, m)
             keys, held = [], 0
     if held:
-        upper = upper + _count_keys(keys, m)
+        lower = lower + _count_keys(keys, m)
     # counts are whole numbers, exact in float64, so the order in which the
-    # pairs were reduced changes no value; T and T^T meet on the diagonal only
-    return _canonical(upper + upper.T)
+    # pairs were reduced changes no value; a same-term pair is both (i, i)
+    # and its mirror in C, so it counts twice on the diagonal, which is the
+    # last entry of its row
+    rows = np.flatnonzero(np.diff(lower.indptr))
+    last = lower.indptr[rows + 1] - 1
+    lower.data[last[lower.indices[last] == rows]] *= 2
+    return lower
+
+
+def mirror_triangle(lower: sparse.csr_matrix) -> sparse.csr_matrix:
+    """The symmetric matrix whose lower triangle, diagonal included, is
+    ``lower``, as canonical CSR; each value is copied, none recomputed."""
+    return _canonical(lower + sparse.triu(lower.T, 1, format="csr"))
 
 
 def _count_keys(keys: list[np.ndarray], m: int) -> sparse.csr_matrix:
@@ -179,7 +205,10 @@ def _count_keys(keys: list[np.ndarray], m: int) -> sparse.csr_matrix:
     flat = np.concatenate(keys)
     flat.sort()  # in place: np.unique would sort a copy
     starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
-    unique, counts = flat[starts], np.diff(starts, append=flat.size)
+    unique, size = flat[starts], flat.size
+    del flat  # each temporary goes at its last use: the peak of counting
+    counts = np.diff(starts, append=size)
+    del starts
     indptr = np.searchsorted(unique, np.arange(m + 1) * m)
     return sparse.csr_matrix((counts.astype(np.float64), unique % m, indptr), shape=(m, m))
 
@@ -196,13 +225,28 @@ def sppmi(cooc: sparse.csr_matrix, shift: float) -> sparse.csr_matrix:
     Raises ValueError for a shift SemanticConfig refuses, NonNegativityViolation
     for a negative or non-finite count, DegenerateMatrix for a zero total.
     """
+    return _sppmi(cooc, shift, lambda mat: mat.sum(axis=1))
+
+
+def sppmi_triangle(lower: sparse.csr_matrix, shift: float) -> sparse.csr_matrix:
+    """The lower triangle of ``sppmi(C, shift)`` from the lower triangle of
+    C, diagonal included, as :func:`cooccurrence_triangle` returns it.  C's
+    row sums are rowsum(L) + colsum(L) - diag(L), exact for whole counts
+    below 2**53, so every entry is the full computation's, bit for bit.
+    Raises as :func:`sppmi`."""
+    return _sppmi(lower, shift, lambda L: L.sum(axis=1) + L.sum(axis=0).T - L.diagonal()[:, None])
+
+
+def _sppmi(cooc, shift: float, row_sums_of: Callable) -> sparse.csr_matrix:
+    """SPPMI of the stored entries of ``cooc``, given ``row_sums_of(mat)``,
+    the row sums of the counts that canonical ``mat`` holds entries of."""
     SemanticConfig(shift=shift)  # raises ValueError for a bad shift
     if cooc.shape[0] != cooc.shape[1]:
         raise DimensionMismatch(f"co-occurrence matrix must be square, got {cooc.shape}")
     mat = _canonical(cooc)
     if mat.nnz and not (np.isfinite(mat.data).all() and mat.data.min() >= 0):
         raise NonNegativityViolation("co-occurrence counts must be non-negative and finite")
-    row_sums = np.asarray(mat.sum(axis=1)).ravel()
+    row_sums = np.asarray(row_sums_of(mat)).ravel()
     total = row_sums.sum()
     if total <= 0:
         raise DegenerateMatrix("co-occurrence matrix has zero total count")

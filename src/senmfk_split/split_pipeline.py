@@ -41,7 +41,14 @@ from .errors import (
     ShapeMismatch,
 )
 from .manifest import RunManifest, sha256_file, sha256_text
-from .matrix_builder import SemanticConfig, build_cooccurrence, build_tfidf, map_term_ids, sppmi
+from .matrix_builder import (
+    SemanticConfig,
+    build_tfidf,
+    cooccurrence_triangle,
+    map_term_ids,
+    mirror_triangle,
+    sppmi_triangle,
+)
 from .model_selection import (
     SelectionConfig,
     SelectionReport,
@@ -255,19 +262,20 @@ def prepare_corpus(r: PipelineRun) -> None:
 def build_matrices(r: PipelineRun) -> None:
     """Stage 2: TF-IDF X, co-occurrence counts, and the SPPMI matrix M.  The
     counts are only written to the workspace; X and M are also kept.  Each
-    is written as soon as it exists, and the counts dropped before M.  The
-    corpus is mapped to term ids once, for both builders."""
+    is written as soon as it exists, the symmetric two from their lower
+    triangles, and the counts dropped before M is made whole.  The corpus
+    is mapped to term ids once, for both builders."""
     corpus, vocab = r.values["corpus.jsonl"], r.values["vocab.txt"]
     term_ids = map_term_ids(corpus, vocab.index_of)
     X = build_tfidf(corpus, vocab, term_ids=term_ids)
     storage.write_sparse(X, r.path("X.mtx"))
-    cooc = build_cooccurrence(corpus, vocab, r.config.semantic, term_ids=term_ids)
+    cooc = cooccurrence_triangle(corpus, vocab, r.config.semantic, term_ids=term_ids)
     del term_ids
-    storage.write_sparse(cooc, r.path("cooc.mtx"))
-    M = sppmi(cooc, r.config.semantic.shift)
+    storage.write_symmetric(cooc, r.path("cooc.mtx"))
+    M = sppmi_triangle(cooc, r.config.semantic.shift)
     del cooc
-    storage.write_sparse(M, r.path("M.mtx"))
-    r.values.update({"X.mtx": X, "M.mtx": M})
+    storage.write_symmetric(M, r.path("M.mtx"))
+    r.values.update({"X.mtx": X, "M.mtx": mirror_triangle(M)})
 
 
 def _write_factorization(r: PipelineRun, result: Factors, names: tuple[str, str, str]) -> None:

@@ -1,13 +1,14 @@
 """Workspace artifact persistence.
 
 Sparse matrices go to MatrixMarket coordinate files and dense factors to
-MatrixMarket array files.  A sparse file's layout follows from the matrix
-itself, each fact checked exactly: a matrix equal to its transpose stores
-only its lower triangle (``symmetric``), and one whose values are all whole
-numbers is written in the ``integer`` field; anything else is ``real
-general``.  Real values are written with 17 significant digits, so every
-float64 round-trips exactly, and :func:`read_sparse` returns the same
-canonical float64 CSR matrix whatever layout the file has.  Selection
+MatrixMarket array files.  A sparse file is ``general`` from
+:func:`write_sparse`, and ``symmetric`` from :func:`write_symmetric`, which
+takes the lower triangle of a symmetric matrix (the pipeline writes
+``cooc.mtx`` and ``M.mtx`` this way).  Either writes the ``integer`` field
+when every value is a whole number, checked exactly, and ``real`` otherwise.
+Real values are written with 17 significant digits, so every float64
+round-trips exactly, and :func:`read_sparse` returns the same canonical
+float64 CSR matrix whatever layout the file has.  Selection
 reports are JSON, each per-rank entry the fields of a :class:`RankRecord` by
 name; topic tables are JSON, document assignments and histograms CSV.  All
 writers are deterministic: identical inputs produce byte-identical files,
@@ -43,30 +44,29 @@ _ASSIGNMENTS_HEADER = ["doc_id", "topic_id", "max_weight"]
 _HISTOGRAM_HEADER = ["topic_id", "count"]
 
 
-def _is_symmetric(mat: sparse.csr_matrix) -> bool:
-    """True when ``mat`` and its transpose have identical CSR arrays.  For a
-    canonical matrix that is exact equality; a non-canonical one may read as
-    not symmetric, never the reverse."""
-    if mat.shape[0] != mat.shape[1]:
-        return False
-    t = mat.T.tocsr()
-    return all(np.array_equal(getattr(mat, a), getattr(t, a)) for a in ("indptr", "indices", "data"))
-
-
 def _is_whole(values: np.ndarray) -> bool:
     """True when every value is a whole number that int64 holds exactly."""
     return bool(np.all(np.abs(values) < _EXACT_WHOLE) and np.all(np.trunc(values) == values))
 
 
 def write_sparse(mat, path: str | Path) -> None:
-    """MatrixMarket coordinate file, 1-based indices: ``symmetric`` with the
-    lower triangle only when ``mat`` equals its transpose, ``integer`` when
-    its values are all whole, ``real general`` otherwise.  scipy's writer
-    trusts both settings (it drops the upper triangle and truncates floats
-    unchecked), so both are checked here first."""
-    csr = sparse.csr_matrix(mat)
-    symmetric = _is_symmetric(csr)
-    coo = sparse.tril(csr, format="coo") if symmetric else csr.tocoo()
+    """MatrixMarket coordinate file, ``general``, 1-based indices."""
+    _write_coordinates(sparse.csr_matrix(mat).tocoo(), path, "general")
+
+
+def write_symmetric(lower, path: str | Path) -> None:
+    """A symmetric matrix as a ``symmetric`` coordinate file, from its lower
+    triangle ``lower``, diagonal included.  scipy's writer would drop an
+    entry above the diagonal unchecked, so that raises ValueError here."""
+    coo = sparse.csr_matrix(lower).tocoo()
+    if coo.shape[0] != coo.shape[1] or (coo.row < coo.col).any():
+        raise ValueError("write_symmetric takes the lower triangle of a square matrix")
+    _write_coordinates(coo, path, "symmetric")
+
+
+def _write_coordinates(coo: sparse.coo_matrix, path: str | Path, symmetry: str) -> None:
+    """``integer`` when the values are all whole, ``real`` otherwise: scipy
+    would truncate floats in the integer field unchecked."""
     whole = _is_whole(coo.data)
     if whole:  # int64, the type scipy writes integers from, so it copies none
         coo.data = coo.data.astype(np.int64)
@@ -76,7 +76,7 @@ def write_sparse(mat, path: str | Path) -> None:
             coo,
             field="integer" if whole else None,
             precision=_PRECISION,
-            symmetry="symmetric" if symmetric else "general",
+            symmetry=symmetry,
         )
 
 

@@ -575,6 +575,14 @@ class TestReport:
     def test_report_requires_artifacts(self, tmp_path):
         assert main(["report", "--workspace", str(tmp_path / "none")]) == 2
 
+    @pytest.mark.parametrize("top", ["0", "-3"])
+    def test_top_below_one_is_usage_error(self, tmp_path, capsys, top):
+        # checked before the workspace is read, so a valid one is not needed
+        ws = tmp_path / "ws"
+        assert main(["report", "--workspace", str(ws), "--top", top]) == 1
+        assert f"--top must be >= 1, got {top}" in capsys.readouterr().err
+        assert not ws.exists()
+
     @pytest.mark.parametrize(
         "name, text",
         [

@@ -18,7 +18,10 @@ from senmfk_split.matrix_builder import (
     build_cooccurrence,
     build_tfidf,
     canonicalize,
+    cooccurrence_triangle,
+    mirror_triangle,
     sppmi,
+    sppmi_triangle,
 )
 from senmfk_split.text_pipeline import Corpus, Document, Vocabulary
 
@@ -173,6 +176,23 @@ class TestCooccurrence:
             M = sppmi(C, shift)
             assert_same_csr(M, M.T.tocsr())
 
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.data())
+    def test_triangle_matches_oracle_property(self, data):
+        # repeated terms fill the diagonal, where C counts each same-term
+        # pair twice; a tiny pair budget reduces into the triangle many times
+        terms = sorted(data.draw(st.sets(st.sampled_from("abcdef"), min_size=1)))
+        tokens = st.sampled_from([*terms, terms[0], "oov"])
+        docs = data.draw(st.lists(st.lists(tokens, max_size=12), min_size=1, max_size=8))
+        window = data.draw(st.integers(1, max(len(d) for d in docs) + 3))
+        args = corpus_of(*docs), vocab_of(*terms), SemanticConfig(window=window)
+        expected = np.tril(cooccurrence_oracle(docs, terms, window))
+        for budget in (1, 7, matrix_builder._PAIR_BUDGET):
+            with mock.patch.object(matrix_builder, "_PAIR_BUDGET", budget):
+                L = cooccurrence_triangle(*args)
+            np.testing.assert_array_equal(L.toarray(), expected)
+            assert L.has_canonical_format and (L.data > 0).all()
+
     def test_window_past_int64_spacing(self, rng):
         # documents three windows of 2**62 apart would lie past 2**63
         docs, terms = random_tokens_corpus(rng)
@@ -213,6 +233,19 @@ class TestCooccurrence:
         )
         assert C.sum() == 2 * 200 * sum(300 - d for d in range(1, 100))
         assert peak < 100e6
+
+    def test_triangle_peak_bounded(self):
+        # the running matrix is the triangle itself, and counting frees each
+        # temporary at its last use: 2.09 times the full matrix's CSR bytes
+        # here; counting a triangle and summing it with its transpose takes
+        # 2.61
+        corpus, vocab = zipf_corpus()
+        C = build_cooccurrence(corpus, vocab, SemanticConfig(window=100))
+        L, peak, _ = traced_peak(
+            lambda: cooccurrence_triangle(corpus, vocab, SemanticConfig(window=100))
+        )
+        assert_same_csr(L, sparse.tril(C, format="csr"))
+        assert peak <= 2.3 * csr_bytes(C)
 
     def test_peak_within_three_outputs(self):
         # the running matrix holds each term pair once, and its sum with
@@ -390,6 +423,19 @@ class TestSppmi:
         for budget in (1, 2, 7):
             with mock.patch.object(matrix_builder, "_PAIR_BUDGET", budget):
                 assert_same_csr(sppmi(sparse.csr_matrix(counts), shift), expected)
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(st.data(), st.sampled_from([1.0, 1.5, 4.0, 1e6]))
+    def test_triangle_matches_full_bit_for_bit(self, data, shift):
+        counts = symmetric_counts(data, max_terms=8)
+        assume(counts.sum() > 0)
+        C = sparse.csr_matrix(counts)
+        lower = sparse.tril(C, format="csr")
+        expected = sparse.tril(sppmi(C, shift), format="csr")
+        for budget in (1, 7, matrix_builder._PAIR_BUDGET):
+            with mock.patch.object(matrix_builder, "_PAIR_BUDGET", budget):
+                assert_same_csr(sppmi_triangle(lower, shift), expected)
+        assert_same_csr(mirror_triangle(expected), sppmi(C, shift))
 
     def test_transient_bounded_by_output(self, monkeypatch):
         # with small row blocks, what stays is the kept values twice (the

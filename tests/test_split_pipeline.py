@@ -25,7 +25,7 @@ from senmfk_split.errors import (
     NonNegativityViolation,
     ShapeMismatch,
 )
-from senmfk_split.matrix_builder import SemanticConfig, build_cooccurrence, build_tfidf
+from senmfk_split.matrix_builder import SemanticConfig, build_cooccurrence, build_tfidf, sppmi
 from senmfk_split.model_selection import SelectionConfig
 from senmfk_split.nmf_core import NmfConfig, relative_error
 from senmfk_split.split_pipeline import (
@@ -408,8 +408,8 @@ class TestRunSplit:
             np.testing.assert_array_equal(back.consensus_H, report.consensus_H, err_msg=side)
 
     def test_matrices_stage_maps_tokens_once(self, rng, tmp_path, monkeypatch):
-        # build_tfidf and build_cooccurrence share one term-id mapping, and
-        # build the same matrices as each mapping the corpus itself
+        # TF-IDF and co-occurrence share one term-id mapping, and build the
+        # same matrices as each mapping the corpus itself
         mapped = []
         map_term_ids = matrix_builder.map_term_ids
 
@@ -430,6 +430,12 @@ class TestRunSplit:
         assert_same_csr(values["X.mtx"], build_tfidf(corpus, vocab))
         cooc = build_cooccurrence(corpus, vocab, config.semantic)
         assert_same_csr(storage.read_sparse(tmp_path / "ws" / "cooc.mtx"), cooc)
+        # M is built as its lower triangle and mirrored: the full matrix the
+        # stage holds, and the one its file reads back as, are sppmi's
+        M = sppmi(cooc, config.semantic.shift)
+        assert M.nnz
+        assert_same_csr(values["M.mtx"], M)
+        assert_same_csr(storage.read_sparse(tmp_path / "ws" / "M.mtx"), M)
 
     def test_reconstruction_sanity(self, rng, tmp_path):
         lines, _ = topic_corpus_jsonl(rng, docs_per_topic=40)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import io as scipy_io
 from scipy import sparse
 
 from conftest import assert_same_csr
@@ -35,11 +36,59 @@ class TestMatrixMarket:
         raw[raw < 0.4] = 0.0
         S = sparse.csr_matrix(raw + raw.T)
         path = tmp_path / "S.mtx"
-        storage.write_sparse(S, path)
+        storage.write_symmetric(sparse.tril(S, format="csr"), path)
         lines = path.read_text().splitlines()
         assert lines[0] == "%%MatrixMarket matrix coordinate real symmetric"
         lower = sparse.tril(S).nnz
         assert lines[2].split() == ["5", "5", str(lower)] and len(lines) == 3 + lower
+        assert_same_csr(storage.read_sparse(path), S)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [[0.0, 3.0, 1.0], [3.0, 2.0, 0.0], [1.0, 0.0, 7.0]],
+            [[np.pi, 1.0 / 3.0, 0.0], [1.0 / 3.0, 0.0, 2.5e-300], [0.0, 2.5e-300, 1e300]],
+        ],
+    )
+    def test_write_symmetric_golden_bytes(self, tmp_path, values):
+        # the bytes scipy writes from the lower triangle's COO, with the
+        # field and precision chosen as for any sparse file
+        S = canonicalize(np.array(values))
+        whole = bool(np.all(S.data == np.trunc(S.data)))
+        expected = sparse.tril(S, format="coo")
+        if whole:
+            expected.data = expected.data.astype(np.int64)
+        golden = tmp_path / "golden.mtx"
+        scipy_io.mmwrite(
+            str(golden),
+            expected,
+            field="integer" if whole else None,
+            precision=17,
+            symmetry="symmetric",
+        )
+        path = tmp_path / "S.mtx"
+        storage.write_symmetric(sparse.tril(S, format="csr"), path)
+        assert path.read_bytes() == golden.read_bytes()
+        field = "integer" if whole else "real"
+        assert path.read_text().splitlines()[0] == f"%%MatrixMarket matrix coordinate {field} symmetric"
+        assert_same_csr(storage.read_sparse(path), S)
+
+    def test_write_symmetric_rejects_upper_entries(self, tmp_path):
+        path = tmp_path / "S.mtx"
+        full, not_square = np.array([[1.0, 2.0], [2.0, 1.0]]), (2, 3)
+        for bad in (sparse.csr_matrix(full), sparse.csr_matrix(not_square)):
+            with pytest.raises(ValueError, match="lower triangle"):
+                storage.write_symmetric(bad, path)
+        assert not path.exists()
+
+    def test_symmetric_matrix_written_general(self, tmp_path):
+        # write_sparse does not look for symmetry: one layout for every matrix
+        S = sparse.csr_matrix(np.array([[2.0, 1.0], [1.0, 0.0]]))
+        path = tmp_path / "S.mtx"
+        storage.write_sparse(S, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "%%MatrixMarket matrix coordinate integer general"
+        assert lines[2].split() == ["2", "2", "3"]
         assert_same_csr(storage.read_sparse(path), S)
 
     def test_one_ulp_from_symmetric_stays_general(self, rng, tmp_path):
@@ -56,6 +105,9 @@ class TestMatrixMarket:
         counts = sparse.csr_matrix(np.array([[0.0, 3.0, 1.0], [3.0, 2.0, 0.0], [1.0, 0.0, 7.0]]))
         path = tmp_path / "counts.mtx"
         storage.write_sparse(counts, path)
+        assert path.read_text().splitlines()[0] == "%%MatrixMarket matrix coordinate integer general"
+        assert_same_csr(storage.read_sparse(path), counts)
+        storage.write_symmetric(sparse.tril(counts, format="csr"), path)
         assert path.read_text().splitlines()[0] == "%%MatrixMarket matrix coordinate integer symmetric"
         assert_same_csr(storage.read_sparse(path), counts)
         # one value a hair off a whole number, or one at 2**53, keeps the
@@ -77,7 +129,7 @@ class TestMatrixMarket:
         assert (back == vals).all()
         # and so in the symmetric layout
         S = sparse.csr_matrix(np.array([[np.pi, 1.0 / 3.0], [1.0 / 3.0, 1e-300]]))
-        storage.write_sparse(S, path)
+        storage.write_symmetric(sparse.tril(S, format="csr"), path)
         assert "real symmetric" in path.read_text().splitlines()[0]
         assert_same_csr(storage.read_sparse(path), S)
 
@@ -100,11 +152,13 @@ class TestMatrixMarket:
         A = canonicalize(raw)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "A.mtx"
-            storage.write_sparse(A, path)
+            if symmetric:
+                storage.write_symmetric(sparse.tril(A, format="csr"), path)
+            else:
+                storage.write_sparse(A, path)
             header = path.read_text().splitlines()[0]
             back = storage.read_sparse(path)
-        square = A.shape[0] == A.shape[1]
-        assert ("symmetric" in header) == (square and (A != A.T).nnz == 0)
+        assert header.endswith("symmetric" if symmetric else "general")
         whole = np.all(A.data == np.trunc(A.data)) and np.all(A.data < 2.0**53)
         if A.nnz:  # an empty matrix has no values to judge the field by
             assert ("integer" in header) == whole
