@@ -42,26 +42,26 @@ from . import storage
 WORKSPACE_ENV = "SENMFK_WORKSPACE"
 
 # Every setting: key (the flag without "--", and the config-file key) ->
-# (default, type, the flag group that declares it).
+# (default, from its config class where one has it; type; the flag group).
 _OPTIONS: dict[str, tuple[Any, Callable[[str], Any], str]] = {
-    "min-doc-tokens": (20, int, "preprocess"),
-    "min-df": (5, int, "preprocess"),
-    "max-df": (0.5, float, "preprocess"),
-    "window": (100, int, "matrices"),
-    "shift": (4.0, float, "matrices"),
+    "min-doc-tokens": (PipelineConfig.min_doc_tokens, int, "preprocess"),
+    "min-df": (PipelineConfig.min_df, int, "preprocess"),
+    "max-df": (PipelineConfig.max_df_ratio, float, "preprocess"),
+    "window": (SemanticConfig.window, int, "matrices"),
+    "shift": (SemanticConfig.shift, float, "matrices"),
     "kx-min": (2, int, "model"),
     "kx-max": (10, int, "model"),
     "km-min": (2, int, "model"),
     "km-max": (10, int, "model"),
     "kj-min": (None, int, "model"),
     "kj-max": (None, int, "model"),
-    "perturbations": (10, int, "model"),
-    "delta": (0.03, float, "model"),
-    "sil-threshold": (0.75, float, "model"),
-    "seed": (42, int, "model"),
-    "top-n-words": (20, int, "model"),
-    "max-iter": (1000, int, "model"),
-    "tol": (1e-6, float, "model"),
+    "perturbations": (SelectionConfig.n_perturbations, int, "model"),
+    "delta": (SelectionConfig.delta, float, "model"),
+    "sil-threshold": (SelectionConfig.silhouette_threshold, float, "model"),
+    "seed": (NmfConfig.seed, int, "model"),
+    "top-n-words": (SplitConfig.top_n_words, int, "model"),
+    "max-iter": (NmfConfig.max_iter, int, "model"),
+    "tol": (NmfConfig.tol, float, "model"),
 }
 _DEFAULTS: dict[str, Any] = {key: default for key, (default, _, _) in _OPTIONS.items()}
 

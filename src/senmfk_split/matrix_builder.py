@@ -86,6 +86,11 @@ def _canonical(mat) -> sparse.csr_matrix:
     return mat if _is_canonical(mat) else canonicalize(mat)
 
 
+def _check_nonnegative(values: np.ndarray, name: str) -> None:
+    if values.size and (not np.isfinite(values).all() or values.min() < 0):
+        raise NonNegativityViolation(f"{name} must be non-negative and finite")
+
+
 def map_term_ids(corpus: Corpus, index_of: dict[str, int]) -> TermIds:
     """The vocabulary id of every token of ``corpus`` in corpus order (-1
     marks an out-of-vocabulary token) and the token count of each document."""
@@ -244,8 +249,7 @@ def _sppmi(cooc, shift: float, row_sums_of: Callable) -> sparse.csr_matrix:
     if cooc.shape[0] != cooc.shape[1]:
         raise DimensionMismatch(f"co-occurrence matrix must be square, got {cooc.shape}")
     mat = _canonical(cooc)
-    if mat.nnz and not (np.isfinite(mat.data).all() and mat.data.min() >= 0):
-        raise NonNegativityViolation("co-occurrence counts must be non-negative and finite")
+    _check_nonnegative(mat.data, "co-occurrence counts")
     row_sums = np.asarray(row_sums_of(mat)).ravel()
     total = row_sums.sum()
     if total <= 0:

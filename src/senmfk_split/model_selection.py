@@ -18,7 +18,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import DegenerateMatrix, InvalidRank, ShapeMismatch
 from .matrix_builder import _canonical
-from .nmf_core import NmfConfig, nmf_stack, perturb, relative_error, solve_h, stack_size
+from .nmf_core import NmfConfig, nmf_stack, perturb, relative_error, solve_h
 
 _MAX_CLUSTER_ROUNDS = 100
 _DISTANCE_DUST = 1e-12
@@ -41,6 +41,8 @@ class SelectionConfig:
             raise ValueError("need 1 <= k_min <= k_max")
         if self.n_perturbations < 2:
             raise ValueError("n_perturbations must be >= 2")
+        if not (0 <= self.delta < 1):
+            raise ValueError(f"delta must be in [0, 1), got {self.delta}")
         if not (0 < self.silhouette_threshold < 1):
             raise ValueError("silhouette_threshold must be in (0, 1)")
 
@@ -187,28 +189,15 @@ def silhouette(columns: np.ndarray, labels: np.ndarray) -> SilhouetteStats:
     )
 
 
-def _ensemble_stack(
-    X, k, members: range, config: SelectionConfig, symmetric: bool
-) -> list[np.ndarray]:
-    """The L2-normalized bases of the given ensemble members, factorized
-    as one stack; the perturbed copies live only for this call."""
-    base = config.nmf.seed
-    copies = [
-        perturb(X, config.delta, seed=child_seed(base, k, j, 0), symmetric=symmetric)
-        for j in members
-    ]
-    seeds = [child_seed(base, k, j, 1) for j in members]
-    return [normalize_columns(pair.W)[0] for pair in nmf_stack(copies, k, config.nmf, seeds)]
-
-
 def nmfk(
     X, config: SelectionConfig, symmetric_perturbation: bool = False
 ) -> SelectionReport:
     """Scan ranks k_min..k_max and pick the number of latent factors.
 
     Per rank: factorize ``n_perturbations`` perturbed copies from distinct
-    seeds, as many in one stacked solve as :func:`nmf_core.stack_size`
-    allows; L2-normalize the basis columns, cluster them one-per-member,
+    seeds in one :func:`nmf_core.nmf_stack` call, which draws each copy
+    when its stack starts, so one stack of copies is alive at a time;
+    L2-normalize the basis columns, cluster them one-per-member,
     score the clustering with silhouettes, and record the reconstruction error of
     the centroid basis with H solved on the unperturbed matrix.  The chosen
     rank is the largest one with min silhouette >= the threshold; if none
@@ -225,16 +214,18 @@ def nmfk(
         raise InvalidRank(f"k_max {config.k_max} exceeds min{X.shape} = {min(m, n)}")
     base = config.nmf.seed
     p = config.n_perturbations
-    b = stack_size(X)
     ks = list(range(config.k_min, config.k_max + 1))
 
     per_k: list[RankRecord] = []
     consensus_by_k: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
     for k in ks:
-        ensemble = []
-        for start in range(0, p, b):
-            members = range(start, min(start + b, p))
-            ensemble += _ensemble_stack(X, k, members, config, symmetric_perturbation)
+        copies = (
+            perturb(X, config.delta, child_seed(base, k, j, 0), symmetric_perturbation)
+            for j in range(p)
+        )
+        seeds = [child_seed(base, k, j, 1) for j in range(p)]
+        pairs = nmf_stack(copies, k, config.nmf, seeds)
+        ensemble = [normalize_columns(pair.W)[0] for pair in pairs]
         labels, centroids = cluster_columns(ensemble)
         stats = silhouette(np.hstack(ensemble), labels.ravel())
         H = None

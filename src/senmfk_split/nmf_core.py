@@ -28,14 +28,16 @@ Sparser inputs stay CSR.  The dense copy (8 bytes per cell) can be up to
 of value plus 4 of column index per stored entry).  The transpose is taken
 once per solve: a view for an array, a CSC view (no copy) for CSR.
 
-Members of one rank's ensemble run as one stack when their operand is
-dense: W (b, m, k), H (b, k, n) and every product one stacked matmul, so
-the ~12 numpy calls of an iteration are paid once per stack, and each
+:func:`nmf_stack` solves an ensemble, such as one rank's perturbed copies,
+in stacks: W (b, m, k), H (b, k, n) and every product one stacked matmul,
+so the ~12 numpy calls of an iteration are paid once per stack, and each
 member is still checked alone and leaves the stack when it stops; every
-result equals that member's solve alone bit for bit.  A stack holds at
-most ``_STACK_CELLS`` = 2^17 cells (1 MB), a CSR operand one member.
-Measured on the same machine (min of 15, k = 4, k = 3 at 90 x 90), time
-per member-iteration alone over stacked:
+result equals that member's solve alone bit for bit.  It sizes each stack
+itself: as many dense members as fit in ``_STACK_CELLS`` = 2^17 cells
+(1 MB), or one CSR member; and it takes a stack's matrices from its
+iterable only when that stack starts, so a generator of copies has one
+stack of them alive at a time.  Measured on the same machine (min of 15,
+k = 4, k = 3 at 90 x 90), time per member-iteration alone over stacked:
 
     ========== ==== ============== ===============
     shape       p    all p stacked  <= 2^17 cells
@@ -61,18 +63,14 @@ size of X.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 
-from .errors import (
-    DegenerateBasis,
-    DimensionMismatch,
-    InvalidRank,
-    NonNegativityViolation,
-)
-from .matrix_builder import _canonical
+from .errors import DegenerateBasis, DimensionMismatch, InvalidRank
+from .matrix_builder import _canonical, _check_nonnegative
 
 _TRACE_STRIDE = 10
 # Additive guard in the update denominators.
@@ -108,8 +106,8 @@ class NmfConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
 
 
 @dataclass
@@ -125,11 +123,6 @@ class FactorPair:
     @property
     def rank(self) -> int:
         return self.W.shape[1]
-
-
-def _check_nonnegative(values: np.ndarray, name: str) -> None:
-    if values.size and (not np.isfinite(values).all() or values.min() < 0):
-        raise NonNegativityViolation(f"{name} must be non-negative and finite")
 
 
 def _residual_sq(X, W: np.ndarray, H: np.ndarray) -> float:
@@ -180,15 +173,6 @@ def relative_error(X, W: np.ndarray, H: np.ndarray) -> float:
 def _dense_operand(X: sparse.csr_matrix) -> bool:
     m, n = X.shape
     return 4 * X.nnz >= m * n
-
-
-def stack_size(X) -> int:
-    """How many equally shaped copies of X one stacked solve may hold: as
-    many dense m x n slabs as fit in ``_STACK_CELLS`` cells (at least one),
-    and one for a CSR operand."""
-    X = _canonical(X)
-    m, n = X.shape
-    return max(1, _STACK_CELLS // (m * n)) if _dense_operand(X) else 1
 
 
 def _times(A, B: np.ndarray) -> np.ndarray:
@@ -272,36 +256,56 @@ def _solve_stack(
     return pairs
 
 
-def nmf_stack(Xs, k: int, config: NmfConfig, seeds: list[int]) -> list[FactorPair]:
-    """Factorize equally shaped non-negative matrices at rank k in one
-    stacked multiplicative-update run, every member with ``config``'s
-    ``max_iter`` and ``tol``, member i initialized from ``seeds[i]``.
-
-    Each result equals ``nmf(Xs[i], k, replace(config, seed=seeds[i]))`` bit
-    for bit: the stack only shares the per-iteration calls.  At most
-    :func:`stack_size` of ``Xs[0]`` matrices fit in one stack; ValueError
-    otherwise, or if the matrices differ in shape or in operand (dense or
-    CSR) or the seeds do not pair up with them.
-    """
-    Xs = [_canonical(X) for X in Xs]
-    if not Xs or len(seeds) != len(Xs):
-        raise ValueError(f"{len(Xs)} matrices but {len(seeds)} seeds")
-    m, n = Xs[0].shape
+def _next_stack(
+    Xs: Iterator, k: int, config: NmfConfig, seeds: list[int], done: int
+) -> list[FactorPair]:
+    """Take the stack that starts at member ``done`` from the iterator Xs
+    and solve it.  Only this call refers to the stack's matrices, so they
+    are freed when it returns."""
+    stack = []
+    for X in Xs:
+        stack.append(_canonical(X))
+        m, n = stack[0].shape
+        size = max(1, _STACK_CELLS // (m * n)) if _dense_operand(stack[0]) else 1
+        if len(stack) == min(size, len(seeds) - done):
+            break
+    else:
+        raise ValueError(f"{done + len(stack)} matrices but {len(seeds)} seeds")
     if not isinstance(k, (int, np.integer)) or k < 1 or k > min(m, n):
         raise InvalidRank(f"rank {k} outside [1, {min(m, n)}] for shape {(m, n)}")
-    for X in Xs:
+    for X in stack:
         _check_nonnegative(X.data, "X")
-    if any(X.shape != (m, n) or _dense_operand(X) != _dense_operand(Xs[0]) for X in Xs):
+    if any(X.shape != (m, n) or _dense_operand(X) != _dense_operand(stack[0]) for X in stack):
         raise ValueError("stacked matrices must share their shape and operand")
-    if len(Xs) > stack_size(Xs[0]):
-        raise ValueError(f"{len(Xs)} matrices exceed a stack of {stack_size(Xs[0])}")
     Ws, Hs = [], []
-    for X, seed in zip(Xs, seeds):
+    for X, seed in zip(stack, seeds[done:]):
         rng = np.random.default_rng(seed)
         scale = float(X.sum()) / (m * n) / k
         Ws.append(rng.uniform(0.0, 1.0, size=(m, k)) * scale)
         Hs.append(rng.uniform(0.0, 1.0, size=(k, n)) * scale)
-    return _solve_stack(Xs, np.stack(Ws), np.stack(Hs), config, update_w=True)
+    return _solve_stack(stack, np.stack(Ws), np.stack(Hs), config, update_w=True)
+
+
+def nmf_stack(Xs: Iterable, k: int, config: NmfConfig, seeds: list[int]) -> Iterator[FactorPair]:
+    """Factorize equally shaped non-negative matrices at rank k in stacks
+    (see the module docstring), every member with ``config``'s ``max_iter``
+    and ``tol``, member i initialized from ``seeds[i]``; yields each
+    member's FactorPair in order, equal bit for bit to
+    ``nmf(Xs[i], k, replace(config, seed=seeds[i]))``.
+
+    Raises as :func:`nmf`, and ValueError if the members of one stack differ
+    in shape or operand (dense or CSR) or the matrices and seeds do not pair
+    up.
+    """
+    Xs, seeds = iter(Xs), list(seeds)
+    done = 0
+    while done < len(seeds):
+        for pair in _next_stack(Xs, k, config, seeds, done):
+            done += 1
+            yield pair
+    extra = sum(1 for _ in Xs)
+    if extra or not seeds:
+        raise ValueError(f"{done + extra} matrices but {len(seeds)} seeds")
 
 
 def nmf(X, k: int, config: NmfConfig | None = None) -> FactorPair:
@@ -317,7 +321,7 @@ def nmf(X, k: int, config: NmfConfig | None = None) -> FactorPair:
     NonNegativityViolation if X has negative or non-finite entries.
     """
     config = config or NmfConfig()
-    return nmf_stack([X], k, config, [config.seed])[0]
+    return next(nmf_stack([X], k, config, [config.seed]))
 
 
 def solve_h(X, W: np.ndarray, config: NmfConfig | None = None) -> np.ndarray:

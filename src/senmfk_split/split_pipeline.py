@@ -35,7 +35,6 @@ from scipy import sparse
 from .errors import (
     DataError,
     DegenerateBasis,
-    NonNegativityViolation,
     PipelineStageError,
     SenmfkError,
     ShapeMismatch,
@@ -43,6 +42,7 @@ from .errors import (
 from .manifest import RunManifest, sha256_file, sha256_text
 from .matrix_builder import (
     SemanticConfig,
+    _check_nonnegative,
     build_tfidf,
     cooccurrence_triangle,
     map_term_ids,
@@ -192,8 +192,7 @@ def joint_factorize(Wcat: np.ndarray, selection: SelectionConfig) -> Factors:
     Wcat = np.asarray(Wcat, dtype=np.float64)
     if Wcat.ndim != 2:
         raise ShapeMismatch("Wcat must be 2-D")
-    if not np.isfinite(Wcat).all() or Wcat.min() < 0:
-        raise NonNegativityViolation("Wcat must be non-negative and finite")
+    _check_nonnegative(Wcat, "Wcat")
     k_max = min(selection.k_max, min(Wcat.shape))
     selection = replace(selection, k_min=min(selection.k_min, k_max), k_max=k_max)
     return _factorize(sparse.csr_matrix(Wcat), selection)

@@ -84,8 +84,6 @@ def write_dense(mat: np.ndarray, path: str | Path) -> None:
     """MatrixMarket array file, always ``general``: scipy would otherwise
     store a symmetric array below 100 x 100 as one triangle."""
     arr = np.asarray(mat, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
     with atomic_path(path) as tmp:
         scipy_io.mmwrite(str(tmp), arr, precision=_PRECISION, symmetry="general")
 

@@ -13,6 +13,7 @@ from senmfk_split import split_pipeline, storage, text_pipeline
 from senmfk_split.cli import main, parse_config_file
 from senmfk_split.errors import NumericalError
 from senmfk_split.manifest import RunManifest, sha256_file
+from senmfk_split.model_selection import child_seed
 from senmfk_split.text_pipeline import load_jsonl_corpus
 
 
@@ -105,6 +106,28 @@ class TestExitCodes:
                      "--kx-min", "5", "--kx-max", "2"])
         assert code == 1
         assert "k_min <= k_max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("delta", "1.5"), ("delta", "nan"), ("delta", "-0.1"), ("tol", "nan"), ("tol", "inf"),
+         ("tol", "0")],
+    )
+    def test_bad_solver_setting_stops_before_any_stage(
+        self, corpus_file, tmp_path, capsys, flag, value
+    ):
+        # a bad --delta used to fail in factorize_x, after two stages of
+        # work; a NaN --tol used to run every fit to --max-iter
+        path, _ = corpus_file
+        ws = tmp_path / "ws"
+        assert main(["run", str(path), "--workspace", str(ws), f"--{flag}", value]) == 1
+        assert f"{flag} must be" in capsys.readouterr().err
+        assert not (ws / "corpus.jsonl").exists()
+
+    def test_joint_bound_without_its_pair_is_usage_error(self, corpus_file, tmp_path, capsys):
+        path, _ = corpus_file
+        for flag in ("--kj-min", "--kj-max"):
+            assert main(["run", str(path), "--workspace", str(tmp_path / "ws"), flag, "3"]) == 1
+            assert "set both --kj-min and --kj-max or neither" in capsys.readouterr().err
 
     def test_undecodable_config_is_data_error(self, corpus_file, tmp_path, capsys):
         path, _ = corpus_file
@@ -320,6 +343,40 @@ class TestRun:
         for name in before:
             if name != "manifest.json":
                 assert before[name] == after[name], name
+
+    def test_resume_recomputes_stages_whose_outputs_changed(self, corpus_file, tmp_path):
+        path, _ = corpus_file
+        ws = tmp_path / "ws"
+        assert main(["run", str(path), "--workspace", str(ws)] + RUN_FLAGS) == 0
+        before = {p.name: p.read_bytes() for p in ws.iterdir() if p.name != "manifest.json"}
+        lines = before["W2.mtx"].decode("ascii").splitlines()
+        lines[-1] = repr(float(lines[-1]) + 1.0)
+        (ws / "W2.mtx").write_text("\n".join(lines) + "\n", "ascii")
+        (ws / "H1.mtx").unlink()
+        assert main(["run", str(path), "--workspace", str(ws), "--resume"] + RUN_FLAGS) == 0
+        stages = RunManifest.load(ws / "manifest.json").stages
+        assert {name: rec.resumed for name, rec in stages.items()} == {
+            "preprocess": True,
+            "matrices": True,
+            "factorize_x": False,
+            "factorize_m": False,
+            "joint": True,
+            "regression": True,
+            "export": True,
+        }
+        for name, data in before.items():
+            assert (ws / name).read_bytes() == data, name
+
+    def test_explicit_joint_range_and_seed_recorded(self, corpus_file, tmp_path):
+        # the explicit range's seed is keyed on --seed; the derived one on
+        # the X side's seed
+        path, _ = corpus_file
+        ws = tmp_path / "ws"
+        joint = ["--kj-min", "2", "--kj-max", "4"]
+        assert main(["run", str(path), "--workspace", str(ws)] + joint + RUN_FLAGS) == 0
+        params = RunManifest.load(ws / "manifest.json").stages["joint"].params
+        assert (params["k_min"], params["k_max"]) == (2, 4)
+        assert params["seed"] == child_seed(11, 3) != child_seed(child_seed(11, 1), 3)
 
     def test_resume_keeps_zero_column_note(self, corpus_file, tmp_path, monkeypatch, capsys):
         # preprocess drops documents with no in-vocabulary terms, so an

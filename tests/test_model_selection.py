@@ -1,5 +1,8 @@
 """Constrained column clustering, silhouettes, and the rank scan."""
 
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from oracles import block_topic_matrix, separated_topics_problem, silhouette_oracle
-from senmfk_split import nmf_core
+from senmfk_split import model_selection, nmf_core
 from senmfk_split.errors import DegenerateMatrix, InvalidRank, ShapeMismatch
 from senmfk_split.model_selection import (
     SelectionConfig,
@@ -281,7 +284,8 @@ class TestNmfk:
 
 
 class TestEnsembleStacks:
-    """Each rank's members are solved in stacks of ``nmf_core.stack_size``."""
+    """Each rank's members are solved in the stacks that ``nmf_core.nmf_stack``
+    sizes."""
 
     CONFIG = SelectionConfig(
         k_min=2, k_max=4, n_perturbations=4, nmf=NmfConfig(max_iter=120, tol=1e-8, seed=3)
@@ -325,6 +329,31 @@ class TestEnsembleStacks:
         nmfk(sparse.csr_matrix(X), SelectionConfig(k_min=2, k_max=2, n_perturbations=2))
         assert sizes == stacks
 
+    @pytest.mark.parametrize(
+        "stride, stack_cells, stack",
+        [
+            (5, 1 << 17, 1),  # density 1/5, a CSR operand: one copy at a time
+            (1, 300, 2),  # 12 x 12 dense members, two to a stack: 2 + 2 + 1
+        ],
+    )
+    def test_one_stack_of_copies_alive(self, rng, monkeypatch, stride, stack_cells, stack):
+        X = self.problem(rng).toarray()
+        X.flat[np.arange(X.size) % stride != 0] = 0.0
+        refs, alive = [], []
+        draw = model_selection.perturb
+
+        def spy(*args, **kwargs):
+            copy = draw(*args, **kwargs)
+            refs.append(weakref.ref(copy))
+            alive.append(sum(ref() is not None for ref in refs))
+            return copy
+
+        monkeypatch.setattr(nmf_core, "_STACK_CELLS", stack_cells)
+        monkeypatch.setattr(model_selection, "perturb", spy)
+        nmfk(sparse.csr_matrix(X), replace(self.CONFIG, n_perturbations=5))
+        assert len(alive) == 3 * 5
+        assert max(alive) == stack
+
 
 class TestSelectionConfigValidation:
     def test_defaults(self):
@@ -340,6 +369,10 @@ class TestSelectionConfigValidation:
             {"k_min": 4, "k_max": 3},
             {"k_min": 1, "k_max": 2, "n_perturbations": 1},
             {"k_min": 1, "k_max": 2, "silhouette_threshold": 1.5},
+            {"k_min": 1, "k_max": 2, "delta": 1.5},
+            {"k_min": 1, "k_max": 2, "delta": 1.0},
+            {"k_min": 1, "k_max": 2, "delta": -0.01},
+            {"k_min": 1, "k_max": 2, "delta": float("nan")},
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -28,7 +28,6 @@ from senmfk_split.nmf_core import (
     perturb,
     relative_error,
     solve_h,
-    stack_size,
 )
 
 
@@ -354,6 +353,20 @@ class TestUpdateLoop:
         assert max(pair.objective_trace) < 1e-12
 
 
+@pytest.fixture
+def stack_sizes(monkeypatch):
+    """The number of members of every stacked solve, in order."""
+    sizes = []
+    solve = nmf_core._solve_stack
+
+    def spy(Xs, *args, **kwargs):
+        sizes.append(len(Xs))
+        return solve(Xs, *args, **kwargs)
+
+    monkeypatch.setattr(nmf_core, "_solve_stack", spy)
+    return sizes
+
+
 class TestStack:
     """The stacked solve against the one-member reference loop, exactly."""
 
@@ -373,22 +386,32 @@ class TestStack:
         h = rng.uniform(0.5, 1.5, (1, 24))
         Xs = [random_nonneg(rng, 30, 24), sparse.csr_matrix(w @ h), random_nonneg(rng, 30, 24)]
         configs = [NmfConfig(seed=s, max_iter=150, tol=1e-15) for s in (1, 2, 3)]
-        pairs = nmf_stack(Xs, 2, configs[0], [c.seed for c in configs])
+        pairs = list(nmf_stack(Xs, 2, configs[0], [c.seed for c in configs]))
         assert pairs[1].trace_iterations[-1] < 150
         assert pairs[0].trace_iterations[-1] == pairs[2].trace_iterations[-1] == 150
         for Xj, config, pair in zip(Xs, configs, pairs):
             assert_same_pair(pair, reference_nmf(Xj, 2, config))
 
-    def test_csr_member(self, rng):
+    def test_csr_member(self, rng, stack_sizes):
+        # CSR members run one at a time, each taken from Xs when it starts
+        Xs = [random_nonneg(rng, 40, 30, density=0.1) for _ in range(2)]
+        configs = [NmfConfig(seed=s, max_iter=80, tol=1e-12) for s in (4, 5)]
+        drawn = []
+        stream = nmf_stack((drawn.append(X) or X for X in Xs), 4, configs[0], [4, 5])
+        pairs = [next(stream)]
+        assert len(drawn) == 1
+        pairs += stream
+        assert stack_sizes == [1, 1]
+        for X, config, pair in zip(Xs, configs, pairs, strict=True):
+            assert_same_pair(pair, reference_nmf(X, 4, config))
+            assert_same_pair(pair, nmf(X, 4, config))
+
+    @pytest.mark.parametrize("members, seeds", [(1, 2), (2, 1), (0, 0)])
+    def test_seeds_must_pair_with_matrices(self, rng, members, seeds):
         X = random_nonneg(rng, 40, 30, density=0.1)
-        config = NmfConfig(seed=4, max_iter=80, tol=1e-12)
-        assert stack_size(X) == 1
-        (pair,) = nmf_stack([X], 4, config, [config.seed])
-        assert_same_pair(pair, reference_nmf(X, 4, config))
-        with pytest.raises(ValueError):
-            nmf_stack([X, X], 4, config, [config.seed, config.seed])
-        with pytest.raises(ValueError, match="1 matrices but 2 seeds"):
-            nmf_stack([X], 4, config, [config.seed, config.seed])
+        config = NmfConfig(seed=4, max_iter=20)
+        with pytest.raises(ValueError, match=f"{members} matrices but {seeds} seeds"):
+            list(nmf_stack([X] * members, 4, config, [4] * seeds))
 
     @pytest.mark.parametrize("density", [1.0, 0.1])
     def test_solve_h_equals_reference(self, rng, density):
@@ -399,13 +422,15 @@ class TestStack:
         ref = reference_updates(canonicalize(X), W.copy(), H0, config, update_w=False)
         assert np.array_equal(solve_h(X, W, config), ref.H)
 
-    def test_stack_size_from_stack_cells(self, rng, monkeypatch):
+    def test_stack_size_from_stack_cells(self, rng, monkeypatch, stack_sizes):
+        # two 20 x 24 members fit in 1000 cells, so three run as 2 + 1
         monkeypatch.setattr(nmf_core, "_STACK_CELLS", 1000)
-        assert stack_size(random_nonneg(rng, 20, 24)) == 2
-        assert stack_size(random_nonneg(rng, 40, 30)) == 1
-        assert stack_size(random_nonneg(rng, 4, 5, density=0.1)) == 1
-        with pytest.raises(ValueError):
-            nmf_stack([random_nonneg(rng, 20, 24)] * 3, 2, NmfConfig(), [42] * 3)
+        Xs = [random_nonneg(rng, 20, 24) for _ in range(3)]
+        configs = [NmfConfig(seed=s, max_iter=60, tol=1e-9) for s in (5, 6, 7)]
+        pairs = list(nmf_stack(Xs, 2, configs[0], [c.seed for c in configs]))
+        assert stack_sizes == [2, 1]
+        for X, config, pair in zip(Xs, configs, pairs, strict=True):
+            assert_same_pair(pair, reference_nmf(X, 2, config))
 
 
 class TestGramResidual:
@@ -513,7 +538,18 @@ class TestNmfConfigValidation:
         cfg = NmfConfig()
         assert cfg.max_iter == 1000 and cfg.tol == 1e-6
 
-    @pytest.mark.parametrize("kwargs", [{"max_iter": 0}, {"tol": 0.0}])
+    # a NaN tol made every stopping test false, so fits ran to max_iter;
+    # an infinite one would stop every fit at iteration 20
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_iter": 0},
+            {"tol": 0.0},
+            {"tol": float("nan")},
+            {"tol": float("inf")},
+            {"tol": -1.0},
+        ],
+    )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             NmfConfig(**kwargs)

@@ -71,17 +71,19 @@ class TestStdout:
 
         monkeypatch.setattr(cli, "main", fake_main)
         monkeypatch.setattr(split_pipeline, "run_split", lambda *args: None)
-        inputs = {"dir": str(out.parent), "run_flags": [], "new_m_range": [], "zipf_args": []}
+        inputs = dict.fromkeys(("run_flags", "new_m_range", "zipf_args", "topics_args"), [])
+        inputs["dir"] = str(out.parent)
         run_fixtures(inputs, out)
 
     def test_each_fixture_stdout_recorded(self, tmp_path, monkeypatch):
         self.fixtures_printing(monkeypatch, tmp_path / "base", "k=3; 120 documents")
         stdout = tmp_path / "base" / "stdout"
         assert sorted(p.name for p in stdout.iterdir()) == [
-            "cli.txt", "partial.txt", "stages.txt", "zipf.txt"
+            "cli.txt", "partial.txt", "stages.txt", "topics.txt", "zipf.txt"
         ]
         text = "run -> <workspace>\nk=3; 120 documents -> <workspace>\n"
         assert (stdout / "cli.txt").read_text("utf-8") == text
+        assert (stdout / "topics.txt").read_text("utf-8") == text
         assert (stdout / "stages.txt").read_text("utf-8") == (
             "preprocess -> <workspace>\nmatrices -> <workspace>\n"
         )

@@ -5,9 +5,10 @@
 The revision is exported with ``git archive REV | tar -x`` into a temporary
 directory (no worktree, no change under ``.git``).  The inputs are built
 once, from the working tree: the corpus of the CLI tests
-(``test_cli.write_corpus`` with the seed of the tests' ``rng`` fixture) and a
-Zipf corpus from ``perfbench/inputs.py``.  Then each side runs every fixture
-below in its own Python process, with its own ``src`` first on the path:
+(``test_cli.write_corpus`` with the seed of the tests' ``rng`` fixture), and
+a Zipf corpus and a topic corpus from ``perfbench/inputs.py``.  Then each
+side runs every fixture below in its own Python process, with its own
+``src`` first on the path:
 
     cli     ``senmfk run`` with ``test_cli.RUN_FLAGS``, then ``run --resume``
     partial the same ``run``, then ``run --resume`` with ``test_cli.NEW_M_RANGE``
@@ -16,6 +17,8 @@ below in its own Python process, with its own ``src`` first on the path:
     split   ``run_split`` of the same corpus with ``small_split_config(seed=3)``
     stages  ``senmfk preprocess``, then ``senmfk matrices --shift 1``
     zipf    a Zipf-corpus ``senmfk run`` with ``ZIPF_ARGS``, then ``--resume``
+    topics  a topic-corpus ``senmfk run`` with ``TOPICS_ARGS`` (an explicit
+            merge range), then ``--resume``
 
 Every file of every fixture is reported as ``identical`` or by the largest
 relative difference of its numbers; ``manifest.json`` is compared with its
@@ -42,6 +45,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 ZIPF_SEED = 9500  # the Zipf corpus of the ``zipf`` fixture
+TOPICS_SEED = 9600  # the topic corpus of the ``topics`` fixture
 # A number in a text artifact; everything between numbers must match exactly.
 _NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 _ABSENT = object()  # a key that one manifest lacks
@@ -58,11 +62,13 @@ def build_inputs(out: Path) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     test_cli.write_corpus(np.random.default_rng(RNG_SEED), out / "cli.jsonl")
     workloads.inputs.write_zipf_corpus(ZIPF_SEED, out / "zipf.jsonl", workloads.stopwords())
+    workloads.inputs.write_topics_corpus(TOPICS_SEED, out / "topics.jsonl")
     return {
         "dir": str(out),
         "run_flags": test_cli.RUN_FLAGS,
         "new_m_range": test_cli.NEW_M_RANGE,
         "zipf_args": workloads.ZIPF_ARGS,
+        "topics_args": workloads.TOPICS_ARGS,
     }
 
 
@@ -85,6 +91,7 @@ def run_fixtures(inputs: dict, out: Path) -> None:
         ],
         "stages": [["preprocess", str(src / "cli.jsonl")], ["matrices", "--shift", "1"]],
         "zipf": [["run", str(src / "zipf.jsonl")] + zipf] * 2,
+        "topics": [["run", str(src / "topics.jsonl")] + inputs["topics_args"]] * 2,
     }
     for fixture, commands in runs.items():
         ws = out / fixture
