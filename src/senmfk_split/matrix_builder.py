@@ -12,9 +12,11 @@ lower triangle L, diagonal included, from counting to the files:
 the triangle of M, and :func:`mirror_triangle` gives a full matrix.  The
 exported :func:`build_cooccurrence` and :func:`sppmi` return full matrices.
 Memory stays bounded by the inputs and outputs, not by the number of token
-pairs: counting walks the in-vocabulary tokens one offset at a time and
-counts at most about ``_PAIR_BUDGET`` term pairs at once into L, so its peak
-is O(tokens + nnz + _PAIR_BUDGET) rather than O(tokens * window); SPPMI
+pairs: counting walks the in-vocabulary tokens one offset at a time, writes
+each pair's key into one buffer (uint32 keys while the m * m keys fit, int64
+beyond), and whenever about ``_PAIR_BUDGET`` keys are held sorts them in
+place and adds their counts to L, so its peak is
+O(tokens + nnz + _PAIR_BUDGET) rather than O(tokens * window); SPPMI
 reads a canonical input's CSR arrays in row blocks of as many entries and
 keeps only the nonzero values.
 """
@@ -32,8 +34,8 @@ from scipy import sparse
 from .errors import DegenerateMatrix, DimensionMismatch, EmptyColumn, NonNegativityViolation
 from .text_pipeline import Corpus, Vocabulary
 
-# int64 pair keys cooccurrence_triangle holds before it counts them (8 MB at
-# 2**20), and the stored entries of one row block of sppmi
+# pair keys cooccurrence_triangle holds before it counts them (4 MB of uint32
+# keys at 2**20), and the stored entries of one row block of sppmi
 _PAIR_BUDGET = 1 << 20
 # A corpus mapped to term ids: every token's id (-1 out of vocabulary) in
 # corpus order, and each document's token count.
@@ -159,9 +161,10 @@ def cooccurrence_triangle(
     qualifies.  Offset d pairs kept token t with kept
     token t + d wherever their positions differ by less than ``window``;
     the gaps only widen as d grows, so the scan stops at the first d with
-    no pair.  Terms a, b pair as one int64 key ``max(a, b) * m + min(a, b)``;
-    whenever _PAIR_BUDGET keys are held they are counted and added to the
-    running matrix, which is L itself, so memory is
+    no pair.  Terms a, b pair as one key ``max(a, b) * m + min(a, b)``,
+    uint32 while m <= 65,536 and int64 beyond, written into one buffer;
+    whenever _PAIR_BUDGET keys are held they are sorted in place, counted
+    and added to the running matrix, which is L itself, so memory is
     O(tokens + nnz + _PAIR_BUDGET) rather than O(tokens * window).
     ``term_ids`` is ``map_term_ids(corpus, vocab.index_of)`` when the caller
     already holds it.
@@ -173,22 +176,33 @@ def cooccurrence_triangle(
     window = min(config.window, int(lengths.max(initial=0)))
     pos = np.arange(ids.size) + np.repeat(np.arange(lengths.size) * window, lengths)
     known = ids >= 0
-    ids, pos = ids[known], pos[known]
+    # the largest key, m * m - 1, fits uint32 up to m = 65,536
+    key_type = np.uint32 if m * m <= 2**32 else np.int64
+    ids, pos = ids.astype(key_type, copy=False)[known], pos[known]
     lower = sparse.csr_matrix((m, m), dtype=np.float64)
-    keys: list[np.ndarray] = []
-    held = 0
+    # a batch ends at the offset that takes it to _PAIR_BUDGET keys, and no
+    # offset pairs more than ids.size tokens
+    keys, held = np.empty(_PAIR_BUDGET + ids.size, dtype=key_type), 0
     for d in range(1, ids.size):
         near = pos[d:] - pos[:-d] < window
         if not near.any():
             break
         a, b = ids[:-d][near], ids[d:][near]
-        keys.append(np.maximum(a, b) * m + np.minimum(a, b))
-        held += keys[-1].size
+        batch = slice(held, held + a.size)  # a view would keep the keys alive
+        np.maximum(a, b, out=keys[batch])
+        keys[batch] *= m
+        keys[batch] += np.minimum(a, b, out=a)
+        held += a.size
         if held >= _PAIR_BUDGET:
-            lower = lower + _count_keys(keys, m)
-            keys, held = [], 0
+            lower = lower + _count_keys(keys[:held], m)
+            held = 0
     if held:
-        lower = lower + _count_keys(keys, m)
+        lower = lower + _count_keys(keys[:held], m)
+    del keys
+    # scipy's sum leaves data and indices as views on buffers sized for both
+    # operands; copies hold only the entries, and with the keys and the
+    # operands gone they stay below the last sum's peak
+    lower.data, lower.indices = lower.data.copy(), lower.indices.copy()
     # counts are whole numbers, exact in float64, so the order in which the
     # pairs were reduced changes no value; a same-term pair is both (i, i)
     # and its mirror in C, so it counts twice on the diagonal, which is the
@@ -205,16 +219,20 @@ def mirror_triangle(lower: sparse.csr_matrix) -> sparse.csr_matrix:
     return _canonical(lower + sparse.triu(lower.T, 1, format="csr"))
 
 
-def _count_keys(keys: list[np.ndarray], m: int) -> sparse.csr_matrix:
-    """The m x m matrix counting every pair key ``row * m + col`` in ``keys``."""
-    flat = np.concatenate(keys)
-    flat.sort()  # in place: np.unique would sort a copy
-    starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
-    unique, size = flat[starts], flat.size
-    del flat  # each temporary goes at its last use: the peak of counting
-    counts = np.diff(starts, append=size)
+def _count_keys(keys: np.ndarray, m: int) -> sparse.csr_matrix:
+    """The m x m matrix counting every pair key ``row * m + col`` in
+    ``keys``, which it sorts in place."""
+    keys.sort()
+    new = np.empty(keys.size, dtype=bool)  # where a run of equal keys starts
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    del new  # each temporary goes at its last use: the peak of counting
+    unique = keys[starts]
+    counts = np.diff(starts, append=keys.size)
     del starts
-    indptr = np.searchsorted(unique, np.arange(m + 1) * m)
+    # int64: the last boundary, m * m, passes uint32 at m = 65,536
+    indptr = np.searchsorted(unique, np.arange(m + 1, dtype=np.int64) * m)
     return sparse.csr_matrix((counts.astype(np.float64), unique % m, indptr), shape=(m, m))
 
 

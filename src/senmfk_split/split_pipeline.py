@@ -96,6 +96,10 @@ class SplitConfig:
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     semantic: SemanticConfig = field(default_factory=SemanticConfig)
 
+    def __post_init__(self):
+        if self.top_n_words < 1:
+            raise ValueError(f"top_n_words must be >= 1, got {self.top_n_words}")
+
 
 @dataclass
 class TopicModel:

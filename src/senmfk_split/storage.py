@@ -44,11 +44,6 @@ _ASSIGNMENTS_HEADER = ["doc_id", "topic_id", "max_weight"]
 _HISTOGRAM_HEADER = ["topic_id", "count"]
 
 
-def _is_whole(values: np.ndarray) -> bool:
-    """True when every value is a whole number that int64 holds exactly."""
-    return bool(np.all(np.abs(values) < _EXACT_WHOLE) and np.all(np.trunc(values) == values))
-
-
 def write_sparse(mat, path: str | Path) -> None:
     """MatrixMarket coordinate file, ``general``, 1-based indices."""
     _write_coordinates(sparse.csr_matrix(mat).tocoo(), path, "general")
@@ -65,11 +60,17 @@ def write_symmetric(lower, path: str | Path) -> None:
 
 
 def _write_coordinates(coo: sparse.coo_matrix, path: str | Path, symmetry: str) -> None:
-    """``integer`` when the values are all whole, ``real`` otherwise: scipy
-    would truncate floats in the integer field unchecked."""
-    whole = _is_whole(coo.data)
-    if whole:  # int64, the type scipy writes integers from, so it copies none
-        coo.data = coo.data.astype(np.int64)
+    """``integer`` when every value is a whole number that int64 holds
+    exactly, ``real`` otherwise: scipy would truncate floats in the integer
+    field unchecked.  The check makes no float copy: the range first (NaN
+    fails it), then the int64 copy scipy writes integers from."""
+    values = coo.data
+    whole = not values.size or -_EXACT_WHOLE < values.min() <= values.max() < _EXACT_WHOLE
+    if whole:
+        ints = values.astype(np.int64)
+        whole = np.array_equal(ints, values)
+        if whole:
+            coo.data = ints
     with atomic_path(path) as tmp:
         scipy_io.mmwrite(
             str(tmp),

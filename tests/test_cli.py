@@ -123,6 +123,17 @@ class TestExitCodes:
         assert f"{flag} must be" in capsys.readouterr().err
         assert not (ws / "corpus.jsonl").exists()
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_top_n_words_below_one_stops_before_any_stage(
+        self, corpus_file, tmp_path, capsys, value
+    ):
+        # 0 used to write empty topic lists, and -1 every term but one
+        path, _ = corpus_file
+        ws = tmp_path / "ws"
+        assert main(["run", str(path), "--workspace", str(ws), "--top-n-words", value]) == 1
+        assert "top_n_words must be >= 1" in capsys.readouterr().err
+        assert not (ws / "corpus.jsonl").exists()
+
     def test_joint_bound_without_its_pair_is_usage_error(self, corpus_file, tmp_path, capsys):
         path, _ = corpus_file
         for flag in ("--kj-min", "--kj-max"):

@@ -236,16 +236,77 @@ class TestCooccurrence:
 
     def test_triangle_peak_bounded(self):
         # the running matrix is the triangle itself, and counting frees each
-        # temporary at its last use: 2.09 times the full matrix's CSR bytes
-        # here; counting a triangle and summing it with its transpose takes
-        # 2.61
+        # temporary at its last use: 1.75 times the full matrix's CSR bytes
+        # here (2.09 with a list of int64 keys per batch and a concatenated
+        # copy of it); counting a triangle and summing it with its
+        # transpose takes 2.61
         corpus, vocab = zipf_corpus()
         C = build_cooccurrence(corpus, vocab, SemanticConfig(window=100))
         L, peak, _ = traced_peak(
             lambda: cooccurrence_triangle(corpus, vocab, SemanticConfig(window=100))
         )
         assert_same_csr(L, sparse.tril(C, format="csr"))
-        assert peak <= 2.3 * csr_bytes(C)
+        assert peak <= 2.0 * csr_bytes(C)
+
+    def test_triangle_owns_exact_size_arrays(self):
+        # each batch is summed into the running matrix, and scipy's sum
+        # sizes its buffers for both operands: 713,389 slots for 586,092
+        # entries here, held for as long as the triangle
+        corpus, vocab = zipf_corpus()
+        L = cooccurrence_triangle(corpus, vocab, SemanticConfig(window=100))
+        for arr in (L.data, L.indices):
+            owner = arr if arr.base is None else arr.base
+            assert owner.nbytes == arr.nbytes == L.nnz * arr.itemsize
+
+    def test_key_transient_bounded(self):
+        # 450 documents of 60 tokens over 90 terms: 796,500 pairs, counted
+        # as one batch of uint32 keys sorted in place (5.3 MiB traced);
+        # int64 keys kept per offset and concatenated took 14.2 MiB
+        rng = np.random.default_rng(18)
+        terms = [f"t{i:02d}" for i in range(90)]
+        docs = [[terms[i] for i in rng.integers(0, 90, 60)] for _ in range(450)]
+        corpus, vocab = corpus_of(*docs), vocab_of(*terms)
+        L, peak, _ = traced_peak(
+            lambda: cooccurrence_triangle(corpus, vocab, SemanticConfig(window=100))
+        )
+        assert mirror_triangle(L).sum() == 2 * 450 * (60 * 59 // 2)
+        assert peak < 8e6
+
+    @pytest.mark.parametrize("m, key_type", [(65_536, np.uint32), (65_537, np.int64)])
+    def test_key_width_boundary(self, m, key_type):
+        # the last terms of the vocabulary, term m - 1 paired with itself
+        # included: at m = 65,536 its key is 2**32 - 1, the largest uint32
+        used = [0, 1, 2, m - 3, m - 2, m - 1]
+        terms = [f"w{i:05d}" for i in range(m)]
+        docs = [
+            [terms[i] for i in (m - 1, m - 1, 0, m - 2, 2, m - 1)],
+            [terms[i] for i in (1, m - 3, m - 1, 1, 0)],
+        ]
+        small = {terms[i]: f"s{j}" for j, i in enumerate(used)}
+        expected = cooccurrence_triangle(
+            corpus_of(*([small[t] for t in doc] for doc in docs)),
+            vocab_of(*small.values()),
+            SemanticConfig(window=4),
+        )
+        seen = []
+
+        def spy(keys, width):
+            seen.append((keys.dtype, int(keys.max())))
+            return count_keys(keys, width)
+
+        count_keys = matrix_builder._count_keys
+        with mock.patch.object(matrix_builder, "_count_keys", spy):
+            L = cooccurrence_triangle(corpus_of(*docs), vocab_of(*terms), SemanticConfig(window=4))
+        assert seen == [(key_type, m * m - 1)]
+        # relabel the big triangle's entries onto the small vocabulary (a
+        # KeyError if any lies elsewhere); the order is kept, so the CSR
+        # arrays must be the same
+        coo = L.tocoo()
+        relabel = {i: j for j, i in enumerate(used)}
+        rows, cols = ([relabel[i] for i in idx] for idx in (coo.row, coo.col))
+        shrunk = sparse.csr_matrix((coo.data, (rows, cols)), shape=expected.shape)
+        assert_same_csr(shrunk, expected)
+        assert L.shape == (m, m) and L.has_canonical_format
 
     def test_peak_within_three_outputs(self):
         # the running matrix holds each term pair once, and its sum with
@@ -267,19 +328,20 @@ def count_keys_reference(keys, m):
 class TestCountKeys:
     @pytest.mark.parametrize("m", [1, 2, 9, 300])
     def test_matches_unique_reference(self, rng, m):
-        # few distinct keys among many, in pieces of random sizes, one empty
-        for _ in range(5):
-            pool = rng.integers(0, m * m, size=int(rng.integers(1, 40)))
+        # few distinct keys among many, in pieces of random sizes, one empty,
+        # counted from one array of either key type, which is sorted in place
+        for key_type in (np.int64, np.uint32) * 5:
+            pool = rng.integers(0, m * m, size=int(rng.integers(1, 40))).astype(key_type)
             keys = [pool[rng.integers(0, pool.size, size=n)] for n in (0, *rng.integers(1, 200, 3))]
-            before = [k.copy() for k in keys]
-            out, expected = matrix_builder._count_keys(keys, m), count_keys_reference(keys, m)
+            flat = np.concatenate(keys)
+            out, expected = matrix_builder._count_keys(flat, m), count_keys_reference(keys, m)
             assert_same_csr(out, expected)
             assert (out.indices.dtype, out.indptr.dtype) == (
                 expected.indices.dtype,
                 expected.indptr.dtype,
             )
-            for k, b in zip(keys, before):
-                np.testing.assert_array_equal(k, b)
+            assert flat.dtype == key_type
+            np.testing.assert_array_equal(flat, np.sort(np.concatenate(keys)))
 
 
 def symmetric_counts(data, max_terms=6):

@@ -119,6 +119,28 @@ class TestMatrixMarket:
             assert path.read_text().splitlines()[0] == "%%MatrixMarket matrix coordinate real general"
             assert_same_csr(storage.read_sparse(path), A)
 
+    @pytest.mark.parametrize(
+        "value, field",
+        [
+            (np.nan, "real"),
+            (np.inf, "real"),
+            (-np.inf, "real"),
+            (2.0**53 - 1, "integer"),
+            (-(2.0**53 - 1), "integer"),
+            (-(2.0**53), "real"),
+        ],
+    )
+    def test_field_at_the_edges_of_whole(self, tmp_path, value, field):
+        # NaN and the infinities are not whole numbers; the largest whole
+        # values below 2**53, of either sign, are exact in int64 and float64
+        A = sparse.csr_matrix((np.array([1.0, value]), [0, 0], [0, 1, 2]), shape=(2, 2))
+        path = tmp_path / "A.mtx"
+        storage.write_sparse(A, path)
+        assert path.read_text().splitlines()[0] == f"%%MatrixMarket matrix coordinate {field} general"
+        assert_same_csr(storage.read_sparse(path), A)
+        storage.write_symmetric(A, path)
+        assert path.read_text().splitlines()[0] == f"%%MatrixMarket matrix coordinate {field} symmetric"
+
     def test_float64_exact_roundtrip(self, tmp_path):
         # 17 significant digits must reproduce doubles bit for bit
         vals = np.array([[1.0 / 3.0, np.pi], [1e-300, 1.2345678901234567]])
