@@ -83,6 +83,15 @@ class TestClusterColumns:
         for c in range(k):
             assert labels[1][c] == labels[0][perm[c]]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_invalid_similarity_raises(self, rng, bad):
+        # a NaN column gives NaN similarities, an inf entry +inf ones (-inf
+        # once negated): neither has an assignment, as in scipy
+        sets = [unit_columns(rng, 6, 3) for _ in range(3)]
+        sets[1][2, 1] = bad
+        with pytest.raises(ValueError, match="invalid numeric entries"):
+            cluster_columns(sets)
+
     def test_column_permutation_leaves_clusters_unchanged_as_sets(self, rng):
         k, p = 4, 5
         sets = []
@@ -106,6 +115,61 @@ class TestClusterColumns:
         part_a = partition(labels_a, lambda s, c: c)
         part_b = partition(labels_b, lambda s, c: int(perms[s][c]))
         assert part_a == part_b
+
+
+def scipy_assignment(sim: np.ndarray) -> list[int]:
+    """The reference: scipy's column for each row of a maximizing assignment."""
+    from scipy.optimize import linear_sum_assignment
+
+    rows, cols = linear_sum_assignment(sim, maximize=True)
+    assert list(rows) == list(range(sim.shape[0]))
+    return [int(c) for c in cols]
+
+
+def similarity_case(kind: str, k: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return rng.uniform(-1.0, 1.0, (k, k))
+    if kind == "integer":  # many ties
+        return rng.integers(0, 3, (k, k)).astype(np.float64)
+    if kind == "constant":  # every assignment ties
+        return np.full((k, k), float(rng.integers(-2, 3)))
+    # cosines of unit columns, one of them dead: its row is all zero
+    columns = unit_columns(rng, 7, k)
+    columns[:, rng.integers(k)] = 0.0
+    return columns.T @ unit_columns(rng, 7, k)
+
+
+class TestExactAssignment:
+    """The in-repo solver returns exactly scipy's permutation, ties included."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        st.sampled_from(["uniform", "integer", "constant", "dead column"]),
+        st.integers(1, 12),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scipy_property(self, kind, k, seed):
+        sim = similarity_case(kind, k, seed)
+        expected = scipy_assignment(sim)
+        assert model_selection._assignment((-sim).tolist()) == expected
+        # through _match_columns: identity centroids reproduce sim exactly
+        perm = model_selection._match_columns(sim.T.copy(), np.eye(k))
+        assert perm.tolist() == expected
+
+    @pytest.mark.parametrize("kind", ["uniform", "integer", "dead column"])
+    def test_matches_scipy_at_forty(self, kind):
+        sim = similarity_case(kind, 40, 4040)
+        assert model_selection._assignment((-sim).tolist()) == scipy_assignment(sim)
+
+    def test_infeasible_raises(self):
+        # a row that no finite cost reaches has no assignment
+        cost = [[np.inf, np.inf], [0.0, 1.0]]
+        with pytest.raises(ValueError, match="infeasible"):
+            model_selection._assignment(cost)
+
+    def test_empty(self):
+        assert model_selection._assignment([]) == []
 
 
 class TestSilhouette:
