@@ -28,6 +28,25 @@ Sparser inputs stay CSR.  The dense copy (8 bytes per cell) can be up to
 of value plus 4 of column index per stored entry).  The transpose is taken
 once per solve: a view for an array, a CSC view (no copy) for CSR.
 
+A CSR operand that equals its transpose exactly, such as a symmetric
+perturbation of the word-context matrix M, takes the W step's ``X H^T`` as
+``X^T H^T`` through the CSC view too.  ``csc_matvecs`` adds the same
+products in the same order as ``csr_matvecs``, so the bits are equal, and
+it is the faster kernel.  Median of interleaved calls (60 at 1x, 20 at
+10x) on the same machine, with M of the benchmark's Zipf corpus (2,770
+terms) and of ten times that corpus (19,403 terms):
+
+    ========= ==== ========= ==========
+    M nnz      k    CSR       CSC view
+    ========= ==== ========= ==========
+    575,796    2    2.17 ms   1.80 ms
+    575,796    3    2.30 ms   2.16 ms
+    575,796    8    3.80 ms   3.35 ms
+    6,945,187  2    25.7 ms   20.5 ms
+    6,945,187  3    27.6 ms   25.3 ms
+    6,945,187  8    52.7 ms   46.0 ms
+    ========= ==== ========= ==========
+
 :func:`nmf_stack` solves an ensemble, such as one rank's perturbed copies,
 in stacks: W (b, m, k), H (b, k, n) and every product one stacked matmul,
 so the ~12 numpy calls of an iteration are paid once per stack, and each
@@ -186,6 +205,7 @@ def _solve_stack(
     H: np.ndarray,
     config: NmfConfig,
     update_w: bool,
+    symmetric: bool = False,
 ) -> list[FactorPair]:
     """Multiplicative updates of the stacked factors W (b, m, k) and H
     (b, k, n) against b equally shaped matrices, W frozen unless
@@ -194,7 +214,10 @@ def _solve_stack(
     Every product is one stacked matmul over the members still running.
     Every 10 iterations, and at ``config.max_iter``, each member's error is
     checked alone, and a member that meets the stopping rule leaves the
-    stack.  A CSR operand is solved as a stack of one.
+    stack.  A CSR operand is solved as a stack of one; when ``symmetric``
+    (the caller vouches that it equals its transpose exactly) its W-step
+    product X H^T is taken as X^T H^T through the CSC view, like the H
+    step's X^T W (see the module docstring).
     """
     m, n = Xs[0].shape
     dense = _dense_operand(Xs[0])
@@ -206,6 +229,8 @@ def _solve_stack(
     else:
         (A,) = Xs
         AT = A.T
+    # the W step's X H^T: for X = X^T the CSC view's kernel is faster, same bits
+    AW = AT if symmetric and not dense else A
     norm_sq = [float((X.data**2).sum()) for X in Xs]
     live = list(range(len(Xs)))  # the member in each slot of the stack
     pairs: list[FactorPair | None] = [None] * len(Xs)
@@ -221,7 +246,7 @@ def _solve_stack(
         H *= wtx / (np.matmul(gram_w, H) + _EPSILON)
         if update_w:
             hht = np.matmul(H, H.transpose(0, 2, 1))
-            xht = _times(A, H.transpose(0, 2, 1))
+            xht = _times(AW, H.transpose(0, 2, 1))
             W *= xht / (np.matmul(W, hht) + _EPSILON)
             gram_w = np.matmul(W.transpose(0, 2, 1), W)
         if it % _TRACE_STRIDE and it != config.max_iter:
@@ -251,13 +276,13 @@ def _solve_stack(
             if xtw is not None:
                 xtw = xtw[keep]
             if dense:
-                A = A[keep]
+                A = AW = A[keep]
                 AT = A.transpose(0, 2, 1)
     return pairs
 
 
 def _next_stack(
-    Xs: Iterator, k: int, config: NmfConfig, seeds: list[int], done: int
+    Xs: Iterator, k: int, config: NmfConfig, seeds: list[int], done: int, symmetric: bool
 ) -> list[FactorPair]:
     """Take the stack that starts at member ``done`` from the iterator Xs
     and solve it.  Only this call refers to the stack's matrices, so they
@@ -283,15 +308,21 @@ def _next_stack(
         scale = float(X.sum()) / (m * n) / k
         Ws.append(rng.uniform(0.0, 1.0, size=(m, k)) * scale)
         Hs.append(rng.uniform(0.0, 1.0, size=(k, n)) * scale)
-    return _solve_stack(stack, np.stack(Ws), np.stack(Hs), config, update_w=True)
+    W, H = np.stack(Ws), np.stack(Hs)
+    return _solve_stack(stack, W, H, config, update_w=True, symmetric=symmetric)
 
 
-def nmf_stack(Xs: Iterable, k: int, config: NmfConfig, seeds: list[int]) -> Iterator[FactorPair]:
+def nmf_stack(
+    Xs: Iterable, k: int, config: NmfConfig, seeds: list[int], *, _symmetric: bool = False
+) -> Iterator[FactorPair]:
     """Factorize equally shaped non-negative matrices at rank k in stacks
     (see the module docstring), every member with ``config``'s ``max_iter``
     and ``tol``, member i initialized from ``seeds[i]``; yields each
     member's FactorPair in order, equal bit for bit to
     ``nmf(Xs[i], k, replace(config, seed=seeds[i]))``.
+
+    ``_symmetric`` is internal: :func:`model_selection.nmfk` sets it when
+    every member equals its transpose exactly, which is not checked here.
 
     Raises as :func:`nmf`, and ValueError if the members of one stack differ
     in shape or operand (dense or CSR) or the matrices and seeds do not pair
@@ -300,7 +331,7 @@ def nmf_stack(Xs: Iterable, k: int, config: NmfConfig, seeds: list[int]) -> Iter
     Xs, seeds = iter(Xs), list(seeds)
     done = 0
     while done < len(seeds):
-        for pair in _next_stack(Xs, k, config, seeds, done):
+        for pair in _next_stack(Xs, k, config, seeds, done, _symmetric):
             done += 1
             yield pair
     extra = sum(1 for _ in Xs)
@@ -348,6 +379,53 @@ def solve_h(X, W: np.ndarray, config: NmfConfig | None = None) -> np.ndarray:
     return _solve_stack([X], W[None].copy(), H[None], config, update_w=False)[0].H
 
 
+@dataclass(frozen=True)
+class _DrawIndex:
+    """What every perturbation of one matrix shares: the canonical X, the
+    number of uniform draws one perturbation takes, the draw each stored
+    entry is multiplied by (None: entry t takes draw t), and whether every
+    copy equals its transpose exactly (symmetric draws on a symmetric X)."""
+
+    X: sparse.csr_matrix
+    draws: int
+    of_entry: np.ndarray | None = None
+    copies_symmetric: bool = False
+
+
+def _draw_index(X, symmetric: bool) -> _DrawIndex:
+    """The draw index of :func:`perturb` for X, built once per matrix:
+    with ``symmetric`` the entries on and above the diagonal draw in CSR
+    order and each entry below it takes its mirror's draw.  Raises as
+    :func:`perturb`."""
+    X = _canonical(X)
+    if not symmetric:
+        return _DrawIndex(X, X.nnz)
+    if X.shape[0] != X.shape[1]:
+        raise DimensionMismatch(f"symmetric perturbation needs a square matrix, got {X.shape}")
+    # X's CSR positions (1-based) in CSC order; on a symmetric pattern the
+    # t-th of them is the mirror of CSR entry t
+    order = sparse.csr_matrix((np.arange(1, X.nnz + 1), X.indices, X.indptr), shape=X.shape)
+    order = order.tocsc()
+    same = np.array_equal(order.indptr, X.indptr) and np.array_equal(order.indices, X.indices)
+    if not same:
+        raise ValueError("symmetric perturbation needs a symmetric sparsity pattern")
+    mirror = order.data - 1
+    lower = X.indices < np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
+    of_entry = np.empty(X.nnz, dtype=np.intp)
+    draws = X.nnz - np.count_nonzero(lower)
+    of_entry[~lower] = np.arange(draws)
+    of_entry[lower] = of_entry[mirror[lower]]
+    return _DrawIndex(X, draws, of_entry, np.array_equal(X.data[mirror], X.data))
+
+
+def _draw(index: _DrawIndex, delta: float, seed) -> sparse.csr_matrix:
+    """One perturbation of ``index.X`` from ``default_rng(seed)``."""
+    factors = np.random.default_rng(seed).uniform(1.0 - delta, 1.0 + delta, size=index.draws)
+    out = index.X.copy()
+    out.data *= factors if index.of_entry is None else factors[index.of_entry]
+    return out
+
+
 def perturb(X, delta: float, seed, symmetric: bool = False) -> sparse.csr_matrix:
     """Multiply every stored entry by an independent uniform draw from
     [1 - delta, 1 + delta]; the sparsity pattern is unchanged.
@@ -357,28 +435,14 @@ def perturb(X, delta: float, seed, symmetric: bool = False) -> sparse.csr_matrix
     diagonal draw in CSR order, and each entry below it takes its mirror's
     draw.  That needs a square X whose sparsity pattern is symmetric (its
     values need not be); DimensionMismatch or ValueError otherwise.
+
+    Finding the mirrors takes a CSC copy of X's positions, several times
+    the cost of the draw itself (about 27 against 5 ms on the benchmark's
+    Zipf M, 575,796 entries), so a caller that perturbs one matrix many
+    times, as :func:`model_selection.nmfk` does, builds the index once
+    with :func:`_draw_index` and draws every copy from it with
+    :func:`_draw`, bit for bit the copy this function returns.
     """
     if not (0 <= delta < 1):
         raise ValueError("delta must be in [0, 1)")
-    X = _canonical(X)
-    rng = np.random.default_rng(seed)
-    if not symmetric:
-        factors = rng.uniform(1.0 - delta, 1.0 + delta, size=X.nnz)
-    elif X.shape[0] != X.shape[1]:
-        raise DimensionMismatch(f"symmetric perturbation needs a square matrix, got {X.shape}")
-    else:
-        # X's CSR positions (1-based) in CSC order; on a symmetric pattern
-        # the t-th of them is the mirror of CSR entry t
-        order = sparse.csr_matrix((np.arange(1, X.nnz + 1), X.indices, X.indptr), shape=X.shape)
-        order = order.tocsc()
-        same = np.array_equal(order.indptr, X.indptr) and np.array_equal(order.indices, X.indices)
-        if not same:
-            raise ValueError("symmetric perturbation needs a symmetric sparsity pattern")
-        lower = X.indices < np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
-        factors = np.empty(X.nnz)
-        draws = X.nnz - np.count_nonzero(lower)
-        factors[~lower] = rng.uniform(1.0 - delta, 1.0 + delta, size=draws)
-        factors[lower] = factors[order.data[lower] - 1]
-    out = X.copy()
-    out.data *= factors
-    return out
+    return _draw(_draw_index(X, symmetric), delta, seed)

@@ -13,12 +13,16 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import filterfalse
 from pathlib import Path
 
 from .errors import DataError, EmptyCorpus, EmptyVocabulary
 from .fileio import atomic_path, read_utf8, utf8_lines
 
-_TOKEN_RE = re.compile(r"[a-z]+")
+# Runs of two or more ASCII letters: a regex match only ever starts at a
+# run's first letter, and a greedy one takes the whole run, so these are the
+# maximal runs of a-z with the one-letter runs dropped.
+_TOKEN_RE = re.compile(r"[a-z]{2,}")
 
 
 @dataclass(frozen=True)
@@ -100,9 +104,7 @@ def tokenize(raw_text: str) -> list[str]:
     than 2 characters.  Every other character, digits and non-ASCII letters
     included, is a separator, so "résumé" yields "sum".  Stopwords are kept
     (removal is corpus-level)."""
-    if not raw_text:
-        return []
-    return [t for t in _TOKEN_RE.findall(raw_text.lower()) if len(t) >= 2]
+    return _TOKEN_RE.findall(raw_text.lower())
 
 
 def filter_documents(corpus: Corpus, config: PipelineConfig) -> Corpus:
@@ -111,7 +113,7 @@ def filter_documents(corpus: Corpus, config: PipelineConfig) -> Corpus:
     stop = config.stopwords
     kept = []
     for doc in corpus:
-        tokens = tuple(t for t in doc.tokens if t not in stop)
+        tokens = tuple(filterfalse(stop.__contains__, doc.tokens))
         if len(tokens) >= config.min_doc_tokens:
             kept.append(Document(doc.id, tokens))
     return Corpus(tuple(kept))

@@ -142,6 +142,20 @@ def mu_oracle(
     return W, H
 
 
+def tokenize_oracle(text: str) -> list[str]:
+    """The maximal runs of the ASCII letters a-z in ``text.lower()`` that are
+    at least two letters long, found by a character loop."""
+    tokens, run = [], ""
+    for ch in text.lower() + " ":
+        if "a" <= ch <= "z":
+            run += ch
+            continue
+        if len(run) >= 2:
+            tokens.append(run)
+        run = ""
+    return tokens
+
+
 def symmetric_perturb_oracle(X: np.ndarray, delta: float, seed: int) -> np.ndarray:
     """Symmetric multiplicative perturbation of a dense square array whose
     nonzero pattern is symmetric: one uniform [1 - delta, 1 + delta] draw

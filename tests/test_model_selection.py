@@ -11,7 +11,7 @@ from scipy import sparse
 
 from oracles import block_topic_matrix, separated_topics_problem, silhouette_oracle
 from senmfk_split import model_selection, nmf_core
-from senmfk_split.errors import DegenerateMatrix, InvalidRank, ShapeMismatch
+from senmfk_split.errors import DegenerateMatrix, DimensionMismatch, InvalidRank, ShapeMismatch
 from senmfk_split.model_selection import (
     SelectionConfig,
     child_seed,
@@ -20,7 +20,7 @@ from senmfk_split.model_selection import (
     normalize_columns,
     silhouette,
 )
-from senmfk_split.nmf_core import NmfConfig
+from senmfk_split.nmf_core import NmfConfig, nmf, perturb
 
 
 def unit_columns(rng, m, k):
@@ -404,7 +404,7 @@ class TestEnsembleStacks:
         X = self.problem(rng).toarray()
         X.flat[np.arange(X.size) % stride != 0] = 0.0
         refs, alive = [], []
-        draw = model_selection.perturb
+        draw = model_selection._draw
 
         def spy(*args, **kwargs):
             copy = draw(*args, **kwargs)
@@ -413,10 +413,93 @@ class TestEnsembleStacks:
             return copy
 
         monkeypatch.setattr(nmf_core, "_STACK_CELLS", stack_cells)
-        monkeypatch.setattr(model_selection, "perturb", spy)
+        monkeypatch.setattr(model_selection, "_draw", spy)
         nmfk(sparse.csr_matrix(X), replace(self.CONFIG, n_perturbations=5))
         assert len(alive) == 3 * 5
         assert max(alive) == stack
+
+
+class TestSymmetricScan:
+    """``nmfk(symmetric_perturbation=True)`` draws every copy from one draw
+    index per scan and equals public ``perturb`` + ``nmf`` per member."""
+
+    CONFIG = SelectionConfig(
+        k_min=2, k_max=4, n_perturbations=3, nmf=NmfConfig(max_iter=60, tol=1e-9, seed=11)
+    )
+
+    @staticmethod
+    def problem(rng, density, symmetric_values):
+        pattern = np.triu(rng.uniform(size=(24, 24)) < density)
+        values = rng.uniform(0.1, 1.0, (24, 24))
+        if symmetric_values:
+            values = np.triu(values) + np.triu(values, 1).T
+        return sparse.csr_matrix(np.where(pattern | pattern.T, values, 0.0))
+
+    # density 0.15 is a CSR operand, 0.6 a dense one
+    @pytest.mark.parametrize("density", [0.15, 0.6])
+    @pytest.mark.parametrize("symmetric_values", [False, True])
+    def test_members_equal_perturb_then_nmf(self, rng, monkeypatch, density, symmetric_values):
+        X = self.problem(rng, density, symmetric_values)
+        members, flags = [], []
+        stack = model_selection.nmf_stack
+
+        def spy(*args, **kwargs):
+            flags.append(kwargs.get("_symmetric", False))
+            for pair in stack(*args, **kwargs):
+                members.append(pair)
+                yield pair
+
+        monkeypatch.setattr(model_selection, "nmf_stack", spy)
+        nmfk(X, self.CONFIG, symmetric_perturbation=True)
+        # a symmetric pattern with asymmetric values stays on the general path
+        assert flags == [symmetric_values] * 3
+        base, p = self.CONFIG.nmf.seed, self.CONFIG.n_perturbations
+        expected = [
+            nmf(
+                perturb(X, self.CONFIG.delta, child_seed(base, k, j, 0), symmetric=True),
+                k,
+                replace(self.CONFIG.nmf, seed=child_seed(base, k, j, 1)),
+            )
+            for k in (2, 3, 4)
+            for j in range(p)
+        ]
+        assert len(members) == len(expected)
+        for a, b in zip(members, expected):
+            for name in ("W", "H", "objective_trace", "trace_iterations"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    @pytest.mark.parametrize("k_max, p", [(2, 2), (4, 3), (5, 4)])
+    def test_draw_index_built_once_per_scan(self, rng, monkeypatch, k_max, p):
+        # both references are spied, so a scan that went back to calling
+        # perturb (which builds an index per call) is counted too
+        calls = []
+        build = nmf_core._draw_index
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(nmf_core, "_draw_index", spy)
+        monkeypatch.setattr(model_selection, "_draw_index", spy)
+        config = replace(self.CONFIG, k_max=k_max, n_perturbations=p)
+        nmfk(self.problem(rng, 0.15, True), config, symmetric_perturbation=True)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "X, error, match",
+        [
+            (np.ones((4, 6)), DimensionMismatch, "square"),
+            # (1, 0) has no stored mirror
+            (np.array([[1.0, 0, 0], [2, 3, 0], [0, 0, 4]]), ValueError, "sparsity pattern"),
+        ],
+    )
+    def test_invalid_input_raises_before_any_solve(self, monkeypatch, X, error, match):
+        solved = []
+        monkeypatch.setattr(nmf_core, "_solve_stack", lambda *args, **kwargs: solved.append(1))
+        config = SelectionConfig(k_min=1, k_max=2, n_perturbations=2)
+        with pytest.raises(error, match=match):
+            nmfk(sparse.csr_matrix(X), config, symmetric_perturbation=True)
+        assert solved == []
 
 
 class TestSelectionConfigValidation:

@@ -1,5 +1,7 @@
 """Multiplicative-update NMF, fixed-basis regression, residuals, perturbation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -433,6 +435,44 @@ class TestStack:
             assert_same_pair(pair, reference_nmf(X, 2, config))
 
 
+class TestSymmetricProducts:
+    """An exactly symmetric CSR member takes X H^T through the CSC view of
+    X^T, like X^T W: the same sums in the same order as the CSR product."""
+
+    @staticmethod
+    def symmetric(rng, m, density):
+        raw = rng.uniform(0.0, 1.0, (m, m))
+        raw[rng.uniform(size=(m, m)) > density] = 0.0
+        return canonicalize(np.triu(raw) + np.triu(raw, 1).T)
+
+    # the last case is a dense operand, which the keyword leaves alone
+    @pytest.mark.parametrize("m, density, k", [(40, 0.1, 3), (60, 0.05, 5), (30, 0.5, 2)])
+    def test_equals_general_path(self, rng, m, density, k):
+        S = self.symmetric(rng, m, density)
+        Xs = [perturb(S, 0.05, seed=j, symmetric=True) for j in range(3)]
+        assert all((X != X.T).nnz == 0 for X in Xs)
+        config = NmfConfig(max_iter=90, tol=1e-12)
+        seeds = [7, 8, 9]
+        fast = nmf_stack(Xs, k, config, seeds, _symmetric=True)
+        for X, seed, a, b in zip(Xs, seeds, fast, nmf_stack(Xs, k, config, seeds), strict=True):
+            assert_same_pair(a, b)
+            assert_same_pair(a, reference_nmf(X, k, replace(config, seed=seed)))
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_products_through_the_csc_view(self, rng, monkeypatch, symmetric):
+        X = self.symmetric(rng, 40, 0.1)
+        formats = []
+        times = nmf_core._times
+
+        def spy(A, B):
+            formats.append(A.format)
+            return times(A, B)
+
+        monkeypatch.setattr(nmf_core, "_times", spy)
+        list(nmf_stack([X], 3, NmfConfig(max_iter=20), [1], _symmetric=symmetric))
+        assert formats == (["csc", "csc"] if symmetric else ["csc", "csr"]) * 20
+
+
 class TestGramResidual:
     """The Gram-expansion residual, on a CSR operand (density 0.3) and a
     dense one (density 1.0)."""
@@ -504,6 +544,27 @@ class TestPerturb:
         P = perturb(sparse.csr_matrix(X), delta, seed=seed, symmetric=True)
         np.testing.assert_array_equal(P.toarray(), symmetric_perturb_oracle(X, delta, seed))
         assert P.nnz == np.count_nonzero(X)
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(st.data())
+    def test_draw_index_matches_perturb_and_oracle_property(self, data):
+        # one index, several seeds; a symmetric pattern, diagonal and empty
+        # rows included, with symmetric or independent values
+        m = data.draw(st.integers(1, 7))
+        upper = np.triu(data.draw(arrays(np.bool_, (m, m))))
+        values = data.draw(arrays(np.float64, (m, m), elements=st.floats(0.01, 100.0)))
+        if data.draw(st.booleans()):
+            values = np.triu(values) + np.triu(values, 1).T
+        X = np.where(upper | upper.T, values, 0.0)
+        delta = data.draw(st.sampled_from([0.0, 0.03, 0.5, 0.99]))
+        index = nmf_core._draw_index(sparse.csr_matrix(X), symmetric=True)
+        assert index.copies_symmetric == np.array_equal(X, X.T)
+        for seed in data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4)):
+            P = nmf_core._draw(index, delta, seed)
+            Q = perturb(sparse.csr_matrix(X), delta, seed=seed, symmetric=True)
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(P, name), getattr(Q, name)), name
+            np.testing.assert_array_equal(P.toarray(), symmetric_perturb_oracle(X, delta, seed))
 
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_canonical_input_left_unchanged(self, rng, symmetric):

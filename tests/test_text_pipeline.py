@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import traced_peak, write_jsonl
+from oracles import tokenize_oracle
 from senmfk_split.errors import DataError, EmptyCorpus, EmptyVocabulary
 from senmfk_split.text_pipeline import (
     Corpus,
@@ -23,6 +26,9 @@ from senmfk_split.text_pipeline import (
     save_vocabulary,
     tokenize,
 )
+
+
+TRICKY = list("abqzABQZ09 -.\n\u00e9\u00c9\u00df\u0130\u0131\u212a\u017f\ufb00")
 
 
 def make_corpus(*token_lists):
@@ -60,6 +66,14 @@ class TestTokenize:
             toks = tokenize(text)
             assert all(t and len(t) >= 2 and t.isalpha() and t.islower() for t in toks)
 
+    # digits, one-letter runs, non-ASCII letters and characters whose lower
+    # case is ASCII (the Kelvin sign) or two characters long (dotted I)
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.text(alphabet=st.sampled_from(TRICKY) | st.characters(), max_size=40))
+    @example("\u212aelvin \u0130stanbul a1b word2vec")
+    def test_matches_oracle_property(self, text):
+        assert tokenize(text) == tokenize_oracle(text)
+
 
 class TestFilterDocuments:
     def test_below_threshold_dropped(self):
@@ -84,6 +98,24 @@ class TestFilterDocuments:
         corpus = make_corpus(["the"] + ["tok"] * 19)
         out = filter_documents(corpus, PipelineConfig(min_doc_tokens=20))
         assert len(out) == 0
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        st.lists(st.lists(st.sampled_from(["the", "and", "aa", "bb"]), max_size=8), max_size=6),
+        st.sets(st.sampled_from(["the", "and", "aa", "zz"])),
+        st.integers(0, 5),
+    )
+    def test_matches_loop_property(self, docs, stop, min_doc_tokens):
+        corpus = make_corpus(*docs)
+        out = filter_documents(
+            corpus, PipelineConfig(min_doc_tokens=min_doc_tokens, stopwords=frozenset(stop))
+        )
+        expected = []
+        for doc in corpus:
+            tokens = tuple(t for t in doc.tokens if t not in stop)
+            if len(tokens) >= min_doc_tokens:
+                expected.append(Document(doc.id, tokens))
+        assert out.documents == tuple(expected)
 
 
 class TestBuildVocabulary:
