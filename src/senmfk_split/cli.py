@@ -17,7 +17,8 @@ stages in manifest.json (parameters, seeds, digests, stage timings), saved
 after every stage; ``run --resume`` skips stages whose recorded parameters,
 inputs, and outputs all still match, also after a run that failed midway.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure,
+4 out of memory inside a stage (named; ``run --resume`` continues the run).
 """
 
 from __future__ import annotations
@@ -298,6 +299,8 @@ def main(argv: list[str] | None = None) -> int:
     except (SenmfkError, OSError) as exc:
         cause = exc.cause if isinstance(exc, PipelineStageError) else exc
         print(f"error: {type(cause).__name__}: {exc}", file=sys.stderr)
+        if isinstance(cause, MemoryError):
+            return 4
         return 2 if isinstance(cause, (DataError, OSError)) else 3
 
 

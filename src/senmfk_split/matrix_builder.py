@@ -12,12 +12,16 @@ lower triangle L, diagonal included, from counting to the files:
 the triangle of M, and :func:`mirror_triangle` gives a full matrix.  The
 exported :func:`build_cooccurrence` and :func:`sppmi` return full matrices.
 Memory stays bounded by the inputs and outputs, not by the number of token
-pairs: counting walks the in-vocabulary tokens one offset at a time, writes
-each pair's key into one buffer (uint32 keys while the m * m keys fit, int64
-beyond), and whenever about ``_PAIR_BUDGET`` keys are held sorts them in
-place and adds their counts to L, so its peak is
-O(tokens + nnz + _PAIR_BUDGET) rather than O(tokens * window); SPPMI
-reads a canonical input's CSR arrays in row blocks of as many entries and
+pairs: counting walks the in-vocabulary tokens one offset at a time and
+writes each pair's key into one buffer (uint32 keys while the m * m keys
+fit, int64 beyond).  A vocabulary of up to 256 terms (m * m <=
+``_DIRECT_CELLS``) adds each batch of about m * m keys into one array of
+m * m counts with ``np.bincount`` and makes L from it once; a larger one
+sorts each batch of about ``_PAIR_BUDGET`` keys in place and adds its counts
+to L.  So the peak is O(tokens + nnz + _PAIR_BUDGET) rather than
+O(tokens * window): on a 90-term corpus of 27,000 tokens, 796,500 pairs take
+1.0 MiB traced with the direct count against 5.3 MiB sorted.  SPPMI reads a
+canonical input's CSR arrays in row blocks of ``_PAIR_BUDGET`` entries and
 keeps only the nonzero values.
 """
 
@@ -34,9 +38,12 @@ from scipy import sparse
 from .errors import DegenerateMatrix, DimensionMismatch, EmptyColumn, NonNegativityViolation
 from .text_pipeline import Corpus, Vocabulary
 
-# pair keys cooccurrence_triangle holds before it counts them (4 MB of uint32
-# keys at 2**20), and the stored entries of one row block of sppmi
+# pair keys cooccurrence_triangle holds before it sorts and counts them (4 MB
+# of uint32 keys at 2**20), and the stored entries of one row block of sppmi;
+# a vocabulary with m * m <= _DIRECT_CELLS (m <= 256) holds m * m keys a batch
+# instead and counts them into one int64 array of m * m cells (512 KiB at most)
 _PAIR_BUDGET = 1 << 20
+_DIRECT_CELLS = 1 << 16
 # A corpus mapped to term ids: every token's id (-1 out of vocabulary) in
 # corpus order, and each document's token count.
 TermIds = tuple[np.ndarray, np.ndarray]
@@ -162,10 +169,14 @@ def cooccurrence_triangle(
     token t + d wherever their positions differ by less than ``window``;
     the gaps only widen as d grows, so the scan stops at the first d with
     no pair.  Terms a, b pair as one key ``max(a, b) * m + min(a, b)``,
-    uint32 while m <= 65,536 and int64 beyond, written into one buffer;
-    whenever _PAIR_BUDGET keys are held they are sorted in place, counted
-    and added to the running matrix, which is L itself, so memory is
-    O(tokens + nnz + _PAIR_BUDGET) rather than O(tokens * window).
+    uint32 while m <= 65,536 and int64 beyond, written into one buffer.
+    While m * m <= _DIRECT_CELLS (m <= 256), whenever m * m keys are held
+    ``np.bincount`` adds them into one int64 array of m * m counts, whose
+    nonzero cells, all in the lower triangle, make L once at the end.
+    Above it, whenever _PAIR_BUDGET keys are held they are sorted in place,
+    counted and added to the running matrix, which is L itself.  Either
+    way memory is O(tokens + nnz + _PAIR_BUDGET) rather than
+    O(tokens * window), and the CSR arrays are the same, bit for bit.
     ``term_ids`` is ``map_term_ids(corpus, vocab.index_of)`` when the caller
     already holds it.
     """
@@ -179,29 +190,40 @@ def cooccurrence_triangle(
     # the largest key, m * m - 1, fits uint32 up to m = 65,536
     key_type = np.uint32 if m * m <= 2**32 else np.int64
     ids, pos = ids.astype(key_type, copy=False)[known], pos[known]
+    direct = m * m <= _DIRECT_CELLS  # count into m * m cells, no sort
+    counts = np.zeros(m * m if direct else 0, dtype=np.int64)
     lower = sparse.csr_matrix((m, m), dtype=np.float64)
-    # a batch ends at the offset that takes it to _PAIR_BUDGET keys, and no
+    # a batch ends at the offset that takes it to budget keys, and no
     # offset pairs more than ids.size tokens
-    keys, held = np.empty(_PAIR_BUDGET + ids.size, dtype=key_type), 0
-    for d in range(1, ids.size):
+    budget = m * m if direct else _PAIR_BUDGET
+    keys, held = np.empty(budget + ids.size, dtype=key_type), 0
+    for d in range(1, ids.size + 1):
         near = pos[d:] - pos[:-d] < window
-        if not near.any():
-            break
-        a, b = ids[:-d][near], ids[d:][near]
-        batch = slice(held, held + a.size)  # a view would keep the keys alive
-        np.maximum(a, b, out=keys[batch])
-        keys[batch] *= m
-        keys[batch] += np.minimum(a, b, out=a)
-        held += a.size
-        if held >= _PAIR_BUDGET:
-            lower = lower + _count_keys(keys[:held], m)
+        done = not near.any()  # no pair at d, so none past it
+        if not done:
+            a, b = ids[:-d][near], ids[d:][near]
+            batch = slice(held, held + a.size)  # a view would keep the keys alive
+            np.maximum(a, b, out=keys[batch])
+            keys[batch] *= m
+            keys[batch] += np.minimum(a, b, out=a)
+            held += a.size
+        if held >= budget or done and held:
+            if direct:
+                counts += np.bincount(keys[:held], minlength=m * m)
+            else:
+                lower = lower + _count_keys(keys[:held], m)
             held = 0
-    if held:
-        lower = lower + _count_keys(keys[:held], m)
+        if done:
+            break
     del keys
+    if direct:
+        present = np.flatnonzero(counts)
+        lower = _key_matrix(present, counts[present], m)
+        del counts, present
     # scipy's sum leaves data and indices as views on buffers sized for both
     # operands; copies hold only the entries, and with the keys and the
-    # operands gone they stay below the last sum's peak
+    # operands gone they stay below the last sum's peak (or, counted
+    # directly, below the m * m counts)
     lower.data, lower.indices = lower.data.copy(), lower.indices.copy()
     # counts are whole numbers, exact in float64, so the order in which the
     # pairs were reduced changes no value; a same-term pair is both (i, i)
@@ -231,6 +253,12 @@ def _count_keys(keys: np.ndarray, m: int) -> sparse.csr_matrix:
     unique = keys[starts]
     counts = np.diff(starts, append=keys.size)
     del starts
+    return _key_matrix(unique, counts, m)
+
+
+def _key_matrix(unique: np.ndarray, counts: np.ndarray, m: int) -> sparse.csr_matrix:
+    """The m x m matrix holding ``counts[i]`` at pair key ``unique[i]``, for
+    increasing keys ``row * m + col``."""
     # int64: the last boundary, m * m, passes uint32 at m = 65,536
     indptr = np.searchsorted(unique, np.arange(m + 1, dtype=np.int64) * m)
     return sparse.csr_matrix((counts.astype(np.float64), unique % m, indptr), shape=(m, m))

@@ -242,11 +242,13 @@ def top_words(
 
 @contextmanager
 def stage_scope(name: str):
+    """Wrap a :class:`SenmfkError` or a ``MemoryError`` raised inside stage
+    ``name`` in a :class:`PipelineStageError` naming the stage."""
     try:
         yield
     except PipelineStageError:
         raise
-    except SenmfkError as exc:
+    except (SenmfkError, MemoryError) as exc:
         raise PipelineStageError(name, exc) from exc
 
 

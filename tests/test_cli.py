@@ -510,6 +510,26 @@ class TestRun:
         }
         assert_same_outputs(clean, ws)
 
+    def test_out_of_memory_names_stage_and_resumes(self, corpus_file, tmp_path, monkeypatch, capsys):
+        # a MemoryError is not a traceback with the usage-error code: it
+        # exits 4 naming its stage, and the stages before it are resumed
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("injected")
+
+        path, _ = corpus_file
+        clean, ws = tmp_path / "clean", tmp_path / "ws"
+        assert main(["run", str(path), "--workspace", str(clean)] + RUN_FLAGS) == 0
+        monkeypatch.setattr(split_pipeline, "stage_factorize_m", out_of_memory)
+        capsys.readouterr()
+        assert main(["run", str(path), "--workspace", str(ws)] + RUN_FLAGS) == 4
+        assert capsys.readouterr().err == "error: MemoryError: stage 'factorize_m': injected\n"
+        assert "factorize_m" not in RunManifest.load(ws / "manifest.json").stages
+        monkeypatch.undo()
+        assert main(["run", str(path), "--workspace", str(ws), "--resume"] + RUN_FLAGS) == 0
+        stages = RunManifest.load(ws / "manifest.json").stages
+        assert stages["factorize_x"].resumed and not stages["factorize_m"].resumed
+        assert_same_outputs(clean, ws)
+
     def test_resume_after_failed_matrices_stage(self, corpus_file, tmp_path, capsys):
         # window 1 pairs no tokens, so SPPMI has no counts: X and cooc are
         # written before the stage fails, but the stage is not recorded

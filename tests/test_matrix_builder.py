@@ -1,5 +1,6 @@
 """TF-IDF, co-occurrence, and SPPMI construction against brute-force oracles."""
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -46,6 +47,21 @@ def zipf_corpus():
     ids = rng.choice(2000, size=(200, 300), p=weights / weights.sum())
     terms = [f"w{i:04d}" for i in range(2000)]
     return corpus_of(*([terms[i] for i in row] for row in ids)), vocab_of(*terms)
+
+
+def uniform_corpus(m):
+    """450 documents of 60 tokens drawn uniformly over m terms: at window
+    100, 796,500 token pairs.  At m = 90 this is the benchmark's topic
+    corpus in size (27,000 tokens), whose triangle holds 4,095 cells."""
+    rng = np.random.default_rng(18)
+    terms = [f"t{i:03d}" for i in range(m)]
+    docs = [[terms[i] for i in rng.integers(0, m, 60)] for _ in range(450)]
+    return corpus_of(*docs), vocab_of(*terms)
+
+
+# _DIRECT_CELLS at its default counts every vocabulary of up to 256 terms
+# with np.bincount; at 0 every vocabulary takes the sorted count
+BOTH_COUNTS = (0, matrix_builder._DIRECT_CELLS)
 
 
 def csr_bytes(mat) -> int:
@@ -180,18 +196,24 @@ class TestCooccurrence:
     @given(st.data())
     def test_triangle_matches_oracle_property(self, data):
         # repeated terms fill the diagonal, where C counts each same-term
-        # pair twice; a tiny pair budget reduces into the triangle many times
+        # pair twice; a tiny pair budget reduces into the triangle many
+        # times, and both counts must give the same arrays, bit for bit
         terms = sorted(data.draw(st.sets(st.sampled_from("abcdef"), min_size=1)))
         tokens = st.sampled_from([*terms, terms[0], "oov"])
         docs = data.draw(st.lists(st.lists(tokens, max_size=12), min_size=1, max_size=8))
         window = data.draw(st.integers(1, max(len(d) for d in docs) + 3))
         args = corpus_of(*docs), vocab_of(*terms), SemanticConfig(window=window)
         expected = np.tril(cooccurrence_oracle(docs, terms, window))
-        for budget in (1, 7, matrix_builder._PAIR_BUDGET):
-            with mock.patch.object(matrix_builder, "_PAIR_BUDGET", budget):
-                L = cooccurrence_triangle(*args)
-            np.testing.assert_array_equal(L.toarray(), expected)
-            assert L.has_canonical_format and (L.data > 0).all()
+        first = None
+        for cells in BOTH_COUNTS:
+            for budget in (1, 7, matrix_builder._PAIR_BUDGET):
+                with mock.patch.multiple(matrix_builder, _DIRECT_CELLS=cells, _PAIR_BUDGET=budget):
+                    L = cooccurrence_triangle(*args)
+                np.testing.assert_array_equal(L.toarray(), expected)
+                assert L.has_canonical_format and (L.data > 0).all()
+                first = L if first is None else first
+                assert_same_csr(L, first)
+                assert (L.indices.dtype, L.indptr.dtype) == (first.indices.dtype, first.indptr.dtype)
 
     def test_window_past_int64_spacing(self, rng):
         # documents three windows of 2**62 apart would lie past 2**63
@@ -213,13 +235,15 @@ class TestCooccurrence:
 
     @pytest.mark.parametrize("budget", [1, 7])
     def test_pair_budget_does_not_change_counts(self, rng, monkeypatch, budget):
-        # a tiny budget reduces the pairs into the running matrix many times
-        for window in (2, 5, 100):
+        # a tiny budget reduces the pairs into the running matrix many
+        # times; it binds only the sorted count, and both counts agree
+        for window, cells in itertools.product((2, 5, 100), BOTH_COUNTS):
             docs, terms = random_tokens_corpus(rng)
             args = corpus_of(*docs), vocab_of(*terms), SemanticConfig(window=window)
             expected = build_cooccurrence(*args)
             with monkeypatch.context() as patch:
                 patch.setattr(matrix_builder, "_PAIR_BUDGET", budget)
+                patch.setattr(matrix_builder, "_DIRECT_CELLS", cells)
                 C = build_cooccurrence(*args)
             assert_same_csr(C, expected)
             np.testing.assert_array_equal(
@@ -249,28 +273,79 @@ class TestCooccurrence:
         assert peak <= 2.0 * csr_bytes(C)
 
     def test_triangle_owns_exact_size_arrays(self):
-        # each batch is summed into the running matrix, and scipy's sum
-        # sizes its buffers for both operands: 713,389 slots for 586,092
-        # entries here, held for as long as the triangle
-        corpus, vocab = zipf_corpus()
-        L = cooccurrence_triangle(corpus, vocab, SemanticConfig(window=100))
-        for arr in (L.data, L.indices):
-            owner = arr if arr.base is None else arr.base
-            assert owner.nbytes == arr.nbytes == L.nnz * arr.itemsize
+        # each batch of the sorted count (2,000 terms) is summed into the
+        # running matrix, and scipy's sum sizes its buffers for both
+        # operands: 713,389 slots for 586,092 entries here, held for as
+        # long as the triangle; the direct count (90 terms) builds L once
+        for corpus, vocab in (zipf_corpus(), uniform_corpus(90)):
+            L = cooccurrence_triangle(corpus, vocab, SemanticConfig(window=100))
+            for arr in (L.data, L.indices):
+                owner = arr if arr.base is None else arr.base
+                assert owner.nbytes == arr.nbytes == L.nnz * arr.itemsize
 
     def test_key_transient_bounded(self):
-        # 450 documents of 60 tokens over 90 terms: 796,500 pairs, counted
-        # as one batch of uint32 keys sorted in place (5.3 MiB traced);
-        # int64 keys kept per offset and concatenated took 14.2 MiB
-        rng = np.random.default_rng(18)
-        terms = [f"t{i:02d}" for i in range(90)]
-        docs = [[terms[i] for i in rng.integers(0, 90, 60)] for _ in range(450)]
-        corpus, vocab = corpus_of(*docs), vocab_of(*terms)
+        # 796,500 pairs over 90 terms, counted directly: batches of about
+        # 8,100 uint32 keys added into 8,100 int64 counts (1.0 MiB traced);
+        # the sorted count takes 5.3 MiB (below)
+        corpus, vocab = uniform_corpus(90)
+        L, peak, _ = traced_peak(
+            lambda: cooccurrence_triangle(corpus, vocab, SemanticConfig(window=100))
+        )
+        assert mirror_triangle(L).sum() == 2 * 450 * (60 * 59 // 2)
+        assert peak < 2e6
+
+    def test_key_transient_bounded_sorted(self, monkeypatch):
+        # the same pairs through the sorted count: one batch of uint32 keys
+        # sorted in place (5.3 MiB traced); int64 keys kept per offset and
+        # concatenated took 14.2 MiB
+        monkeypatch.setattr(matrix_builder, "_DIRECT_CELLS", 0)
+        corpus, vocab = uniform_corpus(90)
         L, peak, _ = traced_peak(
             lambda: cooccurrence_triangle(corpus, vocab, SemanticConfig(window=100))
         )
         assert mirror_triangle(L).sum() == 2 * 450 * (60 * 59 // 2)
         assert peak < 8e6
+
+    def test_direct_peak_within_sorted_peak(self, monkeypatch):
+        # at the largest direct vocabulary, 256 terms, the 65,536 counts
+        # and a batch of as many keys still take less than one sorted
+        # batch: 2.5 against 5.5 MiB traced
+        corpus, vocab = uniform_corpus(256)
+        args = corpus, vocab, SemanticConfig(window=100)
+        direct, direct_peak, _ = traced_peak(lambda: cooccurrence_triangle(*args))
+        monkeypatch.setattr(matrix_builder, "_DIRECT_CELLS", 0)
+        sorted_, sorted_peak, _ = traced_peak(lambda: cooccurrence_triangle(*args))
+        assert_same_csr(direct, sorted_)
+        assert direct_peak <= sorted_peak
+
+    @pytest.mark.parametrize("m, direct", [(256, True), (257, False)])
+    def test_direct_count_boundary(self, monkeypatch, m, direct):
+        # the largest direct vocabulary and one term more, each counted by
+        # its default path and by the other, with the last term (the
+        # largest key) used: the same arrays and dtypes, equal to the oracle
+        rng = np.random.default_rng(m)
+        terms = [f"w{i:03d}" for i in range(m)]
+        docs = [[terms[i] for i in rng.integers(0, m, 40)] for _ in range(30)]
+        docs[0][:2] = [terms[m - 1]] * 2
+        args = corpus_of(*docs), vocab_of(*terms), SemanticConfig(window=10)
+        sorted_counts = []
+
+        def spy(keys, width):
+            sorted_counts.append(keys.size)
+            return count_keys(keys, width)
+
+        count_keys = matrix_builder._count_keys
+        monkeypatch.setattr(matrix_builder, "_count_keys", spy)
+        default = cooccurrence_triangle(*args)
+        assert bool(sorted_counts) != direct
+        sorted_counts.clear()
+        monkeypatch.setattr(matrix_builder, "_DIRECT_CELLS", 0 if direct else m * m)
+        other = cooccurrence_triangle(*args)
+        assert bool(sorted_counts) == direct
+        assert_same_csr(default, other)
+        assert (default.indices.dtype, default.indptr.dtype) == (other.indices.dtype, other.indptr.dtype)
+        np.testing.assert_array_equal(default.toarray(), np.tril(cooccurrence_oracle(docs, terms, 10)))
+        assert default[m - 1, m - 1] == 2
 
     @pytest.mark.parametrize("m, key_type", [(65_536, np.uint32), (65_537, np.int64)])
     def test_key_width_boundary(self, m, key_type):

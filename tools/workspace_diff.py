@@ -20,6 +20,13 @@ side runs every fixture below in its own Python process, with its own
     topics  a topic-corpus ``senmfk run`` with ``TOPICS_ARGS`` (an explicit
             merge range), then ``--resume``
 
+``matrix_builder.cooccurrence_triangle`` counts a vocabulary of up to 256
+terms (``_DIRECT_CELLS``) with ``np.bincount`` and a larger one by sorting
+keys.  ``cli``, ``partial``, ``split`` and ``stages`` (60 terms) and
+``topics`` (90 terms) take the direct count; ``zipf`` (2,764 terms) is the
+one fixture on the sorted count.  A change to the threshold should keep a
+fixture on each side.
+
 Every file of every fixture is reported as ``identical`` or by the largest
 relative difference of its numbers; ``manifest.json`` is compared with its
 ``seconds`` removed.  What each fixture's commands print is compared the
