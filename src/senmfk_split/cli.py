@@ -12,10 +12,11 @@ Four subcommands map onto the pipeline's stage list
 stage, all through :func:`senmfk_split.split_pipeline.run_stages`.
 Configuration comes from defaults, then an optional flat key=value config
 file (``run --config``), then flags; flags win.  One table, ``_OPTIONS``,
-declares every setting's default, type and flag.  Each command records its
-stages in manifest.json (parameters, seeds, digests, stage timings), saved
-after every stage; ``run --resume`` skips stages whose recorded parameters,
-inputs, and outputs all still match, also after a run that failed midway.
+declares every setting's default, type and flag.  Every command records its
+stages in the workspace's one manifest.json (parameters, seeds, digests,
+stage timings), saved after every stage; ``run --resume`` skips stages whose
+recorded parameters, inputs, and outputs all still match, also after a run
+that crashed midway, with these settings or others.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure,
 4 out of memory inside a stage (named; ``run --resume`` continues the run).
@@ -141,9 +142,7 @@ def _workspace(args: argparse.Namespace) -> Path:
     ws = args.workspace or os.environ.get(WORKSPACE_ENV)
     if not ws:
         raise CliUsage(f"no workspace: pass --workspace or set {WORKSPACE_ENV}")
-    path = Path(ws)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(ws)
 
 
 def _add_flags(p: argparse.ArgumentParser, *groups: str) -> None:
@@ -197,7 +196,8 @@ def build_parser() -> _Parser:
 def _pipeline(args: argparse.Namespace, *groups: str) -> tuple[dict[str, Any], PipelineRun]:
     """The settings of the flag ``groups`` to record in the manifest (with
     ``preprocess`` also the stopword digest and the input format) and the
-    pipeline run that all resolved settings configure."""
+    pipeline run that all resolved settings configure, in the workspace
+    directory, created once the settings are valid."""
     workspace = _workspace(args)
     config_path = getattr(args, "config", None)
     file_cfg = parse_config_file(config_path) if config_path else {}
@@ -213,15 +213,17 @@ def _pipeline(args: argparse.Namespace, *groups: str) -> tuple[dict[str, Any], P
     if "preprocess" in groups:
         recorded["stopwords_digest"] = sha256_text("\n".join(sorted(stopwords)))
         recorded["pre_tokenized"] = pre_tokenized
+    workspace.mkdir(parents=True, exist_ok=True)
     run = PipelineRun(config, workspace, getattr(args, "input", None), pre_tokenized)
     return recorded, run
 
 
-def _merged_manifest(args: argparse.Namespace, group: str) -> tuple[PipelineRun, RunManifest]:
-    """The pipeline run and the workspace's manifest with the settings of
-    this command's flag ``group`` updated, so a single stage adds to the
-    record of the others and keeps their settings."""
-    settings, run = _pipeline(args, group)
+def _merged_manifest(args: argparse.Namespace, *groups: str) -> tuple[PipelineRun, RunManifest]:
+    """The pipeline run and the workspace's one manifest with the settings
+    of this command's flag ``groups`` updated, so every command adds to the
+    record of the others: their settings, and the records of stages it does
+    not reach, stay.  An unreadable manifest file raises DataError."""
+    settings, run = _pipeline(args, *groups)
     path = run.workspace / MANIFEST
     manifest = RunManifest.load(path) if path.is_file() else RunManifest(__version__, {})
     manifest.version = __version__
@@ -250,11 +252,8 @@ def cmd_matrices(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    settings, run = _pipeline(args, "preprocess", "matrices", "model")
-    path = run.workspace / MANIFEST
-    previous = RunManifest.load(path) if args.resume and path.is_file() else None
-    manifest = RunManifest(version=__version__, config=settings)
-    model = TopicModel.from_stages(run_stages(run, manifest, previous))
+    run, manifest = _merged_manifest(args, "preprocess", "matrices", "model")
+    model = TopicModel.from_stages(run_stages(run, manifest, resume=args.resume))
     flags = []
     if any(report.fallback for report in model.reports.values()):
         flags.append("fallback rank selection")

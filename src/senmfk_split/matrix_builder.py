@@ -132,14 +132,11 @@ def build_tfidf(
         doc = corpus.documents[empty[0]]
         raise EmptyColumn(f"document {doc.id!r} has no in-vocabulary tokens")
     # one (term, document) entry per token; canonicalize sums them into counts
-    tf = canonicalize(sparse.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(m, n)))
-    df = np.diff(tf.indptr)
-    idf = np.log((1.0 + n) / (1.0 + df)) + 1.0
-    weighted = sparse.diags(idf) @ tf
-    weighted = canonicalize(weighted)
-    norms = np.sqrt(np.asarray(weighted.power(2).sum(axis=0)).ravel())
-    norms[norms == 0] = 1.0
-    return canonicalize(weighted @ sparse.diags(1.0 / norms))
+    X = canonicalize(sparse.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(m, n)))
+    df = np.diff(X.indptr)
+    X.data *= np.repeat(np.log((1.0 + n) / (1.0 + df)) + 1.0, df)
+    X.data *= (1.0 / np.sqrt(np.bincount(X.indices, weights=X.data**2, minlength=n)))[X.indices]
+    return X
 
 
 def build_cooccurrence(

@@ -474,7 +474,7 @@ def _read(run: PipelineRun, name: str) -> Any:
 def run_stages(
     run: PipelineRun,
     manifest: RunManifest | None = None,
-    previous: RunManifest | None = None,
+    resume: bool = False,
     first: str | None = None,
     last: str | None = None,
 ) -> dict[str, Any]:
@@ -483,12 +483,13 @@ def run_stages(
 
     Earlier stages are not recorded; their outputs must exist.  Each stage
     runs inside :func:`stage_scope`.  Without a manifest nothing is digested
-    or recorded.  With one, every stage is recorded in it and the manifest is
-    saved to the workspace after each stage; a stage that ``previous``
-    records with the same parameters, inputs and still-matching outputs is
-    resumed instead of computed.  The output of an earlier or resumed stage
-    is read from its file only when a later stage, or the caller, first uses
-    its value, so a full resume reads no matrix the run does not use.
+    or recorded.  With one, each stage run replaces its record there (a stage
+    not reached keeps its own) and the manifest is saved to the workspace
+    after each stage; with ``resume``, a stage it records with the same
+    parameters, inputs and still-matching outputs is resumed instead of
+    computed.  The output of an earlier or resumed stage is read from its
+    file only when a later stage, or the caller, first uses its value, so a
+    full resume reads no matrix the run does not use.
     """
     names = [stage.name for stage in STAGES]
     begin = names.index(first) if first else 0
@@ -506,11 +507,9 @@ def run_stages(
             start = time.perf_counter()
             params = stage.params(run)
             inputs = {n: digests.get(n) or sha256_file(run.path(n)) for n in stage.inputs}
-            resumed = previous is not None and previous.can_skip(
-                stage.name, params, inputs, run.workspace
-            )
+            resumed = resume and manifest.can_skip(stage.name, params, inputs, run.workspace)
             if resumed:
-                outputs = previous.stages[stage.name].outputs  # checked by can_skip
+                outputs = manifest.stages[stage.name].outputs  # checked by can_skip
             else:
                 stage.compute(run)
                 outputs = {n: sha256_file(run.path(n)) for n in stage.outputs}

@@ -1,15 +1,23 @@
 """CLI commands, exit codes, config precedence, manifests, and resume."""
 
+import itertools
 import json
+import os
+import shutil
+import subprocess
+import sys
+from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import io as scipy_io
 
-from conftest import assert_same_csr, write_jsonl
+from conftest import RNG_SEED, assert_same_csr, write_jsonl
 from oracles import cooccurrence_oracle, purity, tfidf_oracle, topic_corpus_jsonl
-from senmfk_split import split_pipeline, storage, text_pipeline
+import senmfk_split
+from senmfk_split import fileio, split_pipeline, storage, text_pipeline
 from senmfk_split.cli import main, parse_config_file
 from senmfk_split.errors import NumericalError
 from senmfk_split.manifest import RunManifest, sha256_file
@@ -121,7 +129,7 @@ class TestExitCodes:
         ws = tmp_path / "ws"
         assert main(["run", str(path), "--workspace", str(ws), f"--{flag}", value]) == 1
         assert f"{flag} must be" in capsys.readouterr().err
-        assert not (ws / "corpus.jsonl").exists()
+        assert not ws.exists()
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_top_n_words_below_one_stops_before_any_stage(
@@ -132,7 +140,7 @@ class TestExitCodes:
         ws = tmp_path / "ws"
         assert main(["run", str(path), "--workspace", str(ws), "--top-n-words", value]) == 1
         assert "top_n_words must be >= 1" in capsys.readouterr().err
-        assert not (ws / "corpus.jsonl").exists()
+        assert not ws.exists()
 
     def test_joint_bound_without_its_pair_is_usage_error(self, corpus_file, tmp_path, capsys):
         path, _ = corpus_file
@@ -530,6 +538,26 @@ class TestRun:
         assert stages["factorize_x"].resumed and not stages["factorize_m"].resumed
         assert_same_outputs(clean, ws)
 
+    def test_crashed_run_with_new_settings_keeps_later_records(
+        self, corpus_file, tmp_path, monkeypatch
+    ):
+        # a run with new settings that dies in factorize_m leaves the records
+        # of factorize_m and the stages after it, whose files it did not
+        # touch, so a resume with the old settings recomputes nothing
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("injected")
+
+        path, _ = corpus_file
+        clean, ws = tmp_path / "clean", tmp_path / "ws"
+        assert main(["run", str(path), "--workspace", str(ws)] + RUN_FLAGS) == 0
+        shutil.copytree(ws, clean)
+        monkeypatch.setattr(split_pipeline, "stage_factorize_m", out_of_memory)
+        assert main(["run", str(path), "--workspace", str(ws)] + NEW_M_RANGE) == 4
+        monkeypatch.undo()
+        assert main(["run", str(path), "--workspace", str(ws), "--resume"] + RUN_FLAGS) == 0
+        assert all(rec.resumed for rec in RunManifest.load(ws / "manifest.json").stages.values())
+        assert_same_outputs(clean, ws)
+
     def test_resume_after_failed_matrices_stage(self, corpus_file, tmp_path, capsys):
         # window 1 pairs no tokens, so SPPMI has no counts: X and cooc are
         # written before the stage fails, but the stage is not recorded
@@ -576,20 +604,22 @@ class TestRun:
         assert "seed" not in manifest.config
 
     def test_damaged_manifest_is_data_error(self, corpus_file, tmp_path, capsys):
-        # a manifest cut short, or one that is valid JSON but lacks its keys
+        # a manifest cut short, or one that is valid JSON but lacks its keys,
+        # stops every command that updates it, a run without --resume too,
+        # and none writes over it
         path, _ = corpus_file
         ws = tmp_path / "ws"
         assert main(["preprocess", str(path), "--workspace", str(ws)]) == 0
         assert [p.name for p in ws.iterdir() if ".tmp" in p.suffixes] == []
         manifest = ws / "manifest.json"
+        run = ["run", str(path), "--workspace", str(ws)] + RUN_FLAGS
         for damaged in (manifest.read_bytes()[:200], b"{}"):
             manifest.write_bytes(damaged)
             capsys.readouterr()
-            resume = ["run", str(path), "--workspace", str(ws), "--resume"] + RUN_FLAGS
-            assert main(resume) == 2
-            assert "manifest.json" in capsys.readouterr().err
-            assert main(["matrices", "--workspace", str(ws), "--shift", "1"]) == 2
-            assert "manifest.json" in capsys.readouterr().err
+            for argv in (run + ["--resume"], run, ["matrices", "--workspace", str(ws)]):
+                assert main(argv) == 2
+                assert f"{manifest}: not a valid manifest" in capsys.readouterr().err
+            assert manifest.read_bytes() == damaged
 
     def test_manifest_snapshot_complete(self, corpus_file, tmp_path):
         path, _ = corpus_file
@@ -601,6 +631,112 @@ class TestRun:
         assert manifest.version
         assert all(rec.seconds >= 0 for rec in manifest.stages.values())
         assert manifest.input_digests["input"]
+
+
+# A RUN_FLAGS or NEW_M_RANGE run renames a finished file into place 25 times:
+# the 18 outputs of the seven stages and a manifest save after each stage.
+RENAMES = sum(len(stage.outputs) + 1 for stage in split_pipeline.STAGES)
+
+
+class Cut(BaseException):
+    """A crash at an atomic rename; no handler of the package catches it."""
+
+
+@contextmanager
+def renaming(replace):
+    """``fileio.atomic_path`` renames through ``replace`` inside the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fileio, "os", SimpleNamespace(replace=replace))
+        yield
+
+
+def run_cut(argv: list[str], cut: int) -> None:
+    """``main(argv)``, cut just before its ``cut``-th atomic rename."""
+    count = itertools.count(1)
+
+    def replace(src, dst):
+        if next(count) == cut:
+            raise Cut
+        os.replace(src, dst)
+
+    with renaming(replace), pytest.raises(Cut):
+        main(argv)
+
+
+@pytest.fixture(scope="module")
+def clean_runs(tmp_path_factory):
+    """The CLI corpus and one clean workspace each of RUN_FLAGS and
+    NEW_M_RANGE, each run checked to make RENAMES renames."""
+    root = tmp_path_factory.mktemp("clean")
+    path, _ = write_corpus(np.random.default_rng(RNG_SEED), root / "input.jsonl")
+    runs = SimpleNamespace(input=str(path), run=root / "run", new_m=root / "new_m")
+    for ws, flags in ((runs.run, RUN_FLAGS), (runs.new_m, NEW_M_RANGE)):
+        renamed = []
+        with renaming(lambda src, dst: renamed.append(dst) or os.replace(src, dst)):
+            assert main(["run", runs.input, "--workspace", str(ws)] + flags) == 0
+        assert len(renamed) == RENAMES
+    return runs
+
+
+def recomputed(ws: Path) -> list[str]:
+    """The stages that the last run in ``ws`` did not resume."""
+    stages = RunManifest.load(ws / "manifest.json").stages
+    return [name for name, rec in stages.items() if not rec.resumed]
+
+
+class TestCutPoints:
+    """A run cut at any of its renames resumes to a clean run's files."""
+
+    @pytest.mark.parametrize("cut", range(1, RENAMES + 1))
+    def test_resume_from_cut(self, clean_runs, tmp_path, cut):
+        def resume(ws: Path, flags: list[str]) -> None:
+            argv = ["run", clean_runs.input, "--workspace", str(ws), "--resume"] + flags
+            assert main(argv) == 0
+
+        # a fresh workspace: the stages saved before the cut are resumed
+        ws = tmp_path / "fresh"
+        run_cut(["run", clean_runs.input, "--workspace", str(ws)] + RUN_FLAGS, cut)
+        resume(ws, RUN_FLAGS)
+        saves = itertools.accumulate(len(stage.outputs) + 1 for stage in split_pipeline.STAGES)
+        saved = [stage.name for stage, at in zip(split_pipeline.STAGES, saves) if at < cut]
+        rerun = recomputed(ws)
+        assert [s.name for s in split_pipeline.STAGES if s.name not in rerun] == saved
+        assert_same_outputs(clean_runs.run, ws)
+        # a finished RUN_FLAGS workspace cut during a NEW_M_RANGE run, then
+        # resumed with either: only factorize_m's settings differ, so no
+        # other stage is ever recomputed
+        ws, copy = tmp_path / "cut", tmp_path / "copy"
+        shutil.copytree(clean_runs.run, ws)
+        run_cut(["run", clean_runs.input, "--workspace", str(ws)] + NEW_M_RANGE, cut)
+        shutil.copytree(ws, copy)
+        resumes = ((copy, NEW_M_RANGE, clean_runs.new_m), (ws, RUN_FLAGS, clean_runs.run))
+        for ws, flags, clean in resumes:
+            resume(ws, flags)
+            assert recomputed(ws) in ([], ["factorize_m"])
+            assert_same_outputs(clean, ws)
+
+    def test_resume_after_exit_before_rename(self, clean_runs, tmp_path):
+        # a process that dies without unwinding, as on an abort, leaves the
+        # temporary file of the rename it did not reach
+        ws = tmp_path / "ws"
+        crash = f"""
+import os, sys
+sys.path.insert(0, {str(Path(senmfk_split.__file__).parents[1])!r})
+from senmfk_split import cli
+replace = os.replace
+def rename_or_exit(src, dst):
+    if os.path.basename(dst) == "M.mtx":
+        os._exit(70)
+    replace(src, dst)
+os.replace = rename_or_exit
+cli.main({["run", clean_runs.input, "--workspace", str(ws)] + RUN_FLAGS!r})
+"""
+        assert subprocess.run([sys.executable, "-c", crash]).returncode == 70
+        assert (ws / "M.tmp.mtx").is_file() and not (ws / "M.mtx").exists()
+        argv = ["run", clean_runs.input, "--workspace", str(ws), "--resume"] + RUN_FLAGS
+        assert main(argv) == 0
+        assert [p.name for p in ws.iterdir() if ".tmp" in p.suffixes] == []
+        assert_same_outputs(clean_runs.run, ws)
 
 
 class TestConfigFile:
@@ -660,8 +796,13 @@ class TestReport:
             assert len(line) == 1
             assert ", ".join(top5) in line[0]
 
-    def test_report_requires_artifacts(self, tmp_path):
-        assert main(["report", "--workspace", str(tmp_path / "none")]) == 2
+    def test_report_requires_artifacts(self, tmp_path, monkeypatch):
+        # and creates no workspace, given by flag or by environment
+        ws = tmp_path / "none"
+        assert main(["report", "--workspace", str(ws)]) == 2
+        monkeypatch.setenv("SENMFK_WORKSPACE", str(ws))
+        assert main(["report"]) == 2
+        assert not ws.exists()
 
     @pytest.mark.parametrize("top", ["0", "-3"])
     def test_top_below_one_is_usage_error(self, tmp_path, capsys, top):

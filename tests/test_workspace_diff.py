@@ -7,7 +7,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 from senmfk_split import cli, split_pipeline  # noqa: E402
-from workspace_diff import _changed_keys, compare, compare_file, run_fixtures  # noqa: E402
+from workspace_diff import (  # noqa: E402
+    _changed_keys, compare, compare_file, run_fixtures, src_line_change
+)
 
 
 def write_pair(tmp_path: Path, name: str, old: str, new: str) -> tuple[Path, Path]:
@@ -97,3 +99,30 @@ class TestStdout:
         lines = capsys.readouterr().out.splitlines()
         assert "stdout/cli.txt: max relative difference 0.00833" in lines
         assert "stdout/stages.txt: identical" in lines[-3:]
+
+
+class TestSrcLineChange:
+    @staticmethod
+    def tree(root: Path, files: dict[str, str]) -> Path:
+        for name, text in files.items():
+            path = root / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+        return root
+
+    def test_counts_package_modules_only(self, tmp_path):
+        # newlines are counted, as wc -l does; other files and folders are not
+        base = self.tree(tmp_path / "base", {
+            "src/senmfk_split/a.py": "x = 1\ny = 2\n",
+            "src/senmfk_split/b.py": "z = 3",
+            "src/senmfk_split/notes.txt": "one\ntwo\n",
+            "src/senmfk_split/sub/c.py": "w = 4\n",
+            "tools/d.py": "v = 5\n",
+        })
+        head = self.tree(tmp_path / "head", {
+            "src/senmfk_split/a.py": "x = 1\n",
+            "src/senmfk_split/b.py": "z = 3\n\n\n\n",
+        })
+        assert src_line_change(base, head) == "src/ lines: 2 -> 5 (+3)"
+        assert src_line_change(head, base) == "src/ lines: 5 -> 2 (-3)"
+        assert src_line_change(base, base) == "src/ lines: 2 -> 2 (+0)"

@@ -32,8 +32,9 @@ relative difference of its numbers; ``manifest.json`` is compared with its
 ``seconds`` removed.  What each fixture's commands print is compared the
 same way, as the file ``stdout/<fixture>.txt`` (the ``run`` summary line is
 the one result that is not a file), with the workspace path written as
-``<workspace>``.  The exit code is 0 when everything is identical and 1
-otherwise.
+``<workspace>``.  A last line, ``src/ lines: <base> -> <head> (<±n>)``,
+gives the net line change of ``src/senmfk_split/*.py``.  The exit code is 0
+when everything is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -158,6 +159,16 @@ def compare(base: Path, head: Path) -> bool:
     return same
 
 
+def src_line_change(base: Path, head: Path) -> str:
+    """The lines of ``src/senmfk_split/*.py`` (newlines, as ``wc -l`` counts
+    them) in the trees ``base`` and ``head``, and their difference."""
+    old, new = (
+        sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "senmfk_split").glob("*.py"))
+        for tree in (base, head)
+    )
+    return f"src/ lines: {old} -> {new} ({new - old:+d})"
+
+
 def _side(src: Path, inputs: Path, out: Path) -> None:
     """:func:`run_fixtures` in a new process that imports the package from
     ``src`` and the tests' helpers from the working tree."""
@@ -190,7 +201,9 @@ def main(argv: list[str] | None = None) -> int:
         spec.write_text(json.dumps(build_inputs(work / "inputs")))
         _side(base_tree / "src", spec, work / "ws_base")
         _side(ROOT / "src", spec, work / "ws_head")
-        return 0 if compare(work / "ws_base", work / "ws_head") else 1
+        same = compare(work / "ws_base", work / "ws_head")
+        print(src_line_change(base_tree, ROOT))
+        return 0 if same else 1
 
 
 if __name__ == "__main__":
