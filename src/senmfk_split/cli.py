@@ -12,11 +12,13 @@ Four subcommands map onto the pipeline's stage list
 stage, all through :func:`senmfk_split.split_pipeline.run_stages`.
 Configuration comes from defaults, then an optional flat key=value config
 file (``run --config``), then flags; flags win.  One table, ``_OPTIONS``,
-declares every setting's default, type and flag.  Every command records its
-stages in the workspace's one manifest.json (parameters, seeds, digests,
-stage timings), saved after every stage; ``run --resume`` skips stages whose
-recorded parameters, inputs, and outputs all still match, also after a run
-that crashed midway, with these settings or others.
+declares every setting's default, type and flag, and the stages that use
+it: a command takes the flags of its stages, and each stage's record in the
+workspace's one manifest.json holds, by flag name, the settings it uses
+(beside its input and output digests and its time).  The manifest is saved
+after every stage; ``run --resume`` skips stages whose recorded settings,
+inputs, and outputs all still match, also after a run that crashed midway,
+with these settings or others.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure,
 4 out of memory inside a stage (named; ``run --resume`` continues the run).
@@ -37,33 +39,36 @@ from .manifest import RunManifest, sha256_text
 from .matrix_builder import SemanticConfig
 from .model_selection import SelectionConfig, child_seed
 from .nmf_core import NmfConfig
-from .split_pipeline import MANIFEST, PipelineRun, SplitConfig, TopicModel, run_stages
+from .split_pipeline import MANIFEST, STAGES, PipelineRun, SplitConfig, TopicModel, run_stages
 from .text_pipeline import PipelineConfig, default_stopwords, load_stopwords
 from . import storage
 
 WORKSPACE_ENV = "SENMFK_WORKSPACE"
 
-# Every setting: key (the flag without "--", and the config-file key) ->
-# (default, from its config class where one has it; type; the flag group).
-_OPTIONS: dict[str, tuple[Any, Callable[[str], Any], str]] = {
-    "min-doc-tokens": (PipelineConfig.min_doc_tokens, int, "preprocess"),
-    "min-df": (PipelineConfig.min_df, int, "preprocess"),
-    "max-df": (PipelineConfig.max_df_ratio, float, "preprocess"),
-    "window": (SemanticConfig.window, int, "matrices"),
-    "shift": (SemanticConfig.shift, float, "matrices"),
-    "kx-min": (2, int, "model"),
-    "kx-max": (10, int, "model"),
-    "km-min": (2, int, "model"),
-    "km-max": (10, int, "model"),
-    "kj-min": (None, int, "model"),
-    "kj-max": (None, int, "model"),
-    "perturbations": (SelectionConfig.n_perturbations, int, "model"),
-    "delta": (SelectionConfig.delta, float, "model"),
-    "sil-threshold": (SelectionConfig.silhouette_threshold, float, "model"),
-    "seed": (NmfConfig.seed, int, "model"),
-    "top-n-words": (SplitConfig.top_n_words, int, "model"),
-    "max-iter": (NmfConfig.max_iter, int, "model"),
-    "tol": (NmfConfig.tol, float, "model"),
+_SCANS = ("factorize_x", "factorize_m", "joint")
+_SOLVES = _SCANS + ("regression",)
+# Every setting: key (the flag without "--", the config-file key, and its name
+# in the manifest) -> (default, from its config class where one has it; type;
+# the stages whose manifest records hold it, so a change reruns just those).
+_OPTIONS: dict[str, tuple[Any, Callable[[str], Any], tuple[str, ...]]] = {
+    "min-doc-tokens": (PipelineConfig.min_doc_tokens, int, ("preprocess",)),
+    "min-df": (PipelineConfig.min_df, int, ("preprocess",)),
+    "max-df": (PipelineConfig.max_df_ratio, float, ("preprocess",)),
+    "window": (SemanticConfig.window, int, ("matrices",)),
+    "shift": (SemanticConfig.shift, float, ("matrices",)),
+    "kx-min": (2, int, ("factorize_x",)),
+    "kx-max": (10, int, ("factorize_x",)),
+    "km-min": (2, int, ("factorize_m",)),
+    "km-max": (10, int, ("factorize_m",)),
+    "kj-min": (None, int, ("joint",)),
+    "kj-max": (None, int, ("joint",)),
+    "perturbations": (SelectionConfig.n_perturbations, int, _SCANS),
+    "delta": (SelectionConfig.delta, float, _SCANS),
+    "sil-threshold": (SelectionConfig.silhouette_threshold, float, _SCANS),
+    "seed": (NmfConfig.seed, int, _SOLVES),
+    "top-n-words": (SplitConfig.top_n_words, int, ("export",)),
+    "max-iter": (NmfConfig.max_iter, int, _SOLVES),
+    "tol": (NmfConfig.tol, float, _SOLVES),
 }
 _DEFAULTS: dict[str, Any] = {key: default for key, (default, _, _) in _OPTIONS.items()}
 
@@ -78,8 +83,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Flat key=value file; '#' starts a comment, blank lines ignored."""
+    """Flat key=value file; '#' starts a comment, blank lines ignored.  A
+    key set twice (``min_df`` and ``min-df`` are one key) is a DataError."""
     values: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -90,7 +97,9 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         key = key.strip().replace("_", "-")
         if key not in _DEFAULTS:
             raise DataError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value.strip()
+        if key in values:
+            raise DataError(f"{path}:{lineno}: key {key!r} already set on line {line_of[key]}")
+        values[key], line_of[key] = value.strip(), lineno
     return values
 
 
@@ -145,12 +154,13 @@ def _workspace(args: argparse.Namespace) -> Path:
     return Path(ws)
 
 
-def _add_flags(p: argparse.ArgumentParser, *groups: str) -> None:
+def _add_flags(p: argparse.ArgumentParser, *stages: str) -> None:
+    """The workspace flag and the flags of the settings ``stages`` use."""
     p.add_argument("--workspace", help=f"workspace directory (default ${WORKSPACE_ENV})")
-    for key, (_, kind, group) in _OPTIONS.items():
-        if group in groups:
+    for key, (_, kind, used_by) in _OPTIONS.items():
+        if set(used_by) & set(stages):
             p.add_argument(f"--{key}", type=kind)
-    if "preprocess" in groups:
+    if "preprocess" in stages:
         p.add_argument("--stopwords", help="custom stopword file, one term per line")
         p.add_argument(
             "--pre-tokenized",
@@ -183,7 +193,7 @@ def build_parser() -> _Parser:
         default=False,
         help="skip stages whose recorded inputs and outputs still match",
     )
-    _add_flags(p, "preprocess", "matrices", "model")
+    _add_flags(p, *(stage.name for stage in STAGES))
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("report", help="print the topic table and histogram")
@@ -193,11 +203,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _pipeline(args: argparse.Namespace, *groups: str) -> tuple[dict[str, Any], PipelineRun]:
-    """The settings of the flag ``groups`` to record in the manifest (with
-    ``preprocess`` also the stopword digest and the input format) and the
-    pipeline run that all resolved settings configure, in the workspace
-    directory, created once the settings are valid."""
+def _pipeline(args: argparse.Namespace) -> tuple[PipelineRun, RunManifest, dict[str, dict]]:
+    """The pipeline run that all resolved settings configure, in the
+    workspace directory (created once the settings are valid); the
+    workspace's one manifest, so every command adds to the records of the
+    others (an unreadable manifest file raises DataError); and each stage's
+    manifest parameters: the settings that ``_OPTIONS`` says it uses, by key,
+    and for ``preprocess`` also the stopword digest and the input format."""
     workspace = _workspace(args)
     config_path = getattr(args, "config", None)
     file_cfg = parse_config_file(config_path) if config_path else {}
@@ -209,39 +221,31 @@ def _pipeline(args: argparse.Namespace, *groups: str) -> tuple[dict[str, Any], P
         config = _split_config(settings, stopwords)
     except ValueError as exc:
         raise CliUsage(str(exc)) from exc
-    recorded = {key: settings[key] for key, (_, _, group) in _OPTIONS.items() if group in groups}
-    if "preprocess" in groups:
-        recorded["stopwords_digest"] = sha256_text("\n".join(sorted(stopwords)))
-        recorded["pre_tokenized"] = pre_tokenized
+    params: dict[str, dict[str, Any]] = {stage.name: {} for stage in STAGES}
+    for key, (_, _, used_by) in _OPTIONS.items():
+        for name in used_by:
+            params[name][key] = settings[key]
+    params["preprocess"]["stopwords_digest"] = sha256_text("\n".join(sorted(stopwords)))
+    params["preprocess"]["pre_tokenized"] = pre_tokenized
     workspace.mkdir(parents=True, exist_ok=True)
-    run = PipelineRun(config, workspace, getattr(args, "input", None), pre_tokenized)
-    return recorded, run
-
-
-def _merged_manifest(args: argparse.Namespace, *groups: str) -> tuple[PipelineRun, RunManifest]:
-    """The pipeline run and the workspace's one manifest with the settings
-    of this command's flag ``groups`` updated, so every command adds to the
-    record of the others: their settings, and the records of stages it does
-    not reach, stay.  An unreadable manifest file raises DataError."""
-    settings, run = _pipeline(args, *groups)
-    path = run.workspace / MANIFEST
-    manifest = RunManifest.load(path) if path.is_file() else RunManifest(__version__, {})
+    path = workspace / MANIFEST
+    manifest = RunManifest.load(path) if path.is_file() else RunManifest(__version__)
     manifest.version = __version__
-    manifest.config.update(settings)
-    return run, manifest
+    run = PipelineRun(config, workspace, getattr(args, "input", None), pre_tokenized)
+    return run, manifest, params
 
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
-    run, manifest = _merged_manifest(args, "preprocess")
-    values = run_stages(run, manifest, last="preprocess")
+    run, manifest, params = _pipeline(args)
+    values = run_stages(run, manifest, params, last="preprocess")
     corpus, vocab = values["corpus.jsonl"], values["vocab.txt"]
     print(f"{len(corpus)} documents, {len(vocab)} terms -> {run.workspace}")
     return 0
 
 
 def cmd_matrices(args: argparse.Namespace) -> int:
-    run, manifest = _merged_manifest(args, "matrices")
-    values = run_stages(run, manifest, first="matrices", last="matrices")
+    run, manifest, params = _pipeline(args)
+    values = run_stages(run, manifest, params, first="matrices", last="matrices")
     # cooc.mtx is read back in full: its file stores one triangle
     X, cooc, M = values["X.mtx"], values["cooc.mtx"], values["M.mtx"]
     print(
@@ -252,8 +256,8 @@ def cmd_matrices(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    run, manifest = _merged_manifest(args, "preprocess", "matrices", "model")
-    model = TopicModel.from_stages(run_stages(run, manifest, resume=args.resume))
+    run, manifest, params = _pipeline(args)
+    model = TopicModel.from_stages(run_stages(run, manifest, params, resume=args.resume))
     flags = []
     if any(report.fallback for report in model.reports.values()):
         flags.append("fallback rank selection")

@@ -1,9 +1,10 @@
 """Run manifests: the reproducibility record the CLI writes per workspace.
 
-A manifest snapshots the full configuration (every threshold and seed), the
-digests of all inputs and outputs per stage, the tool version, and per-stage
-wall-clock times.  It both documents how to reproduce a run and lets a rerun
-skip stages whose parameters, inputs, and outputs all still match on disk.
+A manifest holds the tool version and one record per stage: the settings
+the stage ran with, by their flag names, the digests of its inputs and
+outputs, and its wall-clock time.  It both
+documents how to reproduce a run and lets a rerun skip stages whose
+parameters, inputs, and outputs all still match on disk.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ class StageRecord:
 @dataclass
 class RunManifest:
     version: str
-    config: dict[str, Any]
-    input_digests: dict[str, str] = field(default_factory=dict)
     stages: dict[str, StageRecord] = field(default_factory=dict)
 
     def record(
@@ -89,9 +88,14 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunManifest":
-        """Raises DataError when the file is not a manifest."""
+        """Raises DataError when the file is not a manifest.  The ``config``
+        and ``input_digests`` of a manifest written before the settings moved
+        into the stage records are dropped; a record that names its settings
+        the old way then matches no run, so its stage reruns once."""
         try:
             payload = json.loads(Path(path).read_text("utf-8"))
+            for retired in ("config", "input_digests"):
+                payload.pop(retired, None)
             stages = payload.pop("stages", {})
             return cls(**payload, stages={name: StageRecord(**rec) for name, rec in stages.items()})
         except (ValueError, TypeError, AttributeError) as exc:

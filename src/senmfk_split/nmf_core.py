@@ -403,17 +403,21 @@ def _draw_index(X, symmetric: bool) -> _DrawIndex:
     if X.shape[0] != X.shape[1]:
         raise DimensionMismatch(f"symmetric perturbation needs a square matrix, got {X.shape}")
     # X's CSR positions (1-based) in CSC order; on a symmetric pattern the
-    # t-th of them is the mirror of CSR entry t
-    order = sparse.csr_matrix((np.arange(1, X.nnz + 1), X.indices, X.indptr), shape=X.shape)
+    # t-th of them is the mirror of CSR entry t, and entry t lies below the
+    # diagonal exactly when its mirror comes earlier in CSR order
+    kind = np.int32 if X.nnz < 2**31 else np.int64
+    order = sparse.csr_matrix((np.arange(1, X.nnz + 1, dtype=kind), X.indices, X.indptr), X.shape)
     order = order.tocsc()
     same = np.array_equal(order.indptr, X.indptr) and np.array_equal(order.indices, X.indices)
     if not same:
         raise ValueError("symmetric perturbation needs a symmetric sparsity pattern")
-    mirror = order.data - 1
-    lower = X.indices < np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
-    of_entry = np.empty(X.nnz, dtype=np.intp)
+    mirror = order.data  # the CSC pattern arrays are freed before the masks
+    del order
+    mirror -= 1
+    lower = mirror < np.arange(X.nnz, dtype=kind)
+    of_entry = np.empty(X.nnz, dtype=kind)
     draws = X.nnz - np.count_nonzero(lower)
-    of_entry[~lower] = np.arange(draws)
+    of_entry[~lower] = np.arange(draws, dtype=kind)
     of_entry[lower] = of_entry[mirror[lower]]
     return _DrawIndex(X, draws, of_entry, np.array_equal(X.data[mirror], X.data))
 

@@ -10,22 +10,23 @@ named file triple (:data:`FACTORS_X`, :data:`FACTORS_M`, :data:`FACTORS_JOINT`).
 
 The pipeline is written once, as the stage list :data:`STAGES`: preprocess,
 matrices, factorize_x, factorize_m, joint, regression and export.  Each
-:class:`Stage` names its manifest parameters, its input and output files, and
-the module-level function of the :class:`PipelineRun` that computes it
-(``prepare_corpus``, ``build_matrices``, ``stage_*``, looked up by name).
+:class:`Stage` names its input and output files and the module-level function
+of the :class:`PipelineRun` that computes it (``prepare_corpus``,
+``build_matrices``, ``stage_*``, looked up by name).
 Values are named by their files: ``run.values["W1.mtx"]`` is the X-side
 basis, and a value the run did not compute is read from its file by one
 reader, :func:`_read`, when it is first used.  :func:`run_stages` runs a slice
 of the list for every entry point: :func:`run_split` runs all stages without
-a manifest; the CLI runs all or one and saves a manifest after every stage,
-so a run can be audited and resumed after the last stage that finished.
+a manifest; the CLI runs all or one with each stage's settings and saves a
+manifest after every stage, so a run can be audited and resumed after the
+last stage that finished.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -39,7 +40,7 @@ from .errors import (
     SenmfkError,
     ShapeMismatch,
 )
-from .manifest import RunManifest, sha256_file, sha256_text
+from .manifest import RunManifest, sha256_file
 from .matrix_builder import (
     SemanticConfig,
     _check_nonnegative,
@@ -302,8 +303,17 @@ def stage_factorize_m(r: PipelineRun) -> None:
 
 
 def stage_joint(r: PipelineRun) -> None:
-    Wcat = concat_normalized(r.values["W1.mtx"], r.values["W2.mtx"])
-    _write_factorization(r, joint_factorize(Wcat, _joint_selection(r)), FACTORS_JOINT)
+    """The merge scan with the explicit selection config if given, otherwise
+    with a copy of the X-side parameters over :func:`default_joint_range` of
+    the selected ranks k1, k2 and the rows of W1 (one per term)."""
+    W1, W2 = r.values["W1.mtx"], r.values["W2.mtx"]
+    selection = r.config.selection_joint
+    if selection is None:
+        lo, hi = default_joint_range(W1.shape[1], W2.shape[1], W1.shape[0])
+        x = r.config.selection_x
+        nmf = replace(x.nmf, seed=child_seed(x.nmf.seed, 3))
+        selection = replace(x, k_min=lo, k_max=hi, nmf=nmf)
+    _write_factorization(r, joint_factorize(concat_normalized(W1, W2), selection), FACTORS_JOINT)
 
 
 def stage_regression(r: PipelineRun) -> None:
@@ -326,17 +336,15 @@ def stage_export(r: PipelineRun) -> None:
 
 @dataclass(frozen=True)
 class Stage:
-    """One entry of the stage list.  Every callable takes the
-    :class:`PipelineRun`.
+    """One entry of the stage list.
 
-    ``params`` gives the settings recorded in the manifest; ``inputs`` and
-    ``outputs`` name the files whose digests are recorded with them (names
-    are workspace files, except :data:`INPUT`).  ``compute`` reads from
-    ``run.values`` only the values its ``inputs`` name, writes its outputs
-    and keeps their values there (all but ``cooc.mtx`` and ``histogram.csv``)."""
+    ``inputs`` and ``outputs`` name the files whose digests the manifest
+    records (names are workspace files, except :data:`INPUT`).  ``compute``
+    takes the :class:`PipelineRun`, reads from ``run.values`` only the
+    values its ``inputs`` name, writes its outputs and keeps their values
+    there (all but ``cooc.mtx`` and ``histogram.csv``)."""
 
     name: str
-    params: Callable[[PipelineRun], dict[str, Any]]
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     compute: Callable[[PipelineRun], None]
@@ -375,71 +383,27 @@ class PipelineRun:
         return Path(self.corpus_path) if name == INPUT else self.workspace / name
 
 
-def _joint_selection(r: PipelineRun) -> SelectionConfig:
-    """The merge-stage selection config: the explicit one if given, otherwise
-    a copy of the X-side parameters over :func:`default_joint_range` of the
-    selected ranks k1, k2 and the rows of W1 (one per term)."""
-    if r.config.selection_joint is not None:
-        return r.config.selection_joint
-    W1, W2 = r.values["W1.mtx"], r.values["W2.mtx"]
-    lo, hi = default_joint_range(W1.shape[1], W2.shape[1], W1.shape[0])
-    x = r.config.selection_x
-    return replace(x, k_min=lo, k_max=hi, nmf=replace(x.nmf, seed=child_seed(x.nmf.seed, 3)))
-
-
-def _factor_stage(
-    name: str,
-    inputs: tuple[str, ...],
-    files: tuple[str, str, str],
-    selection: Callable[[PipelineRun], SelectionConfig],
-) -> Stage:
-    """A factorization stage, computed by the module global ``stage_<name>``,
-    with its selection config, flattened, as the manifest parameters."""
-
-    def params(r: PipelineRun) -> dict[str, Any]:
-        flat = asdict(selection(r))
-        flat.update(flat.pop("nmf"))
-        return flat
-
-    return Stage(name, params, inputs, files, lambda r: globals()[f"stage_{name}"](r))
-
-
 # The stage bodies are looked up as module globals when a stage runs, so a
 # rebinding of e.g. ``split_pipeline.stage_joint`` takes effect.
 STAGES: tuple[Stage, ...] = (
     Stage(
         "preprocess",
-        params=lambda r: {
-            "min_doc_tokens": r.config.pipeline.min_doc_tokens,
-            "min_df": r.config.pipeline.min_df,
-            "max_df_ratio": r.config.pipeline.max_df_ratio,
-            "stopwords_digest": sha256_text("\n".join(sorted(r.config.pipeline.stopwords))),
-            "pre_tokenized": r.pre_tokenized,
-        },
         inputs=(INPUT,),
         outputs=("corpus.jsonl", "vocab.txt"),
         compute=lambda r: prepare_corpus(r),
     ),
     Stage(
         "matrices",
-        params=lambda r: asdict(r.config.semantic),
         inputs=("corpus.jsonl", "vocab.txt"),
         outputs=("X.mtx", "cooc.mtx", "M.mtx"),
         compute=lambda r: build_matrices(r),
     ),
-    _factor_stage("factorize_x", ("X.mtx",), FACTORS_X, lambda r: r.config.selection_x),
-    _factor_stage("factorize_m", ("M.mtx",), FACTORS_M, lambda r: r.config.selection_m),
-    _factor_stage("joint", ("W1.mtx", "W2.mtx"), FACTORS_JOINT, _joint_selection),
-    Stage(
-        "regression",
-        params=lambda r: asdict(r.config.selection_x.nmf),
-        inputs=("X.mtx", "W.mtx"),
-        outputs=("H.mtx",),
-        compute=lambda r: stage_regression(r),
-    ),
+    Stage("factorize_x", ("X.mtx",), FACTORS_X, lambda r: stage_factorize_x(r)),
+    Stage("factorize_m", ("M.mtx",), FACTORS_M, lambda r: stage_factorize_m(r)),
+    Stage("joint", ("W1.mtx", "W2.mtx"), FACTORS_JOINT, lambda r: stage_joint(r)),
+    Stage("regression", ("X.mtx", "W.mtx"), ("H.mtx",), lambda r: stage_regression(r)),
     Stage(
         "export",
-        params=lambda r: {"top_n_words": r.config.top_n_words},
         inputs=("H.mtx", "W.mtx", "vocab.txt", "corpus.jsonl"),
         outputs=("topics.json", "assignments.csv", "histogram.csv"),
         compute=lambda r: stage_export(r),
@@ -474,6 +438,7 @@ def _read(run: PipelineRun, name: str) -> Any:
 def run_stages(
     run: PipelineRun,
     manifest: RunManifest | None = None,
+    params: dict[str, dict[str, Any]] | None = None,
     resume: bool = False,
     first: str | None = None,
     last: str | None = None,
@@ -483,11 +448,11 @@ def run_stages(
 
     Earlier stages are not recorded; their outputs must exist.  Each stage
     runs inside :func:`stage_scope`.  Without a manifest nothing is digested
-    or recorded.  With one, each stage run replaces its record there (a stage
-    not reached keeps its own) and the manifest is saved to the workspace
-    after each stage; with ``resume``, a stage it records with the same
-    parameters, inputs and still-matching outputs is resumed instead of
-    computed.  The output of an earlier or resumed stage is read from its
+    or recorded.  With one, each stage run replaces its record there with
+    ``params[stage name]``, the settings the stage uses (a stage not reached
+    keeps its record), and the manifest is saved to the workspace after each
+    stage; with ``resume``, a stage it records with the same parameters,
+    inputs and still-matching outputs is resumed instead of computed.  The output of an earlier or resumed stage is read from its
     file only when a later stage, or the caller, first uses its value, so a
     full resume reads no matrix the run does not use.
     """
@@ -505,9 +470,9 @@ def run_stages(
                 stage.compute(run)
                 continue
             start = time.perf_counter()
-            params = stage.params(run)
+            settings = params[stage.name]
             inputs = {n: digests.get(n) or sha256_file(run.path(n)) for n in stage.inputs}
-            resumed = resume and manifest.can_skip(stage.name, params, inputs, run.workspace)
+            resumed = resume and manifest.can_skip(stage.name, settings, inputs, run.workspace)
             if resumed:
                 outputs = manifest.stages[stage.name].outputs  # checked by can_skip
             else:
@@ -515,11 +480,9 @@ def run_stages(
                 outputs = {n: sha256_file(run.path(n)) for n in stage.outputs}
             digests.update(inputs)
             digests.update(outputs)
-            if INPUT in inputs:
-                manifest.input_digests[INPUT] = inputs[INPUT]
             manifest.record(
                 stage.name,
-                params=params,
+                params=settings,
                 inputs=inputs,
                 outputs=outputs,
                 seconds=time.perf_counter() - start,

@@ -17,10 +17,10 @@ from scipy import io as scipy_io
 from conftest import RNG_SEED, assert_same_csr, write_jsonl
 from oracles import cooccurrence_oracle, purity, tfidf_oracle, topic_corpus_jsonl
 import senmfk_split
-from senmfk_split import fileio, split_pipeline, storage, text_pipeline
+from senmfk_split import cli, fileio, split_pipeline, storage, text_pipeline
 from senmfk_split.cli import main, parse_config_file
-from senmfk_split.errors import NumericalError
-from senmfk_split.manifest import RunManifest, sha256_file
+from senmfk_split.errors import DataError, NumericalError
+from senmfk_split.manifest import RunManifest, sha256_file, sha256_text
 from senmfk_split.model_selection import child_seed
 from senmfk_split.text_pipeline import load_jsonl_corpus
 
@@ -323,9 +323,7 @@ class TestMatrices:
               "--min-doc-tokens", "1", "--min-df", "1", "--max-df", "1.0"])
         main(["matrices", "--workspace", str(ws), "--shift", "1"])
         manifest = RunManifest.load(ws / "manifest.json")
-        assert manifest.stages["matrices"].params["window"] == 100
-        assert manifest.config["window"] == 100
-        assert manifest.config["shift"] == 1.0
+        assert manifest.stages["matrices"].params == {"window": 100, "shift": 1.0}
 
 
 class TestRun:
@@ -386,16 +384,30 @@ class TestRun:
         for name, data in before.items():
             assert (ws / name).read_bytes() == data, name
 
-    def test_explicit_joint_range_and_seed_recorded(self, corpus_file, tmp_path):
+    def test_explicit_joint_range_and_seed_recorded(self, corpus_file, tmp_path, monkeypatch):
         # the explicit range's seed is keyed on --seed; the derived one on
-        # the X side's seed
+        # the X side's seed; the joint record holds the flags, set or not
+        selections = []
+        joint_factorize = split_pipeline.joint_factorize
+
+        def spy(Wcat, selection):
+            selections.append(selection)
+            return joint_factorize(Wcat, selection)
+
+        monkeypatch.setattr(split_pipeline, "joint_factorize", spy)
         path, _ = corpus_file
-        ws = tmp_path / "ws"
-        joint = ["--kj-min", "2", "--kj-max", "4"]
-        assert main(["run", str(path), "--workspace", str(ws)] + joint + RUN_FLAGS) == 0
-        params = RunManifest.load(ws / "manifest.json").stages["joint"].params
-        assert (params["k_min"], params["k_max"]) == (2, 4)
-        assert params["seed"] == child_seed(11, 3) != child_seed(child_seed(11, 1), 3)
+        runs = {"explicit": ["--kj-min", "2", "--kj-max", "4"], "derived": []}
+        for name, joint in runs.items():
+            ws = tmp_path / name
+            assert main(["run", str(path), "--workspace", str(ws)] + joint + RUN_FLAGS) == 0
+            params = RunManifest.load(ws / "manifest.json").stages["joint"].params
+            assert [params[key] for key in ("kj-min", "kj-max", "seed")] == (
+                [2, 4, 11] if joint else [None, None, 11]
+            )
+        explicit, derived = selections
+        assert (explicit.k_min, explicit.k_max) == (2, 4)
+        assert explicit.nmf.seed == child_seed(11, 3) != child_seed(child_seed(11, 1), 3)
+        assert derived.nmf.seed == child_seed(child_seed(11, 1), 3)
 
     def test_resume_keeps_zero_column_note(self, corpus_file, tmp_path, monkeypatch, capsys):
         # preprocess drops documents with no in-vocabulary terms, so an
@@ -554,9 +566,22 @@ class TestRun:
         monkeypatch.setattr(split_pipeline, "stage_factorize_m", out_of_memory)
         assert main(["run", str(path), "--workspace", str(ws)] + NEW_M_RANGE) == 4
         monkeypatch.undo()
+        # a setting sits only in the records of the stages that use it, so the
+        # manifest still says which --km-min made the files on disk
+        stages = RunManifest.load(ws / "manifest.json").stages
+        assert [name for name, rec in stages.items() if "km-min" in rec.params] == ["factorize_m"]
+        assert stages["factorize_m"].params["km-min"] == 2
+        crashed, fresh = tmp_path / "crashed", tmp_path / "fresh"
+        shutil.copytree(ws, crashed)
         assert main(["run", str(path), "--workspace", str(ws), "--resume"] + RUN_FLAGS) == 0
         assert all(rec.resumed for rec in RunManifest.load(ws / "manifest.json").stages.values())
         assert_same_outputs(clean, ws)
+        # resumed with the new settings instead, only factorize_m runs again
+        argv = ["run", str(path), "--workspace", str(crashed), "--resume"] + NEW_M_RANGE
+        assert main(argv) == 0
+        assert recomputed(crashed) == ["factorize_m"]
+        assert main(["run", str(path), "--workspace", str(fresh)] + NEW_M_RANGE) == 0
+        assert_same_outputs(fresh, crashed)
 
     def test_resume_after_failed_matrices_stage(self, corpus_file, tmp_path, capsys):
         # window 1 pairs no tokens, so SPPMI has no counts: X and cooc are
@@ -587,7 +612,7 @@ class TestRun:
         assert not stages["factorize_x"].resumed
 
     def test_single_stage_commands_keep_each_others_settings(self, corpus_file, tmp_path):
-        # each command updates only its own flags' settings in the manifest
+        # each command replaces only the records of its own stages
         path, _ = corpus_file
         ws = tmp_path / "ws"
         stopwords = tmp_path / "stop.txt"
@@ -595,13 +620,16 @@ class TestRun:
         preprocess = ["--min-df", "2", "--min-doc-tokens", "3", "--stopwords", str(stopwords)]
         assert main(["preprocess", str(path), "--workspace", str(ws)] + preprocess) == 0
         assert main(["matrices", "--workspace", str(ws), "--shift", "1"]) == 0
-        manifest = RunManifest.load(ws / "manifest.json")
-        params = manifest.stages["preprocess"].params
-        assert manifest.config["min-df"] == params["min_df"] == 2
-        assert manifest.config["min-doc-tokens"] == params["min_doc_tokens"] == 3
-        assert manifest.config["stopwords_digest"] == params["stopwords_digest"]
-        assert manifest.config["shift"] == manifest.stages["matrices"].params["shift"] == 1.0
-        assert "seed" not in manifest.config
+        stages = RunManifest.load(ws / "manifest.json").stages
+        assert stages["preprocess"].params == {
+            "min-doc-tokens": 3,
+            "min-df": 2,
+            "max-df": 0.5,
+            "stopwords_digest": sha256_text("and\nthe"),
+            "pre_tokenized": False,
+        }
+        assert stages["matrices"].params == {"window": 100, "shift": 1.0}
+        assert set(stages) == {"preprocess", "matrices"}
 
     def test_damaged_manifest_is_data_error(self, corpus_file, tmp_path, capsys):
         # a manifest cut short, or one that is valid JSON but lacks its keys,
@@ -625,12 +653,58 @@ class TestRun:
         path, _ = corpus_file
         ws = tmp_path / "ws"
         main(["run", str(path), "--workspace", str(ws)] + RUN_FLAGS)
+        assert set(json.loads((ws / "manifest.json").read_text())) == {"version", "stages"}
         manifest = RunManifest.load(ws / "manifest.json")
-        for key in ("seed", "window", "shift", "min-doc-tokens", "kx-min", "sil-threshold"):
-            assert key in manifest.config
+        for stage, key in (
+            ("regression", "seed"),
+            ("matrices", "window"),
+            ("matrices", "shift"),
+            ("preprocess", "min-doc-tokens"),
+            ("factorize_x", "kx-min"),
+            ("joint", "sil-threshold"),
+        ):
+            assert key in manifest.stages[stage].params
         assert manifest.version
         assert all(rec.seconds >= 0 for rec in manifest.stages.values())
-        assert manifest.input_digests["input"]
+        assert manifest.stages["preprocess"].inputs["input"] == sha256_file(path)
+
+    def test_resume_from_manifest_with_flat_config(self, corpus_file, tmp_path):
+        # a manifest as written before each setting moved into the records
+        # of the stages that use it: a flat config, the input's digest once
+        # more, and each stage's settings named as in its config object
+        path, _ = corpus_file
+        ws, clean = tmp_path / "ws", tmp_path / "clean"
+        assert main(["run", str(path), "--workspace", str(ws)] + RUN_FLAGS) == 0
+        shutil.copytree(ws, clean)
+        legacy = json.loads((ws / "manifest.json").read_text())
+        stages = legacy["stages"]
+        legacy["config"] = {k: v for rec in stages.values() for k, v in rec["params"].items()}
+        legacy["input_digests"] = {"input": stages["preprocess"]["inputs"]["input"]}
+        scan = {"n_perturbations": 5, "delta": 0.03, "silhouette_threshold": 0.75,
+                "max_iter": 250, "tol": 1e-7}
+        x_seed = child_seed(11, 1)
+        old_params = {
+            "preprocess": {"min_doc_tokens": 20, "min_df": 5, "max_df_ratio": 0.5,
+                           "stopwords_digest": legacy["config"]["stopwords_digest"],
+                           "pre_tokenized": False},
+            "matrices": {"window": 100, "shift": 1.0},
+            "factorize_x": {"k_min": 2, "k_max": 5, "seed": x_seed, **scan},
+            "factorize_m": {"k_min": 2, "k_max": 5, "seed": child_seed(11, 2), **scan},
+            "joint": {"k_min": 3, "k_max": 6, "seed": child_seed(x_seed, 3), **scan},
+            "regression": {"max_iter": 250, "tol": 1e-7, "seed": x_seed},
+            "export": {"top_n_words": 20},
+        }
+        for name, params in old_params.items():
+            stages[name]["params"] = params
+        (ws / "manifest.json").write_text(json.dumps(legacy))
+        assert main(["run", str(path), "--workspace", str(ws), "--resume"] + RUN_FLAGS) == 0
+        # the matrices record already named its settings by their flags, and
+        # its inputs are the rewritten, byte-identical corpus and vocabulary
+        assert set(recomputed(ws)) == {s.name for s in split_pipeline.STAGES} - {"matrices"}
+        assert set(json.loads((ws / "manifest.json").read_text())) == {"version", "stages"}
+        assert_same_outputs(clean, ws)
+        assert main(["run", str(path), "--workspace", str(ws), "--resume"] + RUN_FLAGS) == 0
+        assert recomputed(ws) == []
 
 
 # A RUN_FLAGS or NEW_M_RANGE run renames a finished file into place 25 times:
@@ -752,9 +826,9 @@ class TestConfigFile:
         assert main(
             ["run", str(path), "--workspace", str(ws), "--config", str(cfg), "--seed", "11"]
         ) == 0
-        manifest = RunManifest.load(ws / "manifest.json")
-        assert manifest.config["seed"] == 11  # flag beats file
-        assert manifest.config["perturbations"] == 5  # file beats default
+        params = RunManifest.load(ws / "manifest.json").stages["factorize_x"].params
+        assert params["seed"] == 11  # flag beats file
+        assert params["perturbations"] == 5  # file beats default
 
     def test_bad_value_is_data_error(self, corpus_file, tmp_path, capsys):
         path, _ = corpus_file
@@ -763,6 +837,22 @@ class TestConfigFile:
         code = main(["run", str(path), "--workspace", str(tmp_path / "ws"), "--config", str(cfg)])
         assert code == 2
         assert "DataError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, first, second",
+        [("seed = 1\nseed = 2\n", 1, 2), ("# spellings\nmin_df = 3\n\nmin-df = 4\n", 2, 4)],
+    )
+    def test_key_set_twice_is_data_error(self, corpus_file, tmp_path, capsys, text, first, second):
+        # the last line used to win without a word
+        path, _ = corpus_file
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(text)
+        with pytest.raises(DataError, match=f"twice.cfg:{second}: .* already set on line {first}"):
+            parse_config_file(cfg)
+        ws = tmp_path / "ws"
+        assert main(["run", str(path), "--workspace", str(ws), "--config", str(cfg)]) == 2
+        assert f"twice.cfg:{second}" in capsys.readouterr().err
+        assert not ws.exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -776,6 +866,71 @@ class TestConfigFile:
         monkeypatch.setenv("SENMFK_WORKSPACE", str(ws))
         assert main(["preprocess", str(path)]) == 0
         assert (ws / "vocab.txt").is_file()
+
+
+SCANS = ("factorize_x", "factorize_m", "joint")
+# Each setting, by the key its stages' manifest records hold it under, with a
+# change of it from RUN_FLAGS plus a joint range of 2..4, and the stages whose
+# records hold it: a change reruns exactly these.  The same stages' recorded
+# parameters changed before the settings moved into the stage records.
+HELD_BY = [
+    ("min-doc-tokens", ["--min-doc-tokens", "7"], ("preprocess",)),
+    ("min-df", ["--min-df", "3"], ("preprocess",)),
+    ("max-df", ["--max-df", "0.6"], ("preprocess",)),
+    ("stopwords_digest", ["--stopwords", "STOPWORDS"], ("preprocess",)),
+    ("pre_tokenized", ["--pre-tokenized"], ("preprocess",)),
+    ("window", ["--window", "50"], ("matrices",)),
+    ("shift", ["--shift", "2"], ("matrices",)),
+    ("kx-min", ["--kx-min", "3"], ("factorize_x",)),
+    ("kx-max", ["--kx-max", "6"], ("factorize_x",)),
+    ("km-min", ["--km-min", "3"], ("factorize_m",)),
+    ("km-max", ["--km-max", "6"], ("factorize_m",)),
+    ("kj-min", ["--kj-min", "3"], ("joint",)),
+    ("kj-max", ["--kj-max", "5"], ("joint",)),
+    ("perturbations", ["--perturbations", "6"], SCANS),
+    ("delta", ["--delta", "0.05"], SCANS),
+    ("sil-threshold", ["--sil-threshold", "0.7"], SCANS),
+    ("seed", ["--seed", "12"], SCANS + ("regression",)),
+    ("max-iter", ["--max-iter", "300"], SCANS + ("regression",)),
+    ("tol", ["--tol", "1e-6"], SCANS + ("regression",)),
+    ("top-n-words", ["--top-n-words", "9"], ("export",)),
+]
+
+
+class TestSettingRecords:
+    """Which stage records hold each setting: the stages a change reruns."""
+
+    def stage_params(self, tmp_path, flags):
+        args = cli.build_parser().parse_args(
+            ["run", "input.jsonl", "--workspace", str(tmp_path / "ws")] + RUN_FLAGS + flags
+        )
+        return cli._pipeline(args)[2]
+
+    def test_every_setting_listed(self):
+        assert {key for key, _, _ in HELD_BY} == set(cli._OPTIONS) | {
+            "stopwords_digest", "pre_tokenized"
+        }
+
+    @pytest.mark.parametrize("key, change, held_by", HELD_BY, ids=[k for k, _, _ in HELD_BY])
+    def test_change_reaches_exactly_its_stages(self, tmp_path, key, change, held_by):
+        stopwords = tmp_path / "stop.txt"
+        stopwords.write_text("the\nand\n")
+        change = [str(stopwords) if flag == "STOPWORDS" else flag for flag in change]
+        joint = ["--kj-min", "2", "--kj-max", "4"]
+        before = self.stage_params(tmp_path, joint)
+        after = self.stage_params(tmp_path, joint + change)
+        assert [s.name for s in split_pipeline.STAGES] == list(before) == list(after)
+        assert [name for name in before if before[name] != after[name]] == list(held_by)
+        assert [name for name in after if key in after[name]] == list(held_by)
+        for name in held_by:
+            assert {k for k in before[name] if before[name][k] != after[name][k]} == {key}
+
+    def test_joint_range_where_none_was_reaches_only_joint(self, tmp_path):
+        # unset, the range is derived from W1 and W2, the joint stage's inputs
+        before = self.stage_params(tmp_path, [])
+        after = self.stage_params(tmp_path, ["--kj-min", "2", "--kj-max", "4"])
+        assert (before["joint"]["kj-min"], before["joint"]["kj-max"]) == (None, None)
+        assert [name for name in before if before[name] != after[name]] == ["joint"]
 
 
 class TestReport:

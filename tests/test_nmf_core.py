@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
+from conftest import traced_peak
 from oracles import (
     frobenius_relative_error,
     mu_oracle,
@@ -565,6 +566,19 @@ class TestPerturb:
             for name in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(P, name), getattr(Q, name)), name
             np.testing.assert_array_equal(P.toarray(), symmetric_perturb_oracle(X, delta, seed))
+
+    def test_draw_index_peak_bounded(self, rng):
+        # a random symmetric matrix of 2,000 terms: int32 positions, with
+        # each entry's side of the diagonal read from its mirror, peak at
+        # 1.50 times its CSR bytes; int64 positions beside a whole-row
+        # array took 3.16
+        m, half = 2000, 400_000
+        rows, cols = rng.integers(0, m, (2, half))
+        A = sparse.csr_matrix((rng.uniform(1.0, 2.0, half), (rows, cols)), shape=(m, m))
+        M = canonicalize(A + A.T)
+        index, peak, _ = traced_peak(lambda: nmf_core._draw_index(M, symmetric=True))
+        assert index.of_entry.dtype == np.int32
+        assert peak <= 1.75 * (M.data.nbytes + M.indices.nbytes + M.indptr.nbytes)
 
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_canonical_input_left_unchanged(self, rng, symmetric):

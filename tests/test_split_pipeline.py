@@ -383,7 +383,6 @@ class TestRunSplit:
         for stage in split_pipeline.STAGES:
             run = split_pipeline.PipelineRun(config, tmp_path / "ws", corpus_path)
             run.values = Recording(lambda name, run=run: split_pipeline._read(run, name))
-            stage.params(run)
             split_pipeline.run_stages(run, first=stage.name, last=stage.name)
             assert run.values.names <= set(stage.inputs), stage.name
 
