@@ -16,9 +16,10 @@ declares every setting's default, type and flag, and the stages that use
 it: a command takes the flags of its stages, and each stage's record in the
 workspace's one manifest.json holds, by flag name, the settings it uses
 (beside its input and output digests and its time).  The manifest is saved
-after every stage; ``run --resume`` skips stages whose recorded settings,
-inputs, and outputs all still match, also after a run that crashed midway,
-with these settings or others.
+after every computed stage and at the end of a resume; ``run --resume`` skips
+stages whose recorded settings, inputs, and outputs all still match, also
+after a crashed run, with these or other settings, then reads of the factor
+files only ``H.mtx``.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure,
 4 out of memory inside a stage (named; ``run --resume`` continues the run).
@@ -39,7 +40,7 @@ from .manifest import RunManifest, sha256_text
 from .matrix_builder import SemanticConfig
 from .model_selection import SelectionConfig, child_seed
 from .nmf_core import NmfConfig
-from .split_pipeline import MANIFEST, STAGES, PipelineRun, SplitConfig, TopicModel, run_stages
+from .split_pipeline import MANIFEST, STAGES, PipelineRun, SplitConfig, assign_documents, run_stages
 from .text_pipeline import PipelineConfig, default_stopwords, load_stopwords
 from . import storage
 
@@ -257,16 +258,18 @@ def cmd_matrices(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     run, manifest, params = _pipeline(args)
-    model = TopicModel.from_stages(run_stages(run, manifest, params, resume=args.resume))
+    values = run_stages(run, manifest, params, resume=args.resume)
+    x, m, joint = (values[f"selection_{side}.json"] for side in ("x", "m", "joint"))
+    zero_documents = assign_documents(values["H.mtx"]).zero_columns
     flags = []
-    if any(report.fallback for report in model.reports.values()):
+    if any(report.fallback for report in (x, m, joint)):
         flags.append("fallback rank selection")
-    if model.zero_documents:
-        flags.append(f"{len(model.zero_documents)} all-zero document columns")
+    if zero_documents:
+        flags.append(f"{len(zero_documents)} all-zero document columns")
     note = f" ({'; '.join(flags)})" if flags else ""
     print(
-        f"k1={model.k1} k2={model.k2} k={model.k}; "
-        f"{len(model.doc_ids)} documents -> {run.workspace}{note}"
+        f"k1={x.chosen_k} k2={m.chosen_k} k={joint.chosen_k}; "
+        f"{len(values['assignments.csv'])} documents -> {run.workspace}{note}"
     )
     return 0
 

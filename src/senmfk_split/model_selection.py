@@ -66,12 +66,13 @@ class RankRecord:
 @dataclass
 class SelectionReport:
     """Scan results: one record per candidate rank, the chosen rank, its
-    consensus basis W and the H solved for it (None if W has a zero column),
-    and whether it fell back to the most stable rank as none met the threshold."""
+    consensus basis W (``chosen_k`` columns) and the H solved for it (None if
+    W has a zero column; both None in a report read from its file), and
+    whether it fell back to the most stable rank as none met the threshold."""
 
     per_k: list[RankRecord]
     chosen_k: int
-    consensus_W: np.ndarray
+    consensus_W: np.ndarray | None = None
     consensus_H: np.ndarray | None = None
     fallback: bool = False
 

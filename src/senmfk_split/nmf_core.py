@@ -423,11 +423,14 @@ def _draw_index(X, symmetric: bool) -> _DrawIndex:
 
 
 def _draw(index: _DrawIndex, delta: float, seed) -> sparse.csr_matrix:
-    """One perturbation of ``index.X`` from ``default_rng(seed)``."""
+    """One perturbation of ``index.X`` from ``default_rng(seed)``: new values,
+    gathered in blocks, on X's own pattern arrays (no caller writes to them)."""
     factors = np.random.default_rng(seed).uniform(1.0 - delta, 1.0 + delta, size=index.draws)
-    out = index.X.copy()
-    out.data *= factors if index.of_entry is None else factors[index.of_entry]
-    return out
+    data = index.X.data.copy()
+    for start in range(0, data.size, _BLOCK_CELLS):
+        part = slice(start, start + _BLOCK_CELLS)
+        data[part] *= factors[part] if index.of_entry is None else factors[index.of_entry[part]]
+    return sparse.csr_matrix((data, index.X.indices, index.X.indptr), index.X.shape)
 
 
 def perturb(X, delta: float, seed, symmetric: bool = False) -> sparse.csr_matrix:
@@ -449,4 +452,4 @@ def perturb(X, delta: float, seed, symmetric: bool = False) -> sparse.csr_matrix
     """
     if not (0 <= delta < 1):
         raise ValueError("delta must be in [0, 1)")
-    return _draw(_draw_index(X, symmetric), delta, seed)
+    return _draw(_draw_index(X, symmetric), delta, seed).copy()  # owns its arrays

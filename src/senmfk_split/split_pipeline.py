@@ -18,8 +18,8 @@ basis, and a value the run did not compute is read from its file by one
 reader, :func:`_read`, when it is first used.  :func:`run_stages` runs a slice
 of the list for every entry point: :func:`run_split` runs all stages without
 a manifest; the CLI runs all or one with each stage's settings and saves a
-manifest after every stage, so a run can be audited and resumed after the
-last stage that finished.
+manifest after every computed stage (and once at the end of a resume), so a
+run can be audited and resumed after the last stage that finished.
 """
 
 from __future__ import annotations
@@ -77,6 +77,7 @@ MANIFEST = "manifest.json"
 FACTORS_X = ("W1.mtx", "H1.mtx", "selection_x.json")
 FACTORS_M = ("W2.mtx", "H2.mtx", "selection_m.json")
 FACTORS_JOINT = ("W.mtx", "Hstar.mtx", "selection_joint.json")
+FACTORS = (FACTORS_X, FACTORS_M, FACTORS_JOINT)
 # A factorization: basis W, coefficients H, and the rank scan behind them.
 Factors = tuple[np.ndarray, np.ndarray, SelectionReport]
 
@@ -131,7 +132,10 @@ class TopicModel:
             k1=values["W1.mtx"].shape[1],
             k2=values["W2.mtx"].shape[1],
             k=W.shape[1],
-            reports={side: values[f"selection_{side}.json"] for side in ("x", "m", "joint")},
+            reports={
+                side: replace(values[report], consensus_W=values[w], consensus_H=values[h])
+                for side, (w, h, report) in zip(("x", "m", "joint"), FACTORS)
+            },
             doc_ids=values["assignments.csv"],
             histogram=result.counts,
             zero_documents=result.zero_columns,
@@ -289,7 +293,7 @@ def _write_factorization(r: PipelineRun, result: Factors, names: tuple[str, str,
     storage.write_dense(W, r.path(names[0]))
     storage.write_dense(H, r.path(names[1]))
     storage.write_selection_report(report, r.path(names[2]))
-    r.values.update(zip(names, result))
+    r.values.update(zip(names, (W, H, replace(report, consensus_W=None, consensus_H=None))))
 
 
 def stage_factorize_x(r: PipelineRun) -> None:
@@ -427,9 +431,8 @@ def _read(run: PipelineRun, name: str) -> Any:
             return storage.read_topics(path)
         if name == "assignments.csv":
             return storage.read_doc_ids(path)
-        if name.startswith("selection_"):  # with the W and H of its stage
-            W, H = (run.values[n] for n in stage.outputs[:2])
-            return storage.read_selection_report(path, W, H)
+        if name.startswith("selection_"):
+            return storage.read_selection_report(path)
         if stage.name == "matrices":
             return storage.read_sparse(path)
         return storage.read_dense(path)
@@ -450,11 +453,11 @@ def run_stages(
     runs inside :func:`stage_scope`.  Without a manifest nothing is digested
     or recorded.  With one, each stage run replaces its record there with
     ``params[stage name]``, the settings the stage uses (a stage not reached
-    keeps its record), and the manifest is saved to the workspace after each
-    stage; with ``resume``, a stage it records with the same parameters,
-    inputs and still-matching outputs is resumed instead of computed.  The output of an earlier or resumed stage is read from its
-    file only when a later stage, or the caller, first uses its value, so a
-    full resume reads no matrix the run does not use.
+    keeps its record).  The manifest is saved to the workspace after each
+    computed stage, and at the end if a stage was resumed since; with
+    ``resume``, a stage recorded with the same parameters, inputs and
+    still-matching outputs is resumed.  The output of an earlier or resumed
+    stage is read from its file only when first used.
     """
     names = [stage.name for stage in STAGES]
     begin = names.index(first) if first else 0
@@ -464,6 +467,7 @@ def run_stages(
             if not run.path(name).is_file():
                 raise DataError(f"{run.path(name)} missing: run '{stage.name}' first")
     digests: dict[str, str] = {}  # files digested so far in this run
+    resumed = False  # a resumed record differs from the saved one only in time
     for stage in STAGES[begin:end]:
         with stage_scope(stage.name):
             if manifest is None:
@@ -488,7 +492,10 @@ def run_stages(
                 seconds=time.perf_counter() - start,
                 resumed=resumed,
             )
-            manifest.save(run.workspace / MANIFEST)
+            if not resumed:
+                manifest.save(run.workspace / MANIFEST)
+    if resumed:
+        manifest.save(run.workspace / MANIFEST)
     return run.values
 
 

@@ -8,12 +8,12 @@ takes the lower triangle of a symmetric matrix (the pipeline writes
 when every value is a whole number, checked exactly, and ``real`` otherwise.
 Real values are written with 17 significant digits, so every float64
 round-trips exactly, and :func:`read_sparse` returns the same canonical
-float64 CSR matrix whatever layout the file has.  Selection
-reports are JSON, each per-rank entry the fields of a :class:`RankRecord` by
-name; topic tables are JSON, document assignments and histograms CSV.  All
-writers are deterministic: identical inputs produce byte-identical files,
-and atomic: each writes a temporary file beside its target and renames it
-into place.
+float64 CSR matrix whatever layout the file has.  Selection reports are
+JSON without the consensus factors, each per-rank entry the fields of a
+:class:`RankRecord` by name; topic tables are JSON, document assignments
+and histograms CSV.  All writers are deterministic: identical inputs
+produce byte-identical files, and atomic: each writes a temporary file
+beside its target and renames it into place.
 """
 
 from __future__ import annotations
@@ -119,17 +119,18 @@ def write_selection_report(report: SelectionReport, path: str | Path) -> None:
         tmp.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def read_selection_report(
-    path: str | Path, consensus_W: np.ndarray, consensus_H: np.ndarray
-) -> SelectionReport:
-    payload = json.loads(Path(path).read_text("utf-8"))
-    return SelectionReport(
-        per_k=[RankRecord(**r) for r in payload["per_k"]],
-        chosen_k=int(payload["chosen_k"]),
-        consensus_W=consensus_W,
-        consensus_H=consensus_H,
-        fallback=bool(payload["fallback"]),
-    )
+def read_selection_report(path: str | Path) -> SelectionReport:
+    """The report without its factors (``consensus_W`` and ``consensus_H``
+    are None).  Raises DataError naming the file when it is not a report."""
+    try:
+        payload = json.loads(Path(path).read_text("utf-8"))
+        return SelectionReport(
+            per_k=[RankRecord(**r) for r in payload["per_k"]],
+            chosen_k=int(payload["chosen_k"]),
+            fallback=bool(payload["fallback"]),
+        )
+    except _MALFORMED as exc:
+        raise DataError(f"{path}: not a valid selection report: {exc!r}") from exc
 
 
 def write_topics(topics: list[list[tuple[str, float]]], path: str | Path) -> None:

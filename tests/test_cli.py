@@ -446,6 +446,34 @@ class TestRun:
         assert "120 documents" in first
         assert all(rec.resumed for rec in RunManifest.load(ws / "manifest.json").stages.values())
 
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_full_resume_reads_only_h_and_saves_once(
+        self, corpus_file, tmp_path, sparse_reads, monkeypatch, capsys, fallback
+    ):
+        # the summary takes the ranks and fallback flags from the selection
+        # reports and the document count from assignments.csv; resumed
+        # records go to manifest.json in one save at the end
+        path, _ = corpus_file
+        ws = tmp_path / "ws"
+        # no rank of either scan clears a silhouette threshold that high
+        flags = RUN_FLAGS + (["--sil-threshold", "0.9999999"] if fallback else [])
+        assert main(["run", str(path), "--workspace", str(ws)] + flags) == 0
+        first = capsys.readouterr().out
+        assert first.startswith("k1=3 k2=3 k=3; 120 documents")
+        assert ("(fallback rank selection)" in first) == fallback
+        dense_reads, renamed = [], []
+        read_dense = storage.read_dense
+        monkeypatch.setattr(
+            storage, "read_dense", lambda p: dense_reads.append(Path(p).name) or read_dense(p)
+        )
+        with renaming(lambda src, dst: renamed.append(Path(dst).name) or os.replace(src, dst)):
+            assert main(["run", str(path), "--workspace", str(ws), "--resume"] + flags) == 0
+        assert dense_reads == ["H.mtx"]
+        assert sparse_reads == []
+        assert renamed == ["manifest.json"]
+        assert capsys.readouterr().out == first
+        assert all(rec.resumed for rec in RunManifest.load(ws / "manifest.json").stages.values())
+
     def test_resume_does_not_read_cooc(self, corpus_file, tmp_path, sparse_reads):
         path, _ = corpus_file
         ws = tmp_path / "ws"

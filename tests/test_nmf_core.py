@@ -567,18 +567,38 @@ class TestPerturb:
                 assert np.array_equal(getattr(P, name), getattr(Q, name)), name
             np.testing.assert_array_equal(P.toarray(), symmetric_perturb_oracle(X, delta, seed))
 
-    def test_draw_index_peak_bounded(self, rng):
-        # a random symmetric matrix of 2,000 terms: int32 positions, with
-        # each entry's side of the diagonal read from its mirror, peak at
-        # 1.50 times its CSR bytes; int64 positions beside a whole-row
-        # array took 3.16
+    @staticmethod
+    def random_symmetric(rng):
+        """A random symmetric matrix of 2,000 terms and 724,609 entries."""
         m, half = 2000, 400_000
         rows, cols = rng.integers(0, m, (2, half))
         A = sparse.csr_matrix((rng.uniform(1.0, 2.0, half), (rows, cols)), shape=(m, m))
-        M = canonicalize(A + A.T)
+        return canonicalize(A + A.T)
+
+    def test_draw_index_peak_bounded(self, rng):
+        # int32 positions, with each entry's side of the diagonal read from
+        # its mirror, peak at 1.50 times the CSR bytes; int64 positions
+        # beside a whole-row array took 3.16
+        M = self.random_symmetric(rng)
         index, peak, _ = traced_peak(lambda: nmf_core._draw_index(M, symmetric=True))
         assert index.of_entry.dtype == np.int32
         assert peak <= 1.75 * (M.data.nbytes + M.indices.nbytes + M.indptr.nbytes)
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_draw_holds_only_its_values(self, rng, symmetric):
+        # a copy shares X's pattern arrays, so it holds 8 bytes per stored
+        # entry (12 when it copied them); beside its values it allocates only
+        # the uniform draws and, for a symmetric draw, one block of gathered
+        # draws (measured 2.00 and 2.51 times the values' bytes; a pattern
+        # copy and a whole gathered array took 2.50 and 3.01)
+        M = self.random_symmetric(rng)
+        index = nmf_core._draw_index(M, symmetric)
+        P, peak, held = traced_peak(lambda: nmf_core._draw(index, 0.3, seed=5))
+        assert np.shares_memory(P.indices, M.indices) and np.shares_memory(P.indptr, M.indptr)
+        assert held <= M.data.nbytes + 4096
+        gathered = min(M.nnz, nmf_core._BLOCK_CELLS) if symmetric else 0
+        # numpy's fancy-index buffers come to about 80 KiB
+        assert peak <= M.data.nbytes + 8 * (index.draws + gathered) + (1 << 18)
 
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_canonical_input_left_unchanged(self, rng, symmetric):

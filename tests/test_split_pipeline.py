@@ -50,6 +50,14 @@ def vocab_of(*terms):
     )
 
 
+def assert_ranks_are_basis_widths(ws) -> None:
+    """Each selection report's chosen_k is the column count of its scan's
+    basis, as the CLI summary, which reads no basis, takes it to be."""
+    for w, _h, report in split_pipeline.FACTORS:
+        chosen_k = storage.read_selection_report(ws / report).chosen_k
+        assert chosen_k == storage.read_dense(ws / w).shape[1], report
+
+
 def selection(k_lo, k_hi, seed, perturbations=6, max_iter=300):
     return SelectionConfig(
         k_lo, k_hi, n_perturbations=perturbations, nmf=NmfConfig(max_iter=max_iter, tol=1e-7, seed=seed)
@@ -294,6 +302,7 @@ class TestRunSplit:
         corpus_path = write_jsonl(tmp_path / "input.jsonl", lines)
         model = run_split(corpus_path, small_split_config(seed=3), tmp_path / "ws")
         assert model.k == 3
+        assert_ranks_are_basis_widths(tmp_path / "ws")
         assert model.k <= model.k1 + model.k2
         assert purity(model.assignments, labels) >= 0.8
         assert model.histogram.sum() == len(labels)
@@ -393,6 +402,7 @@ class TestRunSplit:
         config = small_split_config(seed=3)
         model = run_split(corpus_path, config, tmp_path / "ws")
         run = split_pipeline.PipelineRun(config, tmp_path / "ws")
+        assert_ranks_are_basis_widths(tmp_path / "ws")
         loaded = split_pipeline.TopicModel.from_stages(run.values)
         for name in ("W", "H", "assignments", "histogram"):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name), err_msg=name)
@@ -440,6 +450,7 @@ class TestRunSplit:
         lines, _ = topic_corpus_jsonl(rng, docs_per_topic=40)
         corpus_path = write_jsonl(tmp_path / "input.jsonl", lines)
         model = run_split(corpus_path, small_split_config(seed=5), tmp_path / "ws")
+        assert_ranks_are_basis_widths(tmp_path / "ws")
         from senmfk_split import storage
 
         X = storage.read_sparse(tmp_path / "ws" / "X.mtx")
@@ -455,6 +466,7 @@ class TestRunSplit:
         lines, _ = topic_corpus_jsonl(rng, docs_per_topic=30)
         corpus_path = write_jsonl(tmp_path / "input.jsonl", lines)
         model = run_split(corpus_path, small_split_config(seed=6), tmp_path / "ws")
+        assert_ranks_are_basis_widths(tmp_path / "ws")
         from senmfk_split import storage
 
         for name in ("W1.mtx", "W2.mtx", "W.mtx", "H.mtx", "H1.mtx", "H2.mtx", "Hstar.mtx"):
@@ -465,6 +477,7 @@ class TestRunSplit:
         lines, _ = topic_corpus_jsonl(rng, docs_per_topic=30)
         corpus_path = write_jsonl(tmp_path / "input.jsonl", lines)
         model = run_split(corpus_path, small_split_config(seed=7), tmp_path / "ws")
+        assert_ranks_are_basis_widths(tmp_path / "ws")
         payload = json.loads((tmp_path / "ws" / "topics.json").read_text())
         assert [e["topic_id"] for e in payload] == list(range(model.k))
         for entry in payload:

@@ -1,5 +1,6 @@
 """Artifact round-trips and format contracts."""
 
+import json
 import re
 import tempfile
 from pathlib import Path
@@ -222,8 +223,37 @@ class TestSelectionReportIO:
         )
         path = tmp_path / "sel.json"
         storage.write_selection_report(report, path)
-        back = storage.read_selection_report(path, report.consensus_W, report.consensus_H)
-        assert back == report
+        back = storage.read_selection_report(path)
+        assert (back.per_k, back.chosen_k, back.fallback) == (report.per_k, 3, False)
+        # the factors are files of their own
+        assert back.consensus_W is None and back.consensus_H is None
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            None,  # the file cut short
+            lambda payload: payload["per_k"][1].pop("relative_error"),
+            lambda payload: payload["per_k"][0].update(spread=0.1),
+            lambda payload: payload.pop("fallback"),
+            lambda payload: payload.update(chosen_k=[3]),
+            lambda payload: payload.update(per_k=[[2, 0.5, 0.7, 0.3]]),
+        ],
+        ids=["truncated", "rank-key-missing", "rank-key-extra", "no-fallback", "list-k", "list-rank"],
+    )
+    def test_malformed_is_data_error(self, tmp_path, damage):
+        report = SelectionReport([RankRecord(2, 0.5, 0.7, 0.3), RankRecord(3, 0.9, 0.95, 0.1)], 3)
+        path = tmp_path / "selection_x.json"
+        storage.write_selection_report(report, path)
+        text = path.read_text("utf-8")
+        if damage is None:
+            text = text[:40]
+        else:
+            payload = json.loads(text)
+            damage(payload)
+            text = json.dumps(payload)
+        path.write_text(text, "utf-8")
+        with pytest.raises(DataError, match="selection_x.json: not a valid selection report"):
+            storage.read_selection_report(path)
 
 
 class TestCsvArtifacts:
