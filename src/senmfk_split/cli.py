@@ -15,8 +15,7 @@ file (``run --config``), then flags; flags win.  One table, ``_OPTIONS``,
 declares every setting's default, type and flag, and the stages that use
 it: a command takes the flags of its stages, and each stage's record in the
 workspace's one manifest.json holds, by flag name, the settings it uses
-(beside its input and output digests and its time).  The manifest is saved
-after every computed stage and at the end of a resume; ``run --resume`` skips
+(beside its input and output digests and its time).  ``run --resume`` skips
 stages whose recorded settings, inputs, and outputs all still match, also
 after a crashed run, with these or other settings, then reads of the factor
 files only ``H.mtx``.

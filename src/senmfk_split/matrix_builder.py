@@ -4,25 +4,14 @@ All matrices are scipy CSR with float64 data in canonical form (sorted
 indices, duplicates summed, no explicit zeros).  Rows are vocabulary terms in
 index order; TF-IDF columns are documents in corpus order.
 
-Both builders map the corpus to term ids in one pass (:func:`map_term_ids`),
-or take that mapping from a caller that builds both and maps it once.
+:func:`build_tfidf` and :func:`cooccurrence_triangle` map the corpus to
+term ids in one pass (:func:`map_term_ids`), or take that mapping from a
+caller that builds both and maps it once.
 The word-context matrices are symmetric, so the pipeline holds each as its
 lower triangle L, diagonal included, from counting to the files:
 :func:`cooccurrence_triangle` counts L, :func:`sppmi_triangle` maps it to
 the triangle of M, and :func:`mirror_triangle` gives a full matrix.  The
 exported :func:`build_cooccurrence` and :func:`sppmi` return full matrices.
-Memory stays bounded by the inputs and outputs, not by the number of token
-pairs: counting walks the in-vocabulary tokens one offset at a time and
-writes each pair's key into one buffer (uint32 keys while the m * m keys
-fit, int64 beyond).  A vocabulary of up to 256 terms (m * m <=
-``_DIRECT_CELLS``) adds each batch of about m * m keys into one array of
-m * m counts with ``np.bincount`` and makes L from it once; a larger one
-sorts each batch of about ``_PAIR_BUDGET`` keys in place and adds its counts
-to L.  So the peak is O(tokens + nnz + _PAIR_BUDGET) rather than
-O(tokens * window): on a 90-term corpus of 27,000 tokens, 796,500 pairs take
-1.0 MiB traced with the direct count against 5.3 MiB sorted.  SPPMI reads a
-canonical input's CSR arrays in row blocks of ``_PAIR_BUDGET`` entries and
-keeps only the nonzero values.
 """
 
 from __future__ import annotations
@@ -38,10 +27,7 @@ from scipy import sparse
 from .errors import DegenerateMatrix, DimensionMismatch, EmptyColumn, NonNegativityViolation
 from .text_pipeline import Corpus, Vocabulary
 
-# pair keys cooccurrence_triangle holds before it sorts and counts them (4 MB
-# of uint32 keys at 2**20), and the stored entries of one row block of sppmi;
-# a vocabulary with m * m <= _DIRECT_CELLS (m <= 256) holds m * m keys a batch
-# instead and counts them into one int64 array of m * m cells (512 KiB at most)
+# the batches of cooccurrence_triangle (see there); the entries of a sppmi row block
 _PAIR_BUDGET = 1 << 20
 _DIRECT_CELLS = 1 << 16
 # A corpus mapped to term ids: every token's id (-1 out of vocabulary) in
@@ -140,7 +126,7 @@ def build_tfidf(
 
 
 def build_cooccurrence(
-    corpus: Corpus, vocab: Vocabulary, config: SemanticConfig, *, term_ids: TermIds | None = None
+    corpus: Corpus, vocab: Vocabulary, config: SemanticConfig
 ) -> sparse.csr_matrix:
     """Symmetric term-pair count matrix C, terms x terms: the mirror of
     :func:`cooccurrence_triangle`.
@@ -150,7 +136,7 @@ def build_cooccurrence(
     Out-of-vocabulary tokens contribute no counts but still occupy positions.
     Windows never cross document boundaries.
     """
-    return mirror_triangle(cooccurrence_triangle(corpus, vocab, config, term_ids=term_ids))
+    return mirror_triangle(cooccurrence_triangle(corpus, vocab, config))
 
 
 def cooccurrence_triangle(
@@ -162,20 +148,22 @@ def cooccurrence_triangle(
     Only in-vocabulary tokens are kept, each with its position on one axis
     on which consecutive documents lie ``window`` positions apart (or the
     longest document's length, if smaller), so no pair across documents
-    qualifies.  Offset d pairs kept token t with kept
-    token t + d wherever their positions differ by less than ``window``;
-    the gaps only widen as d grows, so the scan stops at the first d with
-    no pair.  Terms a, b pair as one key ``max(a, b) * m + min(a, b)``,
-    uint32 while m <= 65,536 and int64 beyond, written into one buffer.
-    While m * m <= _DIRECT_CELLS (m <= 256), whenever m * m keys are held
-    ``np.bincount`` adds them into one int64 array of m * m counts, whose
-    nonzero cells, all in the lower triangle, make L once at the end.
-    Above it, whenever _PAIR_BUDGET keys are held they are sorted in place,
-    counted and added to the running matrix, which is L itself.  Either
-    way memory is O(tokens + nnz + _PAIR_BUDGET) rather than
-    O(tokens * window), and the CSR arrays are the same, bit for bit.
-    ``term_ids`` is ``map_term_ids(corpus, vocab.index_of)`` when the caller
-    already holds it.
+    qualifies.  Offset d pairs kept token t with kept token t + d wherever
+    their positions differ by less than ``window``; the gaps only widen as d
+    grows, so the scan stops at the first d with no pair.  Terms a, b pair
+    as one key ``max(a, b) * m + min(a, b)``, uint32 while m <= 65,536 and
+    int64 beyond, written into one buffer.  While m * m <= _DIRECT_CELLS
+    (m <= 256), whenever m * m keys are held ``np.bincount`` adds them into
+    one int64 array of m * m counts (512 KiB at most), whose nonzero cells,
+    all in the lower triangle, make L once at the end.  Above it, whenever
+    _PAIR_BUDGET keys are held (4 MB of uint32 keys) they are sorted in
+    place, counted and added to the running matrix, which is L itself.
+    Either way memory is O(tokens + nnz + _PAIR_BUDGET) rather than
+    O(tokens * window), and the CSR arrays are the same, bit for bit: on a
+    90-term corpus of 27,000 tokens, 796,500 pairs take 1.0 MiB traced with
+    the direct count against 5.3 MiB sorted.  ``term_ids`` is
+    ``map_term_ids(corpus, vocab.index_of)`` when the caller already holds
+    it.
     """
     m = len(vocab)
     ids, lengths = map_term_ids(corpus, vocab.index_of) if term_ids is None else term_ids

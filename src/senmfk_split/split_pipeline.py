@@ -17,9 +17,9 @@ Values are named by their files: ``run.values["W1.mtx"]`` is the X-side
 basis, and a value the run did not compute is read from its file by one
 reader, :func:`_read`, when it is first used.  :func:`run_stages` runs a slice
 of the list for every entry point: :func:`run_split` runs all stages without
-a manifest; the CLI runs all or one with each stage's settings and saves a
-manifest after every computed stage (and once at the end of a resume), so a
-run can be audited and resumed after the last stage that finished.
+a manifest; the CLI runs all or one with each stage's settings and a
+manifest, so a run can be audited and resumed after the last stage that
+finished.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     DataError,
@@ -181,14 +180,13 @@ def concat_normalized(W1: np.ndarray, W2: np.ndarray) -> np.ndarray:
     return np.hstack([u1, u2])
 
 
-def default_joint_range(k1: int, k2: int, n_rows: int) -> tuple[int, int]:
+def default_joint_range(k1: int, k2: int) -> tuple[int, int]:
     """Merge scan range: the merged rank cannot exceed k1 + k2 and rarely
     falls below the smaller part, so scan [max(2, min(k1, k2)), k1 + k2].
     When one side already collapsed to a single topic the range is widened to
     include k = 1, otherwise a rank-1 merge could never be selected."""
-    hi = min(k1 + k2, n_rows)
     lo = 1 if min(k1, k2) == 1 else max(2, min(k1, k2))
-    return min(lo, hi), hi
+    return lo, k1 + k2
 
 
 def joint_factorize(Wcat: np.ndarray, selection: SelectionConfig) -> Factors:
@@ -204,7 +202,7 @@ def joint_factorize(Wcat: np.ndarray, selection: SelectionConfig) -> Factors:
     _check_nonnegative(Wcat, "Wcat")
     k_max = min(selection.k_max, min(Wcat.shape))
     selection = replace(selection, k_min=min(selection.k_min, k_max), k_max=k_max)
-    return _factorize(sparse.csr_matrix(Wcat), selection)
+    return _factorize(Wcat, selection)
 
 
 def final_regression(X, W: np.ndarray, config: NmfConfig | None = None) -> np.ndarray:
@@ -309,11 +307,11 @@ def stage_factorize_m(r: PipelineRun) -> None:
 def stage_joint(r: PipelineRun) -> None:
     """The merge scan with the explicit selection config if given, otherwise
     with a copy of the X-side parameters over :func:`default_joint_range` of
-    the selected ranks k1, k2 and the rows of W1 (one per term)."""
+    the selected ranks k1, k2."""
     W1, W2 = r.values["W1.mtx"], r.values["W2.mtx"]
     selection = r.config.selection_joint
     if selection is None:
-        lo, hi = default_joint_range(W1.shape[1], W2.shape[1], W1.shape[0])
+        lo, hi = default_joint_range(W1.shape[1], W2.shape[1])
         x = r.config.selection_x
         nmf = replace(x.nmf, seed=child_seed(x.nmf.seed, 3))
         selection = replace(x, k_min=lo, k_max=hi, nmf=nmf)
@@ -370,9 +368,7 @@ class Deferred(dict):
 @dataclass
 class PipelineRun:
     """One execution of the stage list: its configuration, its workspace,
-    the corpus it reads, and the value of every workspace file by name.  A
-    value that was not computed in this run is read from its file by
-    :func:`_read` when it is first used."""
+    the corpus it reads, and the value of every workspace file by name."""
 
     config: SplitConfig
     workspace: Path
@@ -419,7 +415,8 @@ _WRITER = {name: stage for stage in STAGES for name in stage.outputs}
 def _read(run: PipelineRun, name: str) -> Any:
     """The value of workspace file ``name``, by the reader its name calls for
     (looked up when called), inside :func:`stage_scope` of the stage whose
-    outputs hold it, so an error names that stage."""
+    outputs hold it, so an error names that stage; a name with no reader
+    raises KeyError."""
     stage = _WRITER[name]
     path = run.path(name)
     with stage_scope(stage.name):
@@ -431,11 +428,15 @@ def _read(run: PipelineRun, name: str) -> Any:
             return storage.read_topics(path)
         if name == "assignments.csv":
             return storage.read_doc_ids(path)
+        if name == "histogram.csv":
+            return storage.read_histogram(path)
         if name.startswith("selection_"):
             return storage.read_selection_report(path)
         if stage.name == "matrices":
             return storage.read_sparse(path)
-        return storage.read_dense(path)
+        if name == "H.mtx" or any(name in factors[:2] for factors in FACTORS):
+            return storage.read_dense(path)
+        raise KeyError(name)
 
 
 def run_stages(
@@ -455,9 +456,7 @@ def run_stages(
     ``params[stage name]``, the settings the stage uses (a stage not reached
     keeps its record).  The manifest is saved to the workspace after each
     computed stage, and at the end if a stage was resumed since; with
-    ``resume``, a stage recorded with the same parameters, inputs and
-    still-matching outputs is resumed.  The output of an earlier or resumed
-    stage is read from its file only when first used.
+    ``resume``, a stage that :meth:`RunManifest.can_skip` passes is resumed.
     """
     names = [stage.name for stage in STAGES]
     begin = names.index(first) if first else 0

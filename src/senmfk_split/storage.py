@@ -121,16 +121,29 @@ def write_selection_report(report: SelectionReport, path: str | Path) -> None:
 
 def read_selection_report(path: str | Path) -> SelectionReport:
     """The report without its factors (``consensus_W`` and ``consensus_H``
-    are None).  Raises DataError naming the file when it is not a report."""
+    are None).  Raises DataError naming the file when it is not a report, or
+    when ``fallback`` is not a bool, a rank not an int, a statistic not an int
+    or float, or ``chosen_k`` not one of the scanned ranks."""
     try:
         payload = json.loads(Path(path).read_text("utf-8"))
-        return SelectionReport(
+        report = SelectionReport(
             per_k=[RankRecord(**r) for r in payload["per_k"]],
-            chosen_k=int(payload["chosen_k"]),
-            fallback=bool(payload["fallback"]),
+            chosen_k=payload["chosen_k"],
+            fallback=payload["fallback"],
         )
     except _MALFORMED as exc:
         raise DataError(f"{path}: not a valid selection report: {exc!r}") from exc
+    ranks = [r.k for r in report.per_k]
+    stats = [(r.min_silhouette, r.mean_silhouette, r.relative_error) for r in report.per_k]
+    # a JSON value has one exact type, so true is neither an int nor a float
+    if (
+        type(report.fallback) is not bool
+        or any(type(k) is not int for k in [*ranks, report.chosen_k])
+        or any(type(v) not in (int, float) for row in stats for v in row)
+        or report.chosen_k not in ranks
+    ):
+        raise DataError(f"{path}: not a valid selection report: a value of the wrong type or rank")
+    return report
 
 
 def write_topics(topics: list[list[tuple[str, float]]], path: str | Path) -> None:

@@ -40,7 +40,7 @@ from senmfk_split.split_pipeline import (
     run_split,
     top_words,
 )
-from senmfk_split.text_pipeline import Vocabulary
+from senmfk_split.text_pipeline import Vocabulary, load_jsonl_corpus, load_vocabulary
 
 
 def vocab_of(*terms):
@@ -195,17 +195,22 @@ class TestJointFactorize:
 
 class TestDefaultJointRange:
     def test_regular_case(self):
-        assert default_joint_range(3, 4, 100) == (3, 7)
+        assert default_joint_range(3, 4) == (3, 7)
 
     def test_floor_of_two(self):
-        assert default_joint_range(2, 6, 100) == (2, 8)
+        assert default_joint_range(2, 6) == (2, 8)
 
     def test_rank_one_side_includes_one(self):
-        assert default_joint_range(1, 1, 100) == (1, 2)
-        assert default_joint_range(1, 5, 100) == (1, 6)
+        assert default_joint_range(1, 1) == (1, 2)
+        assert default_joint_range(1, 5) == (1, 6)
 
-    def test_row_cap(self):
-        assert default_joint_range(4, 4, 6) == (4, 6)
+    def test_row_cap(self, rng):
+        # a merge over 6 terms scans no rank above 6: joint_factorize caps
+        # the range at Wcat's rows
+        Wcat = rng.uniform(0.1, 1.0, (6, 8))
+        lo, hi = default_joint_range(4, 4)
+        _W, _H, report = joint_factorize(Wcat, selection(lo, hi, seed=10, perturbations=4))
+        assert [r.k for r in report.per_k] == [4, 5, 6]
 
 
 class TestFinalRegression:
@@ -415,6 +420,41 @@ class TestRunSplit:
             np.testing.assert_equal([asdict(r) for r in back.per_k], [asdict(r) for r in report.per_k])
             np.testing.assert_array_equal(back.consensus_W, report.consensus_W, err_msg=side)
             np.testing.assert_array_equal(back.consensus_H, report.consensus_H, err_msg=side)
+
+    def test_every_output_reads_back_by_its_own_reader(self, rng, tmp_path):
+        # a fresh run reads each file of a finished workspace as the reader
+        # of its kind does, a CSV included
+        lines, _ = topic_corpus_jsonl(rng, docs_per_topic=30)
+        corpus_path = write_jsonl(tmp_path / "input.jsonl", lines)
+        config = small_split_config(seed=3)
+        ws = tmp_path / "ws"
+        model = run_split(corpus_path, config, ws)
+        readers = {
+            "corpus.jsonl": lambda path: load_jsonl_corpus(path, pre_tokenized=True),
+            "vocab.txt": load_vocabulary,
+            "X.mtx": storage.read_sparse,
+            "cooc.mtx": storage.read_sparse,
+            "M.mtx": storage.read_sparse,
+            "H.mtx": storage.read_dense,
+            "topics.json": storage.read_topics,
+            "assignments.csv": storage.read_doc_ids,
+            "histogram.csv": storage.read_histogram,
+        }
+        for w, h, report in split_pipeline.FACTORS:
+            readers.update({w: storage.read_dense, h: storage.read_dense})
+            readers[report] = storage.read_selection_report
+        outputs = [name for stage in split_pipeline.STAGES for name in stage.outputs]
+        assert sorted(outputs) == sorted(readers)
+        values = split_pipeline.PipelineRun(config, ws).values
+        for name in outputs:
+            value, expected = values[name], readers[name](ws / name)
+            if sparse.issparse(expected):
+                assert_same_csr(value, expected)
+            elif isinstance(expected, np.ndarray):
+                np.testing.assert_array_equal(value, expected, err_msg=name)
+            else:
+                assert value == expected, name
+        assert values["histogram.csv"] == list(enumerate(model.histogram))
 
     def test_matrices_stage_maps_tokens_once(self, rng, tmp_path, monkeypatch):
         # TF-IDF and co-occurrence share one term-id mapping, and build the

@@ -237,8 +237,37 @@ class TestSelectionReportIO:
             lambda payload: payload.pop("fallback"),
             lambda payload: payload.update(chosen_k=[3]),
             lambda payload: payload.update(per_k=[[2, 0.5, 0.7, 0.3]]),
+            lambda payload: payload.update(fallback="false"),
+            lambda payload: payload.update(fallback=0),
+            lambda payload: payload.update(chosen_k=2.9),
+            lambda payload: payload.update(chosen_k=3.0),
+            lambda payload: payload.update(chosen_k=True),
+            lambda payload: payload.update(chosen_k=4),
+            lambda payload: payload["per_k"][0].update(k=2.0),
+            lambda payload: payload["per_k"][1].update(k=False),
+            lambda payload: payload["per_k"][0].update(min_silhouette="0.5"),
+            lambda payload: payload["per_k"][1].update(mean_silhouette=None),
+            lambda payload: payload["per_k"][0].update(relative_error=True),
         ],
-        ids=["truncated", "rank-key-missing", "rank-key-extra", "no-fallback", "list-k", "list-rank"],
+        ids=[
+            "truncated",
+            "rank-key-missing",
+            "rank-key-extra",
+            "no-fallback",
+            "list-k",
+            "list-rank",
+            "string-fallback",
+            "int-fallback",
+            "float-k",
+            "whole-float-k",
+            "bool-k",
+            "unscanned-k",
+            "float-rank",
+            "bool-rank",
+            "string-stat",
+            "null-stat",
+            "bool-stat",
+        ],
     )
     def test_malformed_is_data_error(self, tmp_path, damage):
         report = SelectionReport([RankRecord(2, 0.5, 0.7, 0.3), RankRecord(3, 0.9, 0.95, 0.1)], 3)

@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 from senmfk_split import cli, split_pipeline  # noqa: E402
 from workspace_diff import (  # noqa: E402
-    _changed_keys, compare, compare_file, run_fixtures, src_line_change
+    _changed_keys, compare, compare_file, run_fixtures, src_code_line_change, src_line_change
 )
 
 
@@ -126,3 +126,28 @@ class TestSrcLineChange:
         assert src_line_change(base, head) == "src/ lines: 2 -> 5 (+3)"
         assert src_line_change(head, base) == "src/ lines: 5 -> 2 (-3)"
         assert src_line_change(base, base) == "src/ lines: 2 -> 2 (+0)"
+
+    def test_code_lines_skip_blanks_comments_and_docstrings(self, tmp_path):
+        # a string that is not a docstring is code, on every line it spans
+        base = self.tree(tmp_path / "base", {
+            "src/senmfk_split/a.py": '"""Module\n\ndocstring."""\n\nx = 1  # counted\n# comment\n',
+            "src/senmfk_split/b.py": (
+                "class C:\n"
+                '    """Doc."""\n'
+                "\n"
+                "    def f(self):\n"
+                '        """Two\n'
+                '        lines."""\n'
+                '        return """text\n'
+                '# not a comment"""\n'
+            ),
+        })
+        head = self.tree(tmp_path / "head", {
+            "src/senmfk_split/a.py": "x = 1\n",
+            "src/senmfk_split/b.py": "y = [\n    1,  # one\n\n    2,\n]\n",
+        })
+        assert src_code_line_change(base, head) == "src/ code lines: 5 -> 5 (+0)"
+        assert src_line_change(base, head) == "src/ lines: 14 -> 6 (-8)"
+        (head / "src" / "senmfk_split" / "b.py").write_text("y = 2\n", encoding="utf-8")
+        assert src_code_line_change(base, head) == "src/ code lines: 5 -> 2 (-3)"
+        assert src_code_line_change(head, base) == "src/ code lines: 2 -> 5 (+3)"

@@ -33,13 +33,17 @@ relative difference of its numbers; ``manifest.json`` is compared with its
 same way, as the file ``stdout/<fixture>.txt`` (the ``run`` summary line is
 the one result that is not a file), with the workspace path written as
 ``<workspace>``.  A last line, ``src/ lines: <base> -> <head> (<±n>)``,
-gives the net line change of ``src/senmfk_split/*.py``.  The exit code is 0
-when everything is identical and 1 otherwise.
+gives the net line change of ``src/senmfk_split/*.py``, and the line before
+it, ``src/ code lines: ...``, the change in its lines of code: lines that are
+not blank, not only a comment, and not in a module, class or function
+docstring, so deleted prose is not counted as less code.  The exit code is
+0 when everything is identical and 1 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -47,6 +51,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +62,16 @@ TOPICS_SEED = 9600  # the topic corpus of the ``topics`` fixture
 # A number in a text artifact; everything between numbers must match exactly.
 _NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 _ABSENT = object()  # a key that one manifest lacks
+# Tokens that hold no code: a line with only these is blank or a comment.
+_NOT_CODE = {
+    tokenize.COMMENT,
+    tokenize.NL,
+    tokenize.NEWLINE,
+    tokenize.INDENT,
+    tokenize.DEDENT,
+    tokenize.ENDMARKER,
+}
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def build_inputs(out: Path) -> dict:
@@ -159,14 +174,37 @@ def compare(base: Path, head: Path) -> bool:
     return same
 
 
-def src_line_change(base: Path, head: Path) -> str:
-    """The lines of ``src/senmfk_split/*.py`` (newlines, as ``wc -l`` counts
-    them) in the trees ``base`` and ``head``, and their difference."""
+def code_lines(source: str) -> int:
+    """The lines of Python ``source`` that hold code: not blank, not only a
+    comment, and not in a module, class or function docstring."""
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in _NOT_CODE:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, _DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
+            lines.difference_update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return len(lines)
+
+
+def _package_change(base: Path, head: Path, label: str, count) -> str:
+    """``count(text)`` summed over ``src/senmfk_split/*.py`` in the trees
+    ``base`` and ``head``, and their difference."""
     old, new = (
-        sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "senmfk_split").glob("*.py"))
+        sum(count(p.read_text("utf-8")) for p in (tree / "src" / "senmfk_split").glob("*.py"))
         for tree in (base, head)
     )
-    return f"src/ lines: {old} -> {new} ({new - old:+d})"
+    return f"{label}: {old} -> {new} ({new - old:+d})"
+
+
+def src_line_change(base: Path, head: Path) -> str:
+    """The lines of the package (newlines, as ``wc -l`` counts them)."""
+    return _package_change(base, head, "src/ lines", lambda text: text.count("\n"))
+
+
+def src_code_line_change(base: Path, head: Path) -> str:
+    """The package's lines of code, by :func:`code_lines`."""
+    return _package_change(base, head, "src/ code lines", code_lines)
 
 
 def _side(src: Path, inputs: Path, out: Path) -> None:
@@ -202,6 +240,7 @@ def main(argv: list[str] | None = None) -> int:
         _side(base_tree / "src", spec, work / "ws_base")
         _side(ROOT / "src", spec, work / "ws_head")
         same = compare(work / "ws_base", work / "ws_head")
+        print(src_code_line_change(base_tree, ROOT))
         print(src_line_change(base_tree, ROOT))
         return 0 if same else 1
 
