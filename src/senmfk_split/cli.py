@@ -162,12 +162,6 @@ def _add_flags(p: argparse.ArgumentParser, *stages: str) -> None:
             p.add_argument(f"--{key}", type=kind)
     if "preprocess" in stages:
         p.add_argument("--stopwords", help="custom stopword file, one term per line")
-        p.add_argument(
-            "--pre-tokenized",
-            action="store_true",
-            default=False,
-            help="input documents carry a 'tokens' list instead of raw 'text'",
-        )
 
 
 def build_parser() -> _Parser:
@@ -209,12 +203,11 @@ def _pipeline(args: argparse.Namespace) -> tuple[PipelineRun, RunManifest, dict[
     workspace's one manifest, so every command adds to the records of the
     others (an unreadable manifest file raises DataError); and each stage's
     manifest parameters: the settings that ``_OPTIONS`` says it uses, by key,
-    and for ``preprocess`` also the stopword digest and the input format."""
+    and for ``preprocess`` also the stopword digest."""
     workspace = _workspace(args)
     config_path = getattr(args, "config", None)
     file_cfg = parse_config_file(config_path) if config_path else {}
     stopwords_path = getattr(args, "stopwords", None)
-    pre_tokenized = bool(getattr(args, "pre_tokenized", False))
     try:
         settings = _resolve(args, file_cfg)
         stopwords = load_stopwords(stopwords_path) if stopwords_path else default_stopwords()
@@ -226,12 +219,11 @@ def _pipeline(args: argparse.Namespace) -> tuple[PipelineRun, RunManifest, dict[
         for name in used_by:
             params[name][key] = settings[key]
     params["preprocess"]["stopwords_digest"] = sha256_text("\n".join(sorted(stopwords)))
-    params["preprocess"]["pre_tokenized"] = pre_tokenized
     workspace.mkdir(parents=True, exist_ok=True)
     path = workspace / MANIFEST
     manifest = RunManifest.load(path) if path.is_file() else RunManifest(__version__)
     manifest.version = __version__
-    run = PipelineRun(config, workspace, getattr(args, "input", None), pre_tokenized)
+    run = PipelineRun(config, workspace, getattr(args, "input", None))
     return run, manifest, params
 
 

@@ -91,14 +91,11 @@ def child_seed(base: int, *key: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def normalize_columns(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scale columns to unit L2 norm; all-zero columns are left untouched.
-    Returns the scaled matrix and the original norms (with zeros kept) so the
-    caller can push the scale into the paired factor's rows."""
+def normalize_columns(W: np.ndarray) -> np.ndarray:
+    """Scale columns to unit L2 norm; all-zero columns are left untouched."""
     W = np.asarray(W, dtype=np.float64)
     norms = np.linalg.norm(W, axis=0)
-    safe = np.where(norms == 0, 1.0, norms)
-    return W / safe, norms
+    return W / np.where(norms == 0, 1.0, norms)
 
 
 def _assignment(cost: list[list[float]]) -> list[int]:
@@ -208,7 +205,7 @@ def cluster_columns(
         accum = np.zeros(shape)
         for s in range(p):
             accum[:, labels[s]] += sets[s]  # labels[s] is a permutation
-        centroids, _ = normalize_columns(accum / p)
+        centroids = normalize_columns(accum / p)
     return labels, centroids
 
 
@@ -231,7 +228,7 @@ def silhouette(columns: np.ndarray, labels: np.ndarray) -> SilhouetteStats:
         raise ShapeMismatch("labels must form contiguous non-empty clusters")
     if k == 1:
         return SilhouetteStats((1.0,), 1.0, 1.0, single_cluster=True)
-    unit, _ = normalize_columns(cols)
+    unit = normalize_columns(cols)
     dist = 1.0 - unit.T @ unit
     np.clip(dist, 0.0, None, out=dist)
     dist[dist < _DISTANCE_DUST] = 0.0
@@ -295,7 +292,7 @@ def nmfk(
         copies = (_draw(index, config.delta, child_seed(base, k, j, 0)) for j in range(p))
         seeds = [child_seed(base, k, j, 1) for j in range(p)]
         pairs = nmf_stack(copies, k, config.nmf, seeds, _symmetric=index.copies_symmetric)
-        ensemble = [normalize_columns(pair.W)[0] for pair in pairs]
+        ensemble = [normalize_columns(pair.W) for pair in pairs]
         labels, centroids = cluster_columns(ensemble)
         stats = silhouette(np.hstack(ensemble), labels.ravel())
         H = None

@@ -175,9 +175,7 @@ def concat_normalized(W1: np.ndarray, W2: np.ndarray) -> np.ndarray:
     W2 = np.asarray(W2, dtype=np.float64)
     if W1.ndim != 2 or W2.ndim != 2 or W1.shape[0] != W2.shape[0]:
         raise ShapeMismatch(f"row counts differ: {W1.shape} vs {W2.shape}")
-    u1, _ = normalize_columns(W1)
-    u2, _ = normalize_columns(W2)
-    return np.hstack([u1, u2])
+    return np.hstack([normalize_columns(W1), normalize_columns(W2)])
 
 
 def default_joint_range(k1: int, k2: int) -> tuple[int, int]:
@@ -258,7 +256,7 @@ def stage_scope(name: str):
 def prepare_corpus(r: PipelineRun) -> None:
     """Stage 1: load, filter, build the vocabulary, drop documents that end
     up with no in-vocabulary tokens; persist corpus.jsonl and vocab.txt."""
-    raw = load_jsonl_corpus(r.corpus_path, pre_tokenized=r.pre_tokenized)
+    raw = load_jsonl_corpus(r.corpus_path)
     corpus = filter_documents(raw, r.config.pipeline)
     vocab = build_vocabulary(corpus, r.config.pipeline)
     corpus = drop_empty_documents(corpus, vocab)
@@ -373,7 +371,6 @@ class PipelineRun:
     config: SplitConfig
     workspace: Path
     corpus_path: str | Path | None = None
-    pre_tokenized: bool = False
     values: Deferred = field(init=False)
 
     def __post_init__(self):
@@ -421,7 +418,7 @@ def _read(run: PipelineRun, name: str) -> Any:
     path = run.path(name)
     with stage_scope(stage.name):
         if name == "corpus.jsonl":
-            return load_jsonl_corpus(path, pre_tokenized=True)
+            return load_jsonl_corpus(path)
         if name == "vocab.txt":
             return load_vocabulary(path)
         if name == "topics.json":
@@ -502,12 +499,11 @@ def run_split(
     corpus_path: str | Path,
     config: SplitConfig,
     workspace: str | Path,
-    pre_tokenized: bool = False,
 ) -> TopicModel:
     """Execute the whole pipeline and persist every artifact (but no
     manifest) under ``workspace``.  Stage failures are re-raised as
     PipelineStageError with the stage name attached."""
     workspace = Path(workspace)
     workspace.mkdir(parents=True, exist_ok=True)
-    run = PipelineRun(config, workspace, corpus_path, pre_tokenized)
+    run = PipelineRun(config, workspace, corpus_path)
     return TopicModel.from_stages(run_stages(run))

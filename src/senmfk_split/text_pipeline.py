@@ -1,9 +1,10 @@
 """Corpus preparation: tokenization, document filtering, vocabulary construction.
 
-Documents arrive as JSON-lines ({"id": ..., "text": ...}), are tokenized into
-lowercase runs of ASCII letters, filtered by a post-stopword length threshold,
-and reduced to a document-frequency-filtered vocabulary whose lexicographic order
-fixes the row order of every matrix built downstream.
+Documents arrive as JSON-lines, each line with raw ``text`` (tokenized into
+lowercase runs of ASCII letters) or a ``tokens`` list (taken as-is), are
+filtered by a post-stopword length threshold, and reduced to a
+document-frequency-filtered vocabulary whose lexicographic order fixes the row
+order of every matrix built downstream.
 """
 
 from __future__ import annotations
@@ -149,16 +150,18 @@ def drop_empty_documents(corpus: Corpus, vocab: Vocabulary) -> Corpus:
     return Corpus(kept)
 
 
-def load_jsonl_corpus(path: str | Path, pre_tokenized: bool = False) -> Corpus:
+def load_jsonl_corpus(path: str | Path) -> Corpus:
     """Read a JSON-lines corpus.
 
-    Each line is an object with an ``id`` field and either ``text`` (raw, run
-    through :func:`tokenize`) or, when ``pre_tokenized`` is set, ``tokens``
-    (a list of term strings taken as-is).  An id or token that holds a lone
-    surrogate (a valid JSON escape, but not text) is a DataError.
+    Each line is an object with an ``id`` (a string, or an integer read as
+    its decimal digits) and exactly one of ``text`` (a raw string, run
+    through :func:`tokenize`) or ``tokens`` (a list of term strings taken
+    as-is, empty ones dropped), so a file may mix the two.  Any other line,
+    and an id or token that holds a lone surrogate (a valid JSON escape, but
+    not text), is a DataError naming the file and line.
 
-    Equal raw-text tokens share one string object; pre-tokenized ones (a
-    resumed ``corpus.jsonl``) are kept as parsed, sparing a lookup a token.
+    Equal raw-text tokens share one string object; listed ones (a resumed
+    ``corpus.jsonl``) are kept as parsed, sparing a lookup a token.
     """
     path = Path(path)
     docs: list[Document] = []
@@ -170,27 +173,32 @@ def load_jsonl_corpus(path: str | Path, pre_tokenized: bool = False) -> Corpus:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer of over 4,300 digits
             raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict) or "id" not in obj:
-            raise DataError(f"{path}:{lineno}: expected an object with an 'id' field")
+        if not isinstance(obj, dict) or "id" not in obj or ("text" in obj) == ("tokens" in obj):
+            raise DataError(f"{path}:{lineno}: expected an 'id' and one of 'text' or 'tokens'")
+        if type(obj["id"]) not in (str, int):  # a bool is neither
+            raise DataError(f"{path}:{lineno}: 'id' must be a string or an integer")
         doc_id = str(obj["id"])
         if doc_id in seen:
             raise DataError(f"{path}:{lineno}: duplicate document id {doc_id!r}")
         seen.add(doc_id)
-        if pre_tokenized:
-            if "tokens" not in obj or not isinstance(obj["tokens"], list):
-                raise DataError(f"{path}:{lineno}: expected a 'tokens' list")
-            tokens = tuple(str(t) for t in obj["tokens"] if str(t))
-        else:
-            if "text" not in obj:
-                raise DataError(f"{path}:{lineno}: expected a 'text' field")
-            toks = tokenize(str(obj["text"]))
+        if "text" in obj:
+            if type(obj["text"]) is not str:
+                raise DataError(f"{path}:{lineno}: 'text' must be a string")
+            toks = tokenize(obj["text"])
             tokens = tuple(map(shared.setdefault, toks, toks))
+            checked = doc_id  # raw-text tokens are [a-z]+ already
+        else:
+            listed = obj["tokens"]
+            if type(listed) is not list or not set(map(type, listed)) <= {str}:
+                raise DataError(f"{path}:{lineno}: 'tokens' must be a list of strings")
+            tokens = tuple(filter(None, listed))
+            checked = doc_id + "".join(tokens)
         # a JSON escape such as \ud800 decodes to a lone surrogate, which no
-        # artifact can be written with; raw-text tokens are [a-z]+ already
+        # artifact can be written with
         try:
-            (doc_id + "".join(tokens) if pre_tokenized else doc_id).encode("utf-8")
+            checked.encode("utf-8")
         except UnicodeEncodeError as exc:
             raise DataError(f"{path}:{lineno}: id or token is not valid text: {exc}") from exc
         docs.append(Document(doc_id, tokens))

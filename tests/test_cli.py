@@ -1,8 +1,12 @@
 """CLI commands, exit codes, config precedence, manifests, and resume."""
 
+import argparse
+import csv
 import itertools
 import json
 import os
+import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -187,7 +191,7 @@ class TestExitCodes:
         lines = [json.dumps({"id": d, "tokens": ["aa", "bb"]}) for d in "abc"]
         lines[2] = '{"id": "c", "tokens": ["aa", "\\ud800x"]}'
         path = write_jsonl(tmp_path / "surrogate.jsonl", lines)
-        code = main(["preprocess", str(path), "--workspace", str(tmp_path / "ws"), "--pre-tokenized",
+        code = main(["preprocess", str(path), "--workspace", str(tmp_path / "ws"),
                      "--min-doc-tokens", "1", "--min-df", "1", "--max-df", "1.0"])
         assert code == 2
         assert "surrogate.jsonl:3" in capsys.readouterr().err
@@ -196,7 +200,7 @@ class TestExitCodes:
         # vocab.txt holds one term a line, read back stripped: a term with
         # edge whitespace or a line boundary (U+2028 is one) would come back
         # as another term, so preprocess rejects it by name
-        flags = ["--pre-tokenized", "--min-doc-tokens", "1", "--min-df", "1", "--max-df", "1.0"]
+        flags = ["--min-doc-tokens", "1", "--min-df", "1", "--max-df", "1.0"]
         for term in ("w1 ", "x\u2028y"):
             lines = [json.dumps({"id": d, "tokens": ["w1", term]}) for d in "abc"]
             path = write_jsonl(tmp_path / "terms.jsonl", lines)
@@ -246,8 +250,55 @@ class TestPreprocess:
         # doc "d" dropped (2 tokens); df: apple 3, banana 2, others 1
         vocab = (tmp_path / "ws" / "vocab.txt").read_text().split()
         assert vocab == ["apple", "banana"]
-        corpus = load_jsonl_corpus(tmp_path / "ws" / "corpus.jsonl", pre_tokenized=True)
+        corpus = load_jsonl_corpus(tmp_path / "ws" / "corpus.jsonl")
         assert corpus.ids() == ["a", "b", "c"]
+
+    def test_text_and_tokens_lines_mix_with_no_flag(self, tmp_path):
+        lines = [
+            json.dumps({"id": "a", "text": "Apple banana " * 3}),
+            json.dumps({"id": "b", "tokens": ["apple", "cherry", "machine learning"]}),
+            json.dumps({"id": "c", "text": "banana cherry"}),
+        ]
+        path = write_jsonl(tmp_path / "mixed.jsonl", lines)
+        ws = tmp_path / "ws"
+        flags = ["--min-doc-tokens", "1", "--min-df", "1", "--max-df", "1.0"]
+        assert main(["preprocess", str(path), "--workspace", str(ws)] + flags) == 0
+        assert (ws / "vocab.txt").read_text().splitlines() == [
+            "apple", "banana", "cherry", "machine learning"
+        ]
+        assert load_jsonl_corpus(ws / "corpus.jsonl").documents[1].tokens == (
+            "apple", "cherry", "machine learning"
+        )
+
+    def test_workspace_corpus_preprocesses_to_itself(self, corpus_file, tmp_path):
+        # corpus.jsonl holds tokens lines, so it is an input as it stands
+        path, _ = corpus_file
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["preprocess", str(path), "--workspace", str(first)]) == 0
+        assert main(["preprocess", str(first / "corpus.jsonl"), "--workspace", str(second)]) == 0
+        assert_same_outputs(first, second)
+
+    def test_pre_tokenized_flag_is_unknown(self, corpus_file, tmp_path, capsys):
+        path, _ = corpus_file
+        ws = tmp_path / "ws"
+        assert main(["preprocess", str(path), "--workspace", str(ws), "--pre-tokenized"]) == 1
+        assert "unrecognized arguments: --pre-tokenized" in capsys.readouterr().err
+        assert not ws.exists()
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"id": "c", "text": "aa bb", "tokens": ["aa", "bb"]}',
+            '{"id": "c"}',
+            '{"id": "c", "text": null}',
+        ],
+        ids=["both", "neither", "null-text"],
+    )
+    def test_malformed_line_is_data_error(self, tmp_path, capsys, line):
+        lines = [json.dumps({"id": d, "text": "aa bb"}) for d in "ab"] + [line]
+        path = write_jsonl(tmp_path / "bad.jsonl", lines)
+        assert main(["preprocess", str(path), "--workspace", str(tmp_path / "ws")]) == 2
+        assert "bad.jsonl:3: " in capsys.readouterr().err
 
     def test_default_thresholds_match_production_values(self, tmp_path):
         from senmfk_split.cli import _DEFAULTS
@@ -275,7 +326,7 @@ class TestMatrices:
              "--min-doc-tokens", "1", "--min-df", "1", "--max-df", "1.0"]
         ) == 0
         assert main(["matrices", "--workspace", str(ws), "--window", "3", "--shift", "1"]) == 0
-        corpus = load_jsonl_corpus(ws / "corpus.jsonl", pre_tokenized=True)
+        corpus = load_jsonl_corpus(ws / "corpus.jsonl")
         terms = (ws / "vocab.txt").read_text().split()
         doc_tokens = [list(d.tokens) for d in corpus]
         X = storage.read_sparse(ws / "X.mtx").toarray()
@@ -654,7 +705,6 @@ class TestRun:
             "min-df": 2,
             "max-df": 0.5,
             "stopwords_digest": sha256_text("and\nthe"),
-            "pre_tokenized": False,
         }
         assert stages["matrices"].params == {"window": 100, "shift": 1.0}
         assert set(stages) == {"preprocess", "matrices"}
@@ -733,6 +783,21 @@ class TestRun:
         assert_same_outputs(clean, ws)
         assert main(["run", str(path), "--workspace", str(ws), "--resume"] + RUN_FLAGS) == 0
         assert recomputed(ws) == []
+
+    def test_resume_from_record_with_input_format(self, corpus_file, tmp_path):
+        # a preprocess record as written when a flag said how the input was
+        # tokenized: preprocess reruns once, to byte-identical files, and
+        # every later stage resumes
+        path, _ = corpus_file
+        ws, clean = tmp_path / "ws", tmp_path / "clean"
+        assert main(["run", str(path), "--workspace", str(ws)] + RUN_FLAGS) == 0
+        shutil.copytree(ws, clean)
+        legacy = json.loads((ws / "manifest.json").read_text())
+        legacy["stages"]["preprocess"]["params"]["pre_tokenized"] = False
+        (ws / "manifest.json").write_text(json.dumps(legacy))
+        assert main(["run", str(path), "--workspace", str(ws), "--resume"] + RUN_FLAGS) == 0
+        assert recomputed(ws) == ["preprocess"]
+        assert_same_outputs(clean, ws)
 
 
 # A RUN_FLAGS or NEW_M_RANGE run renames a finished file into place 25 times:
@@ -906,7 +971,6 @@ HELD_BY = [
     ("min-df", ["--min-df", "3"], ("preprocess",)),
     ("max-df", ["--max-df", "0.6"], ("preprocess",)),
     ("stopwords_digest", ["--stopwords", "STOPWORDS"], ("preprocess",)),
-    ("pre_tokenized", ["--pre-tokenized"], ("preprocess",)),
     ("window", ["--window", "50"], ("matrices",)),
     ("shift", ["--shift", "2"], ("matrices",)),
     ("kx-min", ["--kx-min", "3"], ("factorize_x",)),
@@ -935,9 +999,7 @@ class TestSettingRecords:
         return cli._pipeline(args)[2]
 
     def test_every_setting_listed(self):
-        assert {key for key, _, _ in HELD_BY} == set(cli._OPTIONS) | {
-            "stopwords_digest", "pre_tokenized"
-        }
+        assert {key for key, _, _ in HELD_BY} == set(cli._OPTIONS) | {"stopwords_digest"}
 
     @pytest.mark.parametrize("key, change, held_by", HELD_BY, ids=[k for k, _, _ in HELD_BY])
     def test_change_reaches_exactly_its_stages(self, tmp_path, key, change, held_by):
@@ -959,6 +1021,38 @@ class TestSettingRecords:
         after = self.stage_params(tmp_path, ["--kj-min", "2", "--kj-max", "4"])
         assert (before["joint"]["kj-min"], before["joint"]["kj-max"]) == (None, None)
         assert [name for name in before if before[name] != after[name]] == ["joint"]
+
+
+class TestReadme:
+    """The README's Command line section lists each setting once, in one
+    table, and names no flag that the commands do not take."""
+
+    def section(self) -> str:
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        start = text.index("\n## Command line\n")
+        return text[start:text.index("\n## ", start + 1)]
+
+    def test_settings_table_matches_options(self):
+        rows = [line.split("|")[1:-1] for line in self.section().splitlines()
+                if line.startswith("| `--")]
+        table = {cells[0].strip(" `"): [cell.strip() for cell in cells[1:]] for cells in rows}
+        assert len(table) == len(rows)
+        assert set(table) == {f"--{key}" for key in cli._OPTIONS} | {"--stopwords"}
+        for key, (default, kind, used_by) in cli._OPTIONS.items():
+            _, shown, stages = table[f"--{key}"]
+            assert stages.split(", ") == list(used_by), key
+            assert shown == "—" if default is None else kind(shown) == default, key
+        assert table["--stopwords"][2] == "preprocess"
+
+    def test_names_only_flags_the_commands_take(self):
+        parser = cli.build_parser()
+        flags = set(parser._option_string_actions)
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for command in action.choices.values():
+                    flags.update(command._option_string_actions)
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*[a-z0-9]", self.section()))
+        assert named - flags == set()
 
 
 class TestReport:
@@ -1015,3 +1109,49 @@ class TestReport:
         assert main(["report", "--workspace", str(ws)]) == 2
         err = capsys.readouterr().err
         assert "DataError" in err and str(ws / name) in err
+
+
+class TestAcrossBlasKernels:
+    """Reruns are byte-identical on one BLAS kernel.  scipy-openblas on
+    x86-64 picks its kernel by CPU, and ``OPENBLAS_CORETYPE`` overrides the
+    pick: another kernel rounds sums in another order, which reaches the
+    factors' last bits and nothing that the corpus, the matrices or any
+    decision of the pipeline depends on."""
+
+    def run_with(self, corpus: Path, ws: Path, coretype: str | None) -> None:
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = str(Path(senmfk_split.__file__).resolve().parents[1])
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        main_ = "import sys; from senmfk_split.cli import main; sys.exit(main(sys.argv[1:]))"
+        argv = ["run", str(corpus), "--workspace", str(ws)] + RUN_FLAGS
+        subprocess.run([sys.executable, "-c", main_] + argv, env=env, check=True,
+                       capture_output=True)
+
+    def test_another_kernel_moves_only_the_factors_last_bits(self, corpus_file, tmp_path):
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+        machine = platform.machine()
+        if blas != "scipy-openblas" or machine not in ("x86_64", "AMD64"):
+            pytest.skip(f"OPENBLAS_CORETYPE selects no kernel of {blas} on {machine}")
+        path, _ = corpus_file
+        default, other = tmp_path / "default", tmp_path / "sandybridge"
+        self.run_with(path, default, None)
+        self.run_with(path, other, "Sandybridge")
+        for name in ("corpus.jsonl", "vocab.txt", "X.mtx", "cooc.mtx", "M.mtx", "histogram.csv"):
+            assert (default / name).read_bytes() == (other / name).read_bytes(), name
+        for _, _, report in split_pipeline.FACTORS:
+            ranks = [storage.read_selection_report(ws / report).chosen_k for ws in (default, other)]
+            assert ranks[0] == ranks[1], report
+        topic_ids, term_orders = [], []
+        for ws in (default, other):
+            with (ws / "assignments.csv").open(encoding="utf-8", newline="") as fh:
+                topic_ids.append([row[:2] for row in csv.reader(fh)])
+            topics = storage.read_topics(ws / "topics.json")
+            term_orders.append([[term for term, _ in ranked] for ranked in topics])
+        assert topic_ids[0] == topic_ids[1]
+        assert term_orders[0] == term_orders[1]
+        names = [n for w, h, _ in split_pipeline.FACTORS for n in (w, h)] + ["H.mtx"]
+        for name in names:
+            a, b = storage.read_dense(default / name), storage.read_dense(other / name)
+            assert a.shape == b.shape, name
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max(), name

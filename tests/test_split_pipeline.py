@@ -430,7 +430,7 @@ class TestRunSplit:
         ws = tmp_path / "ws"
         model = run_split(corpus_path, config, ws)
         readers = {
-            "corpus.jsonl": lambda path: load_jsonl_corpus(path, pre_tokenized=True),
+            "corpus.jsonl": load_jsonl_corpus,
             "vocab.txt": load_vocabulary,
             "X.mtx": storage.read_sparse,
             "cooc.mtx": storage.read_sparse,

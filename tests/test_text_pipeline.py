@@ -213,7 +213,7 @@ class TestJsonlIO:
         assert corpus.documents[0].tokens == ("alpha", "beta", "gamma")
         out = tmp_path / "out.jsonl"
         save_jsonl_corpus(corpus, out)
-        again = load_jsonl_corpus(out, pre_tokenized=True)
+        again = load_jsonl_corpus(out)
         assert again == corpus
 
     def test_raw_text_tokens_shared(self, tmp_path):
@@ -250,6 +250,56 @@ class TestJsonlIO:
         path = tmp_path / "c.jsonl"
         path.write_text("not json\n")
         with pytest.raises(DataError):
+            load_jsonl_corpus(path)
+
+    def test_text_and_tokens_lines_mix(self, tmp_path):
+        # each line says how it is tokenized: text is tokenized, a tokens
+        # list is taken as-is (empty strings dropped), and an integer id
+        # reads as its digits
+        path = write_jsonl(tmp_path / "c.jsonl", [
+            '{"id": "a", "text": "Alpha beta!"}',
+            '{"id": 7, "tokens": ["Alpha", "", "machine learning"]}',
+            '{"id": "c", "text": ""}',
+        ])
+        corpus = load_jsonl_corpus(path)
+        assert corpus.ids() == ["a", "7", "c"]
+        assert [d.tokens for d in corpus] == [
+            ("alpha", "beta"), ("Alpha", "machine learning"), ()
+        ]
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"id": "b", "text": "aa bb", "tokens": ["aa"]}',
+            '{"id": "b"}',
+            '{"text": "aa bb"}',
+            '["b", "aa bb"]',
+            '{"id": "b", "text": null}',
+            '{"id": "b", "text": ["aa", "bb"]}',
+            '{"id": null, "text": "aa bb"}',
+            '{"id": true, "text": "aa bb"}',
+            '{"id": 1.5, "text": "aa bb"}',
+            '{"id": ["b"], "tokens": ["aa"]}',
+            '{"id": "b", "tokens": "aa bb"}',
+            '{"id": "b", "tokens": null}',
+            '{"id": "b", "tokens": ["aa", null]}',
+            '{"id": "b", "tokens": ["aa", true]}',
+            '{"id": "b", "tokens": ["aa", 12]}',
+            '{"id": "b", "tokens": ["aa", {"x": 1}]}',
+            '{"id": "b", "tokens": [false]}',
+            '{"id": ' + "1" * 5000 + ', "text": "aa bb"}',
+        ],
+        ids=[
+            "both", "neither", "no-id", "not-object", "null-text", "list-text", "null-id",
+            "bool-id", "float-id", "list-id", "string-tokens", "null-tokens", "null-token",
+            "bool-token", "int-token", "object-token", "falsy-token", "huge-int-id",
+        ],
+    )
+    def test_malformed_line_names_file_and_line(self, tmp_path, line):
+        # before, str() made data of these: a null text the token "none",
+        # a null id the id "None", a token 12 the token "12"
+        path = write_jsonl(tmp_path / "c.jsonl", ['{"id": "a", "text": "aa bb"}', line])
+        with pytest.raises(DataError, match="c.jsonl:2: "):
             load_jsonl_corpus(path)
 
 
