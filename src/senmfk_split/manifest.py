@@ -67,12 +67,16 @@ class RunManifest:
         name: str,
         params: dict[str, Any],
         inputs: dict[str, str],
+        outputs: tuple[str, ...],
         workspace: Path,
     ) -> bool:
         """True when the recorded stage ran with identical parameters and
-        inputs and all of its output files still match their digests."""
+        inputs, its record names exactly the files ``outputs`` (the stage's
+        declared outputs), and each of them still matches its digest."""
         rec = self.stages.get(name)
         if rec is None or rec.params != params or rec.inputs != inputs:
+            return False
+        if sorted(rec.outputs) != sorted(outputs):
             return False
         for fname, digest in rec.outputs.items():
             path = workspace / fname
@@ -88,15 +92,28 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunManifest":
-        """Raises DataError when the file is not a manifest.  The ``config``
-        and ``input_digests`` of a manifest written before the settings moved
-        into the stage records are dropped; a record that names its settings
-        the old way then matches no run, so its stage reruns once."""
+        """Raises DataError when the file is not a manifest, or when a stage
+        record's ``params``, ``inputs`` or ``outputs`` is not an object, a
+        digest not a string, ``seconds`` not a number or ``resumed`` not a
+        bool.  The ``config`` and ``input_digests`` of a manifest written
+        before the settings moved into the stage records are dropped; a
+        record that names its settings the old way then matches no run, so
+        its stage reruns once."""
         try:
             payload = json.loads(Path(path).read_text("utf-8"))
             for retired in ("config", "input_digests"):
                 payload.pop(retired, None)
             stages = payload.pop("stages", {})
-            return cls(**payload, stages={name: StageRecord(**rec) for name, rec in stages.items()})
+            manifest = cls(**payload, stages={name: StageRecord(**rec) for name, rec in stages.items()})
         except (ValueError, TypeError, AttributeError) as exc:
             raise DataError(f"{path}: not a valid manifest: {exc!r}") from exc
+        # a JSON value has one exact type, so true is neither a number nor a digest
+        for name, rec in manifest.stages.items():
+            if (
+                any(type(part) is not dict for part in (rec.params, rec.inputs, rec.outputs))
+                or any(type(d) is not str for d in [*rec.inputs.values(), *rec.outputs.values()])
+                or type(rec.seconds) not in (int, float)
+                or type(rec.resumed) is not bool
+            ):
+                raise DataError(f"{path}: not a valid manifest: a mistyped value in stage {name!r}")
+        return manifest

@@ -254,26 +254,23 @@ def silhouette(columns: np.ndarray, labels: np.ndarray) -> SilhouetteStats:
     )
 
 
-def nmfk(
-    X, config: SelectionConfig, symmetric_perturbation: bool = False
-) -> SelectionReport:
+def nmfk(X, config: SelectionConfig) -> SelectionReport:
     """Scan ranks k_min..k_max and pick the number of latent factors.
 
     Per rank: factorize ``n_perturbations`` perturbed copies from distinct
     seeds in one :func:`nmf_core.nmf_stack` call, which draws each copy
     when its stack starts, so one stack of copies is alive at a time (every
-    copy is drawn from one draw index, built once per scan; a symmetric
-    perturbation of an exactly symmetric X keeps every copy symmetric,
-    which ``nmf_stack`` is told);
+    copy is drawn from one draw index, built once per scan; an exactly
+    symmetric X gets mirrored draws, as :func:`nmf_core.perturb` gives it,
+    so every copy is symmetric, which ``nmf_stack`` is told);
     L2-normalize the basis columns, cluster them one-per-member,
     score the clustering with silhouettes, and record the reconstruction error of
     the centroid basis with H solved on the unperturbed matrix.  The chosen
     rank is the largest one with min silhouette >= the threshold; if none
     qualifies the most stable rank is returned with ``fallback`` set.
 
-    Raises DegenerateMatrix on an all-zero input, InvalidRank when the
-    scan range exceeds min(m, n), and as :func:`nmf_core.perturb` with
-    ``symmetric_perturbation``.
+    Raises DegenerateMatrix on an all-zero input and InvalidRank when the
+    scan range exceeds min(m, n).
     """
     X = _canonical(X)
     if X.nnz == 0:
@@ -284,14 +281,14 @@ def nmfk(
     base = config.nmf.seed
     p = config.n_perturbations
     ks = list(range(config.k_min, config.k_max + 1))
-    index = _draw_index(X, symmetric_perturbation)
+    index = _draw_index(X)
 
     per_k: list[RankRecord] = []
     consensus_by_k: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
     for k in ks:
         copies = (_draw(index, config.delta, child_seed(base, k, j, 0)) for j in range(p))
         seeds = [child_seed(base, k, j, 1) for j in range(p)]
-        pairs = nmf_stack(copies, k, config.nmf, seeds, _symmetric=index.copies_symmetric)
+        pairs = nmf_stack(copies, k, config.nmf, seeds, _symmetric=index.of_entry is not None)
         ensemble = [normalize_columns(pair.W) for pair in pairs]
         labels, centroids = cluster_columns(ensemble)
         stats = silhouette(np.hstack(ensemble), labels.ravel())

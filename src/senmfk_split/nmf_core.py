@@ -7,7 +7,8 @@ Implements the alternating Lee-Seung updates
 
 together with the fixed-W variant used for document regression, a sparse-safe
 relative reconstruction error, and the multiplicative perturbation used to
-generate factorization ensembles.
+generate factorization ensembles (mirrored on an exactly symmetric input,
+so every copy of it is symmetric too).
 
 Inputs are validated and held as CSR, but the update loop runs on a dense
 copy when ``4 * nnz >= m * n`` (density at least 1/4), where dense BLAS is
@@ -28,8 +29,8 @@ Sparser inputs stay CSR.  The dense copy (8 bytes per cell) can be up to
 of value plus 4 of column index per stored entry).  The transpose is taken
 once per solve: a view for an array, a CSC view (no copy) for CSR.
 
-A CSR operand that equals its transpose exactly, such as a symmetric
-perturbation of the word-context matrix M, takes the W step's ``X H^T`` as
+A CSR operand that equals its transpose exactly, such as a perturbed copy
+of the word-context matrix M, takes the W step's ``X H^T`` as
 ``X^T H^T`` through the CSC view too.  ``csc_matvecs`` adds the same
 products in the same order as ``csr_matvecs``, so the bits are equal, and
 it is the faster kernel.  Median of interleaved calls (60 at 1x, 20 at
@@ -322,7 +323,8 @@ def nmf_stack(
     ``nmf(Xs[i], k, replace(config, seed=seeds[i]))``.
 
     ``_symmetric`` is internal: :func:`model_selection.nmfk` sets it when
-    every member equals its transpose exactly, which is not checked here.
+    its draw index mirrors, so every member equals its transpose exactly,
+    which is not checked here.
 
     Raises as :func:`nmf`, and ValueError if the members of one stack differ
     in shape or operand (dense or CSR) or the matrices and seeds do not pair
@@ -382,26 +384,23 @@ def solve_h(X, W: np.ndarray, config: NmfConfig | None = None) -> np.ndarray:
 @dataclass(frozen=True)
 class _DrawIndex:
     """What every perturbation of one matrix shares: the canonical X, the
-    number of uniform draws one perturbation takes, the draw each stored
-    entry is multiplied by (None: entry t takes draw t), and whether every
-    copy equals its transpose exactly (symmetric draws on a symmetric X)."""
+    number of uniform draws one perturbation takes, and the draw each stored
+    entry is multiplied by (None: entry t takes draw t)."""
 
     X: sparse.csr_matrix
     draws: int
     of_entry: np.ndarray | None = None
-    copies_symmetric: bool = False
 
 
-def _draw_index(X, symmetric: bool) -> _DrawIndex:
-    """The draw index of :func:`perturb` for X, built once per matrix:
-    with ``symmetric`` the entries on and above the diagonal draw in CSR
-    order and each entry below it takes its mirror's draw.  Raises as
-    :func:`perturb`."""
+def _draw_index(X) -> _DrawIndex:
+    """The draw index of :func:`perturb` for X, built once per matrix.  A
+    square X that equals its transpose exactly, pattern and values, is
+    mirrored: the entries on and above the diagonal draw in CSR order and
+    each entry below it takes its mirror's draw.  Any other X takes one draw
+    per stored entry."""
     X = _canonical(X)
-    if not symmetric:
-        return _DrawIndex(X, X.nnz)
     if X.shape[0] != X.shape[1]:
-        raise DimensionMismatch(f"symmetric perturbation needs a square matrix, got {X.shape}")
+        return _DrawIndex(X, X.nnz)
     # X's CSR positions (1-based) in CSC order; on a symmetric pattern the
     # t-th of them is the mirror of CSR entry t, and entry t lies below the
     # diagonal exactly when its mirror comes earlier in CSR order
@@ -409,17 +408,17 @@ def _draw_index(X, symmetric: bool) -> _DrawIndex:
     order = sparse.csr_matrix((np.arange(1, X.nnz + 1, dtype=kind), X.indices, X.indptr), X.shape)
     order = order.tocsc()
     same = np.array_equal(order.indptr, X.indptr) and np.array_equal(order.indices, X.indices)
-    if not same:
-        raise ValueError("symmetric perturbation needs a symmetric sparsity pattern")
     mirror = order.data  # the CSC pattern arrays are freed before the masks
     del order
     mirror -= 1
+    if not (same and np.array_equal(X.data[mirror], X.data)):
+        return _DrawIndex(X, X.nnz)
     lower = mirror < np.arange(X.nnz, dtype=kind)
     of_entry = np.empty(X.nnz, dtype=kind)
     draws = X.nnz - np.count_nonzero(lower)
     of_entry[~lower] = np.arange(draws, dtype=kind)
     of_entry[lower] = of_entry[mirror[lower]]
-    return _DrawIndex(X, draws, of_entry, np.array_equal(X.data[mirror], X.data))
+    return _DrawIndex(X, draws, of_entry)
 
 
 def _draw(index: _DrawIndex, delta: float, seed) -> sparse.csr_matrix:
@@ -433,23 +432,24 @@ def _draw(index: _DrawIndex, delta: float, seed) -> sparse.csr_matrix:
     return sparse.csr_matrix((data, index.X.indices, index.X.indptr), index.X.shape)
 
 
-def perturb(X, delta: float, seed, symmetric: bool = False) -> sparse.csr_matrix:
-    """Multiply every stored entry by an independent uniform draw from
-    [1 - delta, 1 + delta]; the sparsity pattern is unchanged.
+def perturb(X, delta: float, seed) -> sparse.csr_matrix:
+    """Multiply every stored entry by a uniform draw from [1 - delta,
+    1 + delta]; the sparsity pattern is unchanged.
 
-    With ``symmetric`` the (i, j) and (j, i) entries share one draw, so a
-    symmetric matrix stays exactly symmetric: the entries on and above the
-    diagonal draw in CSR order, and each entry below it takes its mirror's
-    draw.  That needs a square X whose sparsity pattern is symmetric (its
-    values need not be); DimensionMismatch or ValueError otherwise.
+    The draws are independent, one per stored entry in CSR order, unless X
+    is square and equals its transpose exactly: then the (i, j) and (j, i)
+    entries share one draw, so the copy is exactly symmetric too.  The
+    entries on and above the diagonal draw in CSR order, and each entry
+    below it takes its mirror's draw.  X alone decides; there is no option.
 
-    Finding the mirrors takes a CSC copy of X's positions, several times
-    the cost of the draw itself (about 27 against 5 ms on the benchmark's
-    Zipf M, 575,796 entries), so a caller that perturbs one matrix many
-    times, as :func:`model_selection.nmfk` does, builds the index once
-    with :func:`_draw_index` and draws every copy from it with
-    :func:`_draw`, bit for bit the copy this function returns.
+    Finding the mirrors, or that a square X has none, takes a CSC copy of
+    X's positions, several times the cost of the draw itself (about 27
+    against 5 ms on the benchmark's Zipf M, 575,796 entries), so a caller
+    that perturbs one matrix many times, as :func:`model_selection.nmfk`
+    does, builds the index once with :func:`_draw_index` and draws every
+    copy from it with :func:`_draw`, bit for bit the copy this function
+    returns.
     """
     if not (0 <= delta < 1):
         raise ValueError("delta must be in [0, 1)")
-    return _draw(_draw_index(X, symmetric), delta, seed).copy()  # owns its arrays
+    return _draw(_draw_index(X), delta, seed).copy()  # owns its arrays

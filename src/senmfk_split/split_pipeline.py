@@ -148,10 +148,10 @@ class AssignmentResult:
     zero_columns: tuple[int, ...]
 
 
-def _factorize(A, selection: SelectionConfig, symmetric_perturbation: bool = False) -> Factors:
+def _factorize(A, selection: SelectionConfig) -> Factors:
     """Rank-select with NMFk and take the chosen rank's consensus basis and
     the H the scan solved for it; DegenerateBasis if it has a zero column."""
-    report = nmfk(A, selection, symmetric_perturbation=symmetric_perturbation)
+    report = nmfk(A, selection)
     if report.consensus_H is None:
         raise DegenerateBasis(f"rank-{report.chosen_k} consensus basis has an all-zero column")
     return report.consensus_W, report.consensus_H, report
@@ -163,9 +163,10 @@ def factorize_x(X, selection: SelectionConfig) -> Factors:
 
 
 def factorize_m(M, selection: SelectionConfig) -> Factors:
-    """Rank-select and factorize the word-context matrix.  Perturbations are
-    applied symmetrically so every ensemble member stays symmetric."""
-    return _factorize(M, selection, symmetric_perturbation=True)
+    """Rank-select and factorize the word-context matrix.  M is symmetric,
+    so :func:`nmf_core.perturb` mirrors its draws and every ensemble member
+    stays symmetric."""
+    return _factorize(M, selection)
 
 
 def concat_normalized(W1: np.ndarray, W2: np.ndarray) -> np.ndarray:
@@ -472,7 +473,9 @@ def run_stages(
             start = time.perf_counter()
             settings = params[stage.name]
             inputs = {n: digests.get(n) or sha256_file(run.path(n)) for n in stage.inputs}
-            resumed = resume and manifest.can_skip(stage.name, settings, inputs, run.workspace)
+            resumed = resume and manifest.can_skip(
+                stage.name, settings, inputs, stage.outputs, run.workspace
+            )
             if resumed:
                 outputs = manifest.stages[stage.name].outputs  # checked by can_skip
             else:

@@ -157,10 +157,10 @@ def tokenize_oracle(text: str) -> list[str]:
 
 
 def symmetric_perturb_oracle(X: np.ndarray, delta: float, seed: int) -> np.ndarray:
-    """Symmetric multiplicative perturbation of a dense square array whose
-    nonzero pattern is symmetric: one uniform [1 - delta, 1 + delta] draw
-    from ``default_rng(seed)`` per nonzero (i, j) with i <= j, drawn in
-    row-major order, multiplies both X[i, j] and X[j, i]."""
+    """Mirrored multiplicative perturbation of a dense square array that
+    equals its transpose: one uniform [1 - delta, 1 + delta] draw from
+    ``default_rng(seed)`` per nonzero (i, j) with i <= j, drawn in row-major
+    order, multiplies both X[i, j] and X[j, i]."""
     m = X.shape[0]
     upper = [(i, j) for i in range(m) for j in range(i, m) if X[i, j] != 0]
     draws = np.random.default_rng(seed).uniform(1.0 - delta, 1.0 + delta, size=len(upper))
@@ -168,6 +168,19 @@ def symmetric_perturb_oracle(X: np.ndarray, delta: float, seed: int) -> np.ndarr
     for (i, j), factor in zip(upper, draws):
         out[i, j] = X[i, j] * factor
         out[j, i] = X[j, i] * factor
+    return out
+
+
+def independent_perturb_oracle(X: np.ndarray, delta: float, seed: int) -> np.ndarray:
+    """Independent multiplicative perturbation of a dense array: one uniform
+    [1 - delta, 1 + delta] draw from ``default_rng(seed)`` per nonzero,
+    drawn in row-major order."""
+    m, n = X.shape
+    cells = [(i, j) for i in range(m) for j in range(n) if X[i, j] != 0]
+    draws = np.random.default_rng(seed).uniform(1.0 - delta, 1.0 + delta, size=len(cells))
+    out = np.zeros_like(X)
+    for (i, j), factor in zip(cells, draws):
+        out[i, j] = X[i, j] * factor
     return out
 
 

@@ -727,6 +727,54 @@ class TestRun:
                 assert f"{manifest}: not a valid manifest" in capsys.readouterr().err
             assert manifest.read_bytes() == damaged
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("outputs", ["corpus.jsonl", "vocab.txt"]),
+            ("outputs", {"corpus.jsonl": None, "vocab.txt": None}),
+            ("inputs", "input"),
+            ("inputs", {"input": 0}),
+            ("params", []),
+            ("seconds", "0.5"),
+            ("seconds", True),
+            ("resumed", 1),
+            ("resumed", None),
+        ],
+    )
+    def test_record_field_of_wrong_type_is_data_error(
+        self, corpus_file, tmp_path, capsys, field, value
+    ):
+        # a record whose fields are valid JSON of the wrong type stops the
+        # command that loads it, naming manifest.json, and is not written over
+        path, _ = corpus_file
+        ws = tmp_path / "ws"
+        assert main(["preprocess", str(path), "--workspace", str(ws)]) == 0
+        manifest = ws / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        payload["stages"]["preprocess"][field] = value
+        manifest.write_text(json.dumps(payload))
+        damaged = manifest.read_bytes()
+        capsys.readouterr()
+        assert main(["run", str(path), "--workspace", str(ws), "--resume"] + RUN_FLAGS) == 2
+        assert f"{manifest}: not a valid manifest" in capsys.readouterr().err
+        assert manifest.read_bytes() == damaged
+
+    def test_record_missing_an_output_reruns_its_stage(self, corpus_file, tmp_path):
+        # a record that no longer names one of its stage's outputs, whose
+        # file is gone too, does not resume the stage: factorize_x runs again
+        # and writes the file back
+        path, _ = corpus_file
+        ws, clean = tmp_path / "ws", tmp_path / "clean"
+        assert main(["run", str(path), "--workspace", str(ws)] + RUN_FLAGS) == 0
+        shutil.copytree(ws, clean)
+        payload = json.loads((ws / "manifest.json").read_text())
+        del payload["stages"]["factorize_x"]["outputs"]["H1.mtx"]
+        (ws / "manifest.json").write_text(json.dumps(payload))
+        (ws / "H1.mtx").unlink()
+        assert main(["run", str(path), "--workspace", str(ws), "--resume"] + RUN_FLAGS) == 0
+        assert recomputed(ws) == ["factorize_x"]
+        assert_same_outputs(clean, ws)
+
     def test_manifest_snapshot_complete(self, corpus_file, tmp_path):
         path, _ = corpus_file
         ws = tmp_path / "ws"

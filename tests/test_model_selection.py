@@ -11,7 +11,7 @@ from scipy import sparse
 
 from oracles import block_topic_matrix, separated_topics_problem, silhouette_oracle
 from senmfk_split import model_selection, nmf_core
-from senmfk_split.errors import DegenerateMatrix, DimensionMismatch, InvalidRank, ShapeMismatch
+from senmfk_split.errors import DegenerateMatrix, InvalidRank, ShapeMismatch
 from senmfk_split.model_selection import (
     SelectionConfig,
     child_seed,
@@ -419,8 +419,9 @@ class TestEnsembleStacks:
 
 
 class TestSymmetricScan:
-    """``nmfk(symmetric_perturbation=True)`` draws every copy from one draw
-    index per scan and equals public ``perturb`` + ``nmf`` per member."""
+    """``nmfk`` draws every copy from one draw index per scan and equals
+    public ``perturb`` + ``nmf`` per member; the input alone decides whether
+    the draws are mirrored and the members solved as symmetric."""
 
     CONFIG = SelectionConfig(
         k_min=2, k_max=4, n_perturbations=3, nmf=NmfConfig(max_iter=60, tol=1e-9, seed=11)
@@ -434,38 +435,60 @@ class TestSymmetricScan:
             values = np.triu(values) + np.triu(values, 1).T
         return sparse.csr_matrix(np.where(pattern | pattern.T, values, 0.0))
 
-    # density 0.15 is a CSR operand, 0.6 a dense one
-    @pytest.mark.parametrize("density", [0.15, 0.6])
-    @pytest.mark.parametrize("symmetric_values", [False, True])
-    def test_members_equal_perturb_then_nmf(self, rng, monkeypatch, density, symmetric_values):
-        X = self.problem(rng, density, symmetric_values)
-        members, flags = [], []
-        stack = model_selection.nmf_stack
+    @staticmethod
+    def spy_scan(monkeypatch):
+        """Spies on the draw index builds, the ``_symmetric`` flags and the
+        members of a scan."""
+        indexes, flags, members = [], [], []
+        build, stack = nmf_core._draw_index, model_selection.nmf_stack
 
-        def spy(*args, **kwargs):
+        def index_spy(*args, **kwargs):
+            indexes.append(build(*args, **kwargs))
+            return indexes[-1]
+
+        def stack_spy(*args, **kwargs):
             flags.append(kwargs.get("_symmetric", False))
             for pair in stack(*args, **kwargs):
                 members.append(pair)
                 yield pair
 
-        monkeypatch.setattr(model_selection, "nmf_stack", spy)
-        nmfk(X, self.CONFIG, symmetric_perturbation=True)
-        # a symmetric pattern with asymmetric values stays on the general path
-        assert flags == [symmetric_values] * 3
-        base, p = self.CONFIG.nmf.seed, self.CONFIG.n_perturbations
-        expected = [
+        monkeypatch.setattr(model_selection, "_draw_index", index_spy)
+        monkeypatch.setattr(model_selection, "nmf_stack", stack_spy)
+        return indexes, flags, members
+
+    def expected_members(self, X, config):
+        base, p = config.nmf.seed, config.n_perturbations
+        return [
             nmf(
-                perturb(X, self.CONFIG.delta, child_seed(base, k, j, 0), symmetric=True),
+                perturb(X, config.delta, child_seed(base, k, j, 0)),
                 k,
-                replace(self.CONFIG.nmf, seed=child_seed(base, k, j, 1)),
+                replace(config.nmf, seed=child_seed(base, k, j, 1)),
             )
-            for k in (2, 3, 4)
+            for k in range(config.k_min, config.k_max + 1)
             for j in range(p)
         ]
+
+    @staticmethod
+    def assert_same_members(members, expected):
         assert len(members) == len(expected)
         for a, b in zip(members, expected):
             for name in ("W", "H", "objective_trace", "trace_iterations"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    # density 0.15 is a CSR operand, 0.6 a dense one
+    @pytest.mark.parametrize("density", [0.15, 0.6])
+    @pytest.mark.parametrize("symmetric_values", [False, True])
+    def test_members_equal_perturb_then_nmf(self, rng, monkeypatch, density, symmetric_values):
+        # no flag: the input alone decides. Exactly symmetric values, as
+        # factorize_m passes M, get one mirrored draw index for the scan and
+        # every stack is told its members are symmetric; a symmetric pattern
+        # with asymmetric values stays on the general path
+        X = self.problem(rng, density, symmetric_values)
+        indexes, flags, members = self.spy_scan(monkeypatch)
+        nmfk(X, self.CONFIG)
+        assert len(indexes) == 1 and (indexes[0].of_entry is not None) == symmetric_values
+        assert flags == [symmetric_values] * 3
+        self.assert_same_members(members, self.expected_members(X, self.CONFIG))
 
     @pytest.mark.parametrize("k_max, p", [(2, 2), (4, 3), (5, 4)])
     def test_draw_index_built_once_per_scan(self, rng, monkeypatch, k_max, p):
@@ -481,24 +504,27 @@ class TestSymmetricScan:
         monkeypatch.setattr(nmf_core, "_draw_index", spy)
         monkeypatch.setattr(model_selection, "_draw_index", spy)
         config = replace(self.CONFIG, k_max=k_max, n_perturbations=p)
-        nmfk(self.problem(rng, 0.15, True), config, symmetric_perturbation=True)
+        nmfk(self.problem(rng, 0.15, True), config)
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
-        "X, error, match",
+        "X",
         [
-            (np.ones((4, 6)), DimensionMismatch, "square"),
+            np.ones((4, 6)),
             # (1, 0) has no stored mirror
-            (np.array([[1.0, 0, 0], [2, 3, 0], [0, 0, 4]]), ValueError, "sparsity pattern"),
+            np.array([[1.0, 0, 0], [2, 3, 0], [0, 0, 4]]),
         ],
+        ids=["non-square", "no-mirror"],
     )
-    def test_invalid_input_raises_before_any_solve(self, monkeypatch, X, error, match):
-        solved = []
-        monkeypatch.setattr(nmf_core, "_solve_stack", lambda *args, **kwargs: solved.append(1))
+    def test_asymmetric_input_on_general_path(self, monkeypatch, X):
+        # independent draws, and members solved without the CSC W-step
+        X = sparse.csr_matrix(X)
         config = SelectionConfig(k_min=1, k_max=2, n_perturbations=2)
-        with pytest.raises(error, match=match):
-            nmfk(sparse.csr_matrix(X), config, symmetric_perturbation=True)
-        assert solved == []
+        indexes, flags, members = self.spy_scan(monkeypatch)
+        nmfk(X, config)
+        assert len(indexes) == 1 and indexes[0].of_entry is None
+        assert flags == [False] * 2
+        self.assert_same_members(members, self.expected_members(X, config))
 
 
 class TestSelectionConfigValidation:

@@ -12,6 +12,7 @@ from scipy import sparse
 from conftest import traced_peak
 from oracles import (
     frobenius_relative_error,
+    independent_perturb_oracle,
     mu_oracle,
     nnls_projected_gradient,
     symmetric_perturb_oracle,
@@ -450,7 +451,7 @@ class TestSymmetricProducts:
     @pytest.mark.parametrize("m, density, k", [(40, 0.1, 3), (60, 0.05, 5), (30, 0.5, 2)])
     def test_equals_general_path(self, rng, m, density, k):
         S = self.symmetric(rng, m, density)
-        Xs = [perturb(S, 0.05, seed=j, symmetric=True) for j in range(3)]
+        Xs = [perturb(S, 0.05, seed=j) for j in range(3)]
         assert all((X != X.T).nnz == 0 for X in Xs)
         config = NmfConfig(max_iter=90, tol=1e-12)
         seeds = [7, 8, 9]
@@ -523,10 +524,11 @@ class TestPerturb:
         np.testing.assert_array_equal(a.toarray(), b.toarray())
 
     def test_symmetric_mode_preserves_symmetry(self, rng):
+        # an exactly symmetric input is perturbed symmetrically, with no flag
         raw = rng.uniform(0.0, 1.0, (8, 8))
         raw[rng.uniform(size=(8, 8)) > 0.4] = 0.0
         S = sparse.csr_matrix(raw + raw.T)
-        P = perturb(S, 0.3, seed=9, symmetric=True)
+        P = perturb(S, 0.3, seed=9)
         arr = P.toarray()
         np.testing.assert_array_equal(arr, arr.T)
         assert P.nnz == S.nnz
@@ -534,15 +536,16 @@ class TestPerturb:
     @settings(derandomize=True, deadline=None, max_examples=80)
     @given(st.data())
     def test_symmetric_matches_oracle_property(self, data):
-        # a symmetric pattern, diagonal and empty rows included, with values
-        # drawn independently on either side of the diagonal
+        # a symmetric pattern, diagonal and empty rows included, with
+        # symmetric values
         m = data.draw(st.integers(1, 7))
         upper = np.triu(data.draw(arrays(np.bool_, (m, m))))
         values = data.draw(arrays(np.float64, (m, m), elements=st.floats(0.01, 100.0)))
+        values = np.triu(values) + np.triu(values, 1).T
         X = np.where(upper | upper.T, values, 0.0)
         delta = data.draw(st.sampled_from([0.0, 0.03, 0.5, 0.99]))
         seed = data.draw(st.integers(0, 2**32 - 1))
-        P = perturb(sparse.csr_matrix(X), delta, seed=seed, symmetric=True)
+        P = perturb(sparse.csr_matrix(X), delta, seed=seed)
         np.testing.assert_array_equal(P.toarray(), symmetric_perturb_oracle(X, delta, seed))
         assert P.nnz == np.count_nonzero(X)
 
@@ -550,7 +553,9 @@ class TestPerturb:
     @given(st.data())
     def test_draw_index_matches_perturb_and_oracle_property(self, data):
         # one index, several seeds; a symmetric pattern, diagonal and empty
-        # rows included, with symmetric or independent values
+        # rows included, with symmetric or independent values: the index
+        # mirrors exactly when X equals its transpose, and otherwise every
+        # stored entry takes its own draw
         m = data.draw(st.integers(1, 7))
         upper = np.triu(data.draw(arrays(np.bool_, (m, m))))
         values = data.draw(arrays(np.float64, (m, m), elements=st.floats(0.01, 100.0)))
@@ -558,29 +563,33 @@ class TestPerturb:
             values = np.triu(values) + np.triu(values, 1).T
         X = np.where(upper | upper.T, values, 0.0)
         delta = data.draw(st.sampled_from([0.0, 0.03, 0.5, 0.99]))
-        index = nmf_core._draw_index(sparse.csr_matrix(X), symmetric=True)
-        assert index.copies_symmetric == np.array_equal(X, X.T)
+        index = nmf_core._draw_index(sparse.csr_matrix(X))
+        symmetric = np.array_equal(X, X.T)
+        assert (index.of_entry is not None) == symmetric
+        oracle = symmetric_perturb_oracle if symmetric else independent_perturb_oracle
         for seed in data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4)):
             P = nmf_core._draw(index, delta, seed)
-            Q = perturb(sparse.csr_matrix(X), delta, seed=seed, symmetric=True)
+            Q = perturb(sparse.csr_matrix(X), delta, seed=seed)
             for name in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(P, name), getattr(Q, name)), name
-            np.testing.assert_array_equal(P.toarray(), symmetric_perturb_oracle(X, delta, seed))
+            np.testing.assert_array_equal(P.toarray(), oracle(X, delta, seed))
 
     @staticmethod
-    def random_symmetric(rng):
-        """A random symmetric matrix of 2,000 terms and 724,609 entries."""
+    def random_square(rng, symmetric=True):
+        """A random matrix of 2,000 terms and 724,609 entries on a symmetric
+        pattern, with symmetric values or not."""
         m, half = 2000, 400_000
         rows, cols = rng.integers(0, m, (2, half))
         A = sparse.csr_matrix((rng.uniform(1.0, 2.0, half), (rows, cols)), shape=(m, m))
-        return canonicalize(A + A.T)
+        return canonicalize(A + A.T if symmetric else A + 2.0 * A.T)
 
     def test_draw_index_peak_bounded(self, rng):
         # int32 positions, with each entry's side of the diagonal read from
-        # its mirror, peak at 1.50 times the CSR bytes; int64 positions
-        # beside a whole-row array took 3.16
-        M = self.random_symmetric(rng)
-        index, peak, _ = traced_peak(lambda: nmf_core._draw_index(M, symmetric=True))
+        # its mirror and the values compared before the masks exist, peak at
+        # 1.09 times the CSR bytes; compared after the masks they took 1.50,
+        # and int64 positions beside a whole-row array 3.16
+        M = self.random_square(rng)
+        index, peak, _ = traced_peak(lambda: nmf_core._draw_index(M))
         assert index.of_entry.dtype == np.int32
         assert peak <= 1.75 * (M.data.nbytes + M.indices.nbytes + M.indptr.nbytes)
 
@@ -590,9 +599,11 @@ class TestPerturb:
         # entry (12 when it copied them); beside its values it allocates only
         # the uniform draws and, for a symmetric draw, one block of gathered
         # draws (measured 2.00 and 2.51 times the values' bytes; a pattern
-        # copy and a whole gathered array took 2.50 and 3.01)
-        M = self.random_symmetric(rng)
-        index = nmf_core._draw_index(M, symmetric)
+        # copy and a whole gathered array took 2.50 and 3.01); the plain
+        # case's values are not symmetric, so it takes independent draws
+        M = self.random_square(rng, symmetric)
+        index = nmf_core._draw_index(M)
+        assert (index.of_entry is not None) == symmetric
         P, peak, held = traced_peak(lambda: nmf_core._draw(index, 0.3, seed=5))
         assert np.shares_memory(P.indices, M.indices) and np.shares_memory(P.indptr, M.indptr)
         assert held <= M.data.nbytes + 4096
@@ -603,23 +614,33 @@ class TestPerturb:
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_canonical_input_left_unchanged(self, rng, symmetric):
         # a canonical input is read without a copy, so the output must not
-        # share its values
+        # share its values, mirrored or not
         raw = rng.uniform(0.0, 1.0, (8, 8))
-        X = canonicalize(raw + raw.T)
+        X = canonicalize(raw + raw.T if symmetric else raw)
         before = X.data.copy()
-        P = perturb(X, 0.3, seed=2, symmetric=symmetric)
+        P = perturb(X, 0.3, seed=2)
         np.testing.assert_array_equal(X.data, before)
         assert not np.shares_memory(P.data, X.data)
 
-    def test_symmetric_rejects_asymmetric_pattern(self):
+    def test_asymmetric_pattern_draws_independently(self):
         # (1, 0) has no stored mirror
-        X = sparse.csr_matrix(np.array([[1.0, 0.0, 0.0], [2.0, 3.0, 0.0], [0.0, 0.0, 4.0]]))
-        with pytest.raises(ValueError, match="symmetric sparsity pattern"):
-            perturb(X, 0.1, seed=1, symmetric=True)
+        X = np.array([[1.0, 0.0, 0.0], [2.0, 3.0, 0.0], [0.0, 0.0, 4.0]])
+        assert nmf_core._draw_index(sparse.csr_matrix(X)).of_entry is None
+        P = perturb(sparse.csr_matrix(X), 0.1, seed=1)
+        np.testing.assert_array_equal(P.toarray(), independent_perturb_oracle(X, 0.1, 1))
 
-    def test_symmetric_rejects_non_square(self, rng):
-        with pytest.raises(DimensionMismatch):
-            perturb(random_nonneg(rng, 3, 4), 0.1, seed=1, symmetric=True)
+    def test_non_square_draws_independently(self, rng, monkeypatch):
+        # a non-square X takes one draw per entry before any CSC work
+        X = random_nonneg(rng, 3, 4)
+        converted = []
+        tocsc = sparse.csr_matrix.tocsc
+        monkeypatch.setattr(
+            sparse.csr_matrix, "tocsc", lambda A, **kw: converted.append(A) or tocsc(A, **kw)
+        )
+        assert nmf_core._draw_index(X).of_entry is None
+        P = perturb(X, 0.1, seed=1)
+        assert converted == []
+        np.testing.assert_array_equal(P.toarray(), independent_perturb_oracle(X.toarray(), 0.1, 1))
 
     def test_invalid_delta(self, rng):
         X = random_nonneg(rng, 3, 3)
