@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateMatrix, InvalidRank, ShapeMismatch
 from .matrix_builder import _canonical
-from .nmf_core import NmfConfig, _draw, _draw_index, nmf_stack, relative_error, solve_h
+from .nmf_core import NmfConfig, _draw_index, nmf_stack, relative_error, solve_h
 
 _MAX_CLUSTER_ROUNDS = 100
 _DISTANCE_DUST = 1e-12
@@ -43,6 +43,9 @@ class SelectionConfig:
     nmf: NmfConfig = field(default_factory=NmfConfig)
 
     def __post_init__(self):
+        for name in ("k_min", "k_max", "n_perturbations"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not (1 <= self.k_min <= self.k_max):
             raise ValueError("need 1 <= k_min <= k_max")
         if self.n_perturbations < 2:
@@ -258,14 +261,14 @@ def nmfk(X, config: SelectionConfig) -> SelectionReport:
     """Scan ranks k_min..k_max and pick the number of latent factors.
 
     Per rank: factorize ``n_perturbations`` perturbed copies from distinct
-    seeds in one :func:`nmf_core.nmf_stack` call, which draws each copy
-    when its stack starts, so one stack of copies is alive at a time (every
-    copy is drawn from one draw index, built once per scan; an exactly
-    symmetric X gets mirrored draws, as :func:`nmf_core.perturb` gives it,
-    so every copy is symmetric, which ``nmf_stack`` is told);
-    L2-normalize the basis columns, cluster them one-per-member,
-    score the clustering with silhouettes, and record the reconstruction error of
-    the centroid basis with H solved on the unperturbed matrix.  The chosen
+    seeds in one :func:`nmf_core.nmf_stack` call on the scan's draw index,
+    built once per scan.  ``nmf_stack`` draws each copy when its stack
+    starts, so one stack of copies is alive at a time; an exactly symmetric
+    X gets mirrored draws, as :func:`nmf_core.perturb` gives it, so the
+    index alone says that every copy is symmetric.  Then L2-normalize the
+    basis columns, cluster them one-per-member, score the clustering with
+    silhouettes, and record the reconstruction error of the centroid basis
+    with H solved on the unperturbed matrix.  The chosen
     rank is the largest one with min silhouette >= the threshold; if none
     qualifies the most stable rank is returned with ``fallback`` set.
 
@@ -286,9 +289,8 @@ def nmfk(X, config: SelectionConfig) -> SelectionReport:
     per_k: list[RankRecord] = []
     consensus_by_k: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
     for k in ks:
-        copies = (_draw(index, config.delta, child_seed(base, k, j, 0)) for j in range(p))
-        seeds = [child_seed(base, k, j, 1) for j in range(p)]
-        pairs = nmf_stack(copies, k, config.nmf, seeds, _symmetric=index.of_entry is not None)
+        seeds = [(child_seed(base, k, j, 0), child_seed(base, k, j, 1)) for j in range(p)]
+        pairs = nmf_stack(index, config.delta, k, config.nmf, seeds)
         ensemble = [normalize_columns(pair.W) for pair in pairs]
         labels, centroids = cluster_columns(ensemble)
         stats = silhouette(np.hstack(ensemble), labels.ravel())

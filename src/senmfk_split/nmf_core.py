@@ -48,16 +48,16 @@ terms) and of ten times that corpus (19,403 terms):
     6,945,187  8    52.7 ms   46.0 ms
     ========= ==== ========= ==========
 
-:func:`nmf_stack` solves an ensemble, such as one rank's perturbed copies,
+:func:`nmf_stack` solves an ensemble, one rank's perturbed copies of X,
 in stacks: W (b, m, k), H (b, k, n) and every product one stacked matmul,
 so the ~12 numpy calls of an iteration are paid once per stack, and each
 member is still checked alone and leaves the stack when it stops; every
 result equals that member's solve alone bit for bit.  It sizes each stack
 itself: as many dense members as fit in ``_STACK_CELLS`` = 2^17 cells
-(1 MB), or one CSR member; and it takes a stack's matrices from its
-iterable only when that stack starts, so a generator of copies has one
-stack of them alive at a time.  Measured on the same machine (min of 15,
-k = 4, k = 3 at 90 x 90), time per member-iteration alone over stacked:
+(1 MB), or one CSR member; and it draws a stack's copies from X's draw
+index only when that stack starts, so one stack of them is alive at a
+time.  Measured on the same machine (min of 15, k = 4, k = 3 at 90 x 90),
+time per member-iteration alone over stacked:
 
     ========== ==== ============== ===============
     shape       p    all p stacked  <= 2^17 cells
@@ -83,7 +83,7 @@ size of X.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,6 +124,8 @@ class NmfConfig:
     seed: int = 42
 
     def __post_init__(self):
+        if not isinstance(self.max_iter, (int, np.integer)):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not (np.isfinite(self.tol) and self.tol > 0):
@@ -216,9 +218,10 @@ def _solve_stack(
     Every 10 iterations, and at ``config.max_iter``, each member's error is
     checked alone, and a member that meets the stopping rule leaves the
     stack.  A CSR operand is solved as a stack of one; when ``symmetric``
-    (the caller vouches that it equals its transpose exactly) its W-step
-    product X H^T is taken as X^T H^T through the CSC view, like the H
-    step's X^T W (see the module docstring).
+    (:func:`nmf_stack` sets it for the copies of a mirrored draw index,
+    which equal their transposes exactly) its W-step product X H^T is taken
+    as X^T H^T through the CSC view, like the H step's X^T W (see the
+    module docstring).
     """
     m, n = Xs[0].shape
     dense = _dense_operand(Xs[0])
@@ -282,63 +285,51 @@ def _solve_stack(
     return pairs
 
 
-def _next_stack(
-    Xs: Iterator, k: int, config: NmfConfig, seeds: list[int], done: int, symmetric: bool
-) -> list[FactorPair]:
-    """Take the stack that starts at member ``done`` from the iterator Xs
-    and solve it.  Only this call refers to the stack's matrices, so they
-    are freed when it returns."""
-    stack = []
-    for X in Xs:
-        stack.append(_canonical(X))
-        m, n = stack[0].shape
-        size = max(1, _STACK_CELLS // (m * n)) if _dense_operand(stack[0]) else 1
-        if len(stack) == min(size, len(seeds) - done):
-            break
-    else:
-        raise ValueError(f"{done + len(stack)} matrices but {len(seeds)} seeds")
+def _start(stack: list, k: int, seeds: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked starts W (b, m, k) and H (b, k, n) of b equally shaped
+    canonical matrices: uniform (0, 1) draws scaled by mean(X) / k from
+    ``default_rng(seeds[i])``, W drawn first, once k is in range and every
+    matrix is non-negative and finite (a perturbed copy can overflow)."""
+    m, n = stack[0].shape
     if not isinstance(k, (int, np.integer)) or k < 1 or k > min(m, n):
         raise InvalidRank(f"rank {k} outside [1, {min(m, n)}] for shape {(m, n)}")
-    for X in stack:
-        _check_nonnegative(X.data, "X")
-    if any(X.shape != (m, n) or _dense_operand(X) != _dense_operand(stack[0]) for X in stack):
-        raise ValueError("stacked matrices must share their shape and operand")
     Ws, Hs = [], []
-    for X, seed in zip(stack, seeds[done:]):
+    for X, seed in zip(stack, seeds):
+        _check_nonnegative(X.data, "X")
         rng = np.random.default_rng(seed)
         scale = float(X.sum()) / (m * n) / k
         Ws.append(rng.uniform(0.0, 1.0, size=(m, k)) * scale)
         Hs.append(rng.uniform(0.0, 1.0, size=(k, n)) * scale)
-    W, H = np.stack(Ws), np.stack(Hs)
-    return _solve_stack(stack, W, H, config, update_w=True, symmetric=symmetric)
+    return np.stack(Ws), np.stack(Hs)
+
+
+def _next_stack(index: _DrawIndex, delta, k, config, seeds) -> list[FactorPair]:
+    """Draw one stack's copies, member i from the pair ``seeds[i]``, and
+    solve it.  Only this call refers to the copies, so they are freed when
+    it returns."""
+    stack = [_draw(index, delta, draw) for draw, _ in seeds]
+    W, H = _start(stack, k, [start for _, start in seeds])
+    return _solve_stack(stack, W, H, config, update_w=True, symmetric=index.of_entry is not None)
 
 
 def nmf_stack(
-    Xs: Iterable, k: int, config: NmfConfig, seeds: list[int], *, _symmetric: bool = False
+    index: _DrawIndex, delta: float, k: int, config: NmfConfig, seeds: list[tuple[int, int]]
 ) -> Iterator[FactorPair]:
-    """Factorize equally shaped non-negative matrices at rank k in stacks
-    (see the module docstring), every member with ``config``'s ``max_iter``
-    and ``tol``, member i initialized from ``seeds[i]``; yields each
-    member's FactorPair in order, equal bit for bit to
-    ``nmf(Xs[i], k, replace(config, seed=seeds[i]))``.
+    """Factorize perturbed copies of ``index.X`` at rank k in stacks (see the
+    module docstring), every member with ``config``'s ``max_iter`` and
+    ``tol``; ``seeds[i]`` is member i's pair (draw seed, start seed).
+    Yields each member's FactorPair in order, equal bit for bit to
+    ``nmf(perturb(index.X, delta, seeds[i][0]), k, replace(config,
+    seed=seeds[i][1]))``.
 
-    ``_symmetric`` is internal: :func:`model_selection.nmfk` sets it when
-    its draw index mirrors, so every member equals its transpose exactly,
-    which is not checked here.
-
-    Raises as :func:`nmf`, and ValueError if the members of one stack differ
-    in shape or operand (dense or CSR) or the matrices and seeds do not pair
-    up.
+    Every copy has ``index.X``'s pattern, so ``index.X`` alone sets the
+    stack size and the operand, and a mirrored index solves every member as
+    symmetric.  Raises as :func:`nmf`.
     """
-    Xs, seeds = iter(Xs), list(seeds)
-    done = 0
-    while done < len(seeds):
-        for pair in _next_stack(Xs, k, config, seeds, done, _symmetric):
-            done += 1
-            yield pair
-    extra = sum(1 for _ in Xs)
-    if extra or not seeds:
-        raise ValueError(f"{done + extra} matrices but {len(seeds)} seeds")
+    m, n = index.X.shape
+    size = max(1, _STACK_CELLS // (m * n)) if _dense_operand(index.X) else 1
+    for first in range(0, len(seeds), size):
+        yield from _next_stack(index, delta, k, config, seeds[first : first + size])
 
 
 def nmf(X, k: int, config: NmfConfig | None = None) -> FactorPair:
@@ -354,7 +345,9 @@ def nmf(X, k: int, config: NmfConfig | None = None) -> FactorPair:
     NonNegativityViolation if X has negative or non-finite entries.
     """
     config = config or NmfConfig()
-    return next(nmf_stack([X], k, config, [config.seed]))
+    X = _canonical(X)
+    W, H = _start([X], k, [config.seed])
+    return _solve_stack([X], W, H, config, update_w=True)[0]
 
 
 def solve_h(X, W: np.ndarray, config: NmfConfig | None = None) -> np.ndarray:
@@ -446,9 +439,9 @@ def perturb(X, delta: float, seed) -> sparse.csr_matrix:
     X's positions, several times the cost of the draw itself (about 27
     against 5 ms on the benchmark's Zipf M, 575,796 entries), so a caller
     that perturbs one matrix many times, as :func:`model_selection.nmfk`
-    does, builds the index once with :func:`_draw_index` and draws every
-    copy from it with :func:`_draw`, bit for bit the copy this function
-    returns.
+    does, builds the index once with :func:`_draw_index` and hands it to
+    :func:`nmf_stack`, which draws every copy from it with :func:`_draw`,
+    bit for bit the copy this function returns.
     """
     if not (0 <= delta < 1):
         raise ValueError("delta must be in [0, 1)")

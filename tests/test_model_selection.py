@@ -403,7 +403,7 @@ class TestEnsembleStacks:
         X = self.problem(rng).toarray()
         X.flat[np.arange(X.size) % stride != 0] = 0.0
         refs, alive = [], []
-        draw = model_selection._draw
+        draw = nmf_core._draw
 
         def spy(*args, **kwargs):
             copy = draw(*args, **kwargs)
@@ -412,7 +412,7 @@ class TestEnsembleStacks:
             return copy
 
         monkeypatch.setattr(nmf_core, "_STACK_CELLS", stack_cells)
-        monkeypatch.setattr(model_selection, "_draw", spy)
+        monkeypatch.setattr(nmf_core, "_draw", spy)
         nmfk(sparse.csr_matrix(X), replace(self.CONFIG, n_perturbations=5))
         assert len(alive) == 3 * 5
         assert max(alive) == stack
@@ -437,23 +437,28 @@ class TestSymmetricScan:
 
     @staticmethod
     def spy_scan(monkeypatch):
-        """Spies on the draw index builds, the ``_symmetric`` flags and the
-        members of a scan."""
+        """Spies on the draw index builds, the ``symmetric`` argument of each
+        ensemble stack's solve, and the members of a scan."""
         indexes, flags, members = [], [], []
-        build, stack = nmf_core._draw_index, model_selection.nmf_stack
+        build, stack, solve = nmf_core._draw_index, model_selection.nmf_stack, nmf_core._solve_stack
 
         def index_spy(*args, **kwargs):
             indexes.append(build(*args, **kwargs))
             return indexes[-1]
 
         def stack_spy(*args, **kwargs):
-            flags.append(kwargs.get("_symmetric", False))
             for pair in stack(*args, **kwargs):
                 members.append(pair)
                 yield pair
 
+        def solve_spy(Xs, W, H, config, update_w, symmetric=False):
+            if update_w:
+                flags.append(symmetric)
+            return solve(Xs, W, H, config, update_w, symmetric)
+
         monkeypatch.setattr(model_selection, "_draw_index", index_spy)
         monkeypatch.setattr(model_selection, "nmf_stack", stack_spy)
+        monkeypatch.setattr(nmf_core, "_solve_stack", solve_spy)
         return indexes, flags, members
 
     def expected_members(self, X, config):
@@ -481,13 +486,15 @@ class TestSymmetricScan:
     def test_members_equal_perturb_then_nmf(self, rng, monkeypatch, density, symmetric_values):
         # no flag: the input alone decides. Exactly symmetric values, as
         # factorize_m passes M, get one mirrored draw index for the scan and
-        # every stack is told its members are symmetric; a symmetric pattern
-        # with asymmetric values stays on the general path
+        # every stack is solved as symmetric; a symmetric pattern with
+        # asymmetric values stays on the general path. A CSR operand is
+        # solved one member a stack, 3 x 3 stacks; the dense 24 x 24 copies
+        # of a rank share one
         X = self.problem(rng, density, symmetric_values)
         indexes, flags, members = self.spy_scan(monkeypatch)
         nmfk(X, self.CONFIG)
         assert len(indexes) == 1 and (indexes[0].of_entry is not None) == symmetric_values
-        assert flags == [symmetric_values] * 3
+        assert flags == [symmetric_values] * (9 if density < 0.25 else 3)
         self.assert_same_members(members, self.expected_members(X, self.CONFIG))
 
     @pytest.mark.parametrize("k_max, p", [(2, 2), (4, 3), (5, 4)])
@@ -550,3 +557,20 @@ class TestSelectionConfigValidation:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SelectionConfig(**kwargs)
+
+    # a fractional count constructed, and nmfk then raised a bare TypeError
+    @pytest.mark.parametrize(
+        "name, kwargs",
+        [
+            ("k_min", {"k_min": 1.5, "k_max": 3}),
+            ("k_max", {"k_min": 2, "k_max": 3.0}),
+            ("n_perturbations", {"k_min": 2, "k_max": 3, "n_perturbations": 2.5}),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, name, kwargs):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SelectionConfig(**kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = SelectionConfig(k_min=np.int64(2), k_max=np.int32(3), n_perturbations=np.int64(2))
+        assert (cfg.k_min, cfg.k_max, cfg.n_perturbations) == (2, 3, 2)

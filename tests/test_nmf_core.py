@@ -371,51 +371,67 @@ def stack_sizes(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def drawn(monkeypatch):
+    """Every copy that ``nmf_core._draw`` returns, in order."""
+    copies = []
+    draw = nmf_core._draw
+    monkeypatch.setattr(nmf_core, "_draw", lambda *args: copies.append(draw(*args)) or copies[-1])
+    return copies
+
+
+def expected_members(X, delta, k, config, seeds):
+    """Each member of ``nmf_stack`` by the one-member reference loop."""
+    return [
+        reference_nmf(perturb(X, delta, draw), k, replace(config, seed=start))
+        for draw, start in seeds
+    ]
+
+
 class TestStack:
     """The stacked solve against the one-member reference loop, exactly."""
 
-    def test_members_of_a_stack_equal_each_solved_alone(self, rng):
+    def test_members_of_a_stack_equal_each_solved_alone(self, rng, stack_sizes):
         X = random_nonneg(rng, 30, 24)
-        Xs = [perturb(X, 0.05, seed=j) for j in range(5)]
-        configs = [NmfConfig(seed=10 + j, max_iter=120, tol=1e-9) for j in range(5)]
-        pairs = nmf_stack(Xs, 3, configs[0], [c.seed for c in configs])
-        for Xj, config, pair in zip(Xs, configs, pairs):
-            assert_same_pair(pair, reference_nmf(Xj, 3, config))
-            assert_same_pair(pair, nmf(Xj, 3, config))
+        config = NmfConfig(max_iter=120, tol=1e-9)
+        seeds = [(j, 10 + j) for j in range(5)]
+        pairs = list(nmf_stack(nmf_core._draw_index(X), 0.05, 3, config, seeds))
+        assert stack_sizes == [5]
+        for (draw, start), pair, ref in zip(
+            seeds, pairs, expected_members(X, 0.05, 3, config, seeds), strict=True
+        ):
+            assert_same_pair(pair, ref)
+            assert_same_pair(pair, nmf(perturb(X, 0.05, draw), 3, replace(config, seed=start)))
 
     def test_member_at_rounding_floor_leaves_the_stack(self, rng):
         # the exact rank-1 input stops at _CHANGE_FLOOR; the noise around it
         # runs to max_iter, so the stack is compacted mid-run
         w = rng.uniform(0.5, 1.5, (30, 1))
         h = rng.uniform(0.5, 1.5, (1, 24))
-        Xs = [random_nonneg(rng, 30, 24), sparse.csr_matrix(w @ h), random_nonneg(rng, 30, 24)]
+        Xs = [random_nonneg(rng, 30, 24), canonicalize(w @ h), random_nonneg(rng, 30, 24)]
         configs = [NmfConfig(seed=s, max_iter=150, tol=1e-15) for s in (1, 2, 3)]
-        pairs = list(nmf_stack(Xs, 2, configs[0], [c.seed for c in configs]))
+        W, H = nmf_core._start(Xs, 2, [c.seed for c in configs])
+        pairs = nmf_core._solve_stack(Xs, W, H, configs[0], update_w=True)
         assert pairs[1].trace_iterations[-1] < 150
         assert pairs[0].trace_iterations[-1] == pairs[2].trace_iterations[-1] == 150
         for Xj, config, pair in zip(Xs, configs, pairs):
             assert_same_pair(pair, reference_nmf(Xj, 2, config))
 
-    def test_csr_member(self, rng, stack_sizes):
-        # CSR members run one at a time, each taken from Xs when it starts
-        Xs = [random_nonneg(rng, 40, 30, density=0.1) for _ in range(2)]
-        configs = [NmfConfig(seed=s, max_iter=80, tol=1e-12) for s in (4, 5)]
-        drawn = []
-        stream = nmf_stack((drawn.append(X) or X for X in Xs), 4, configs[0], [4, 5])
+    def test_csr_member(self, rng, stack_sizes, drawn):
+        # CSR members run one at a time, each drawn when it starts
+        X = random_nonneg(rng, 40, 30, density=0.1)
+        config = NmfConfig(max_iter=80, tol=1e-12)
+        seeds = [(1, 4), (2, 5)]
+        stream = nmf_stack(nmf_core._draw_index(X), 0.1, 4, config, seeds)
         pairs = [next(stream)]
         assert len(drawn) == 1
         pairs += stream
         assert stack_sizes == [1, 1]
-        for X, config, pair in zip(Xs, configs, pairs, strict=True):
-            assert_same_pair(pair, reference_nmf(X, 4, config))
-            assert_same_pair(pair, nmf(X, 4, config))
-
-    @pytest.mark.parametrize("members, seeds", [(1, 2), (2, 1), (0, 0)])
-    def test_seeds_must_pair_with_matrices(self, rng, members, seeds):
-        X = random_nonneg(rng, 40, 30, density=0.1)
-        config = NmfConfig(seed=4, max_iter=20)
-        with pytest.raises(ValueError, match=f"{members} matrices but {seeds} seeds"):
-            list(nmf_stack([X] * members, 4, config, [4] * seeds))
+        for (draw, start), pair, ref in zip(
+            seeds, pairs, expected_members(X, 0.1, 4, config, seeds), strict=True
+        ):
+            assert_same_pair(pair, ref)
+            assert_same_pair(pair, nmf(perturb(X, 0.1, draw), 4, replace(config, seed=start)))
 
     @pytest.mark.parametrize("density", [1.0, 0.1])
     def test_solve_h_equals_reference(self, rng, density):
@@ -429,40 +445,60 @@ class TestStack:
     def test_stack_size_from_stack_cells(self, rng, monkeypatch, stack_sizes):
         # two 20 x 24 members fit in 1000 cells, so three run as 2 + 1
         monkeypatch.setattr(nmf_core, "_STACK_CELLS", 1000)
-        Xs = [random_nonneg(rng, 20, 24) for _ in range(3)]
-        configs = [NmfConfig(seed=s, max_iter=60, tol=1e-9) for s in (5, 6, 7)]
-        pairs = list(nmf_stack(Xs, 2, configs[0], [c.seed for c in configs]))
+        X = random_nonneg(rng, 20, 24)
+        config = NmfConfig(max_iter=60, tol=1e-9)
+        seeds = [(j, 5 + j) for j in range(3)]
+        pairs = list(nmf_stack(nmf_core._draw_index(X), 0.2, 2, config, seeds))
         assert stack_sizes == [2, 1]
-        for X, config, pair in zip(Xs, configs, pairs, strict=True):
-            assert_same_pair(pair, reference_nmf(X, 2, config))
+        for pair, ref in zip(pairs, expected_members(X, 0.2, 2, config, seeds), strict=True):
+            assert_same_pair(pair, ref)
+
+    def test_overflowing_copy_rejected(self):
+        # a copy of a finite X can overflow, so every copy is checked
+        X = sparse.csr_matrix(np.full((3, 3), np.finfo(np.float64).max))
+        with np.errstate(over="ignore"), pytest.raises(NonNegativityViolation):
+            list(nmf_stack(nmf_core._draw_index(X), 0.5, 2, NmfConfig(), [(1, 2)]))
 
 
 class TestSymmetricProducts:
-    """An exactly symmetric CSR member takes X H^T through the CSC view of
-    X^T, like X^T W: the same sums in the same order as the CSR product."""
+    """The copies of a mirrored draw index, exactly symmetric, take X H^T
+    through the CSC view of X^T, like X^T W: the same sums in the same order
+    as the CSR product."""
 
     @staticmethod
-    def symmetric(rng, m, density):
+    def square(rng, m, density, symmetric_values=True):
+        """A square matrix on a symmetric pattern, with symmetric values or
+        not."""
         raw = rng.uniform(0.0, 1.0, (m, m))
         raw[rng.uniform(size=(m, m)) > density] = 0.0
-        return canonicalize(np.triu(raw) + np.triu(raw, 1).T)
+        pattern = np.triu(raw) + np.triu(raw, 1).T
+        if symmetric_values:
+            return canonicalize(pattern)
+        return canonicalize(np.where(pattern > 0, rng.uniform(0.1, 1.0, (m, m)), 0.0))
 
-    # the last case is a dense operand, which the keyword leaves alone
+    # the last case is a dense operand, which the CSC view leaves alone
     @pytest.mark.parametrize("m, density, k", [(40, 0.1, 3), (60, 0.05, 5), (30, 0.5, 2)])
     def test_equals_general_path(self, rng, m, density, k):
-        S = self.symmetric(rng, m, density)
-        Xs = [perturb(S, 0.05, seed=j) for j in range(3)]
-        assert all((X != X.T).nnz == 0 for X in Xs)
+        S = self.square(rng, m, density)
+        index = nmf_core._draw_index(S)
+        assert index.of_entry is not None
         config = NmfConfig(max_iter=90, tol=1e-12)
-        seeds = [7, 8, 9]
-        fast = nmf_stack(Xs, k, config, seeds, _symmetric=True)
-        for X, seed, a, b in zip(Xs, seeds, fast, nmf_stack(Xs, k, config, seeds), strict=True):
-            assert_same_pair(a, b)
-            assert_same_pair(a, reference_nmf(X, k, replace(config, seed=seed)))
+        seeds = [(j, 7 + j) for j in range(3)]
+        fast = nmf_stack(index, 0.05, k, config, seeds)
+        for (draw, start), a in zip(seeds, fast, strict=True):
+            X = perturb(S, 0.05, draw)
+            assert (X != X.T).nnz == 0
+            general = replace(config, seed=start)
+            assert_same_pair(a, nmf(X, k, general))  # symmetric=False
+            assert_same_pair(a, reference_nmf(X, k, general))
 
-    @pytest.mark.parametrize("symmetric", [False, True])
-    def test_products_through_the_csc_view(self, rng, monkeypatch, symmetric):
-        X = self.symmetric(rng, 40, 0.1)
+    # a mirrored index alone takes both products through the CSC view; a
+    # symmetric pattern with asymmetric values takes the CSR W step
+    @pytest.mark.parametrize("symmetric_values", [False, True])
+    def test_products_through_the_csc_view(self, rng, monkeypatch, symmetric_values):
+        X = self.square(rng, 40, 0.1, symmetric_values)
+        index = nmf_core._draw_index(X)
+        assert (index.of_entry is not None) == symmetric_values
         formats = []
         times = nmf_core._times
 
@@ -471,8 +507,8 @@ class TestSymmetricProducts:
             return times(A, B)
 
         monkeypatch.setattr(nmf_core, "_times", spy)
-        list(nmf_stack([X], 3, NmfConfig(max_iter=20), [1], _symmetric=symmetric))
-        assert formats == (["csc", "csc"] if symmetric else ["csc", "csr"]) * 20
+        list(nmf_stack(index, 0.05, 3, NmfConfig(max_iter=20), [(1, 1)]))
+        assert formats == (["csc", "csc"] if symmetric_values else ["csc", "csr"]) * 20
 
 
 class TestGramResidual:
@@ -669,3 +705,14 @@ class TestNmfConfigValidation:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             NmfConfig(**kwargs)
+
+    # a fractional cap is never reached (the loop stops at it == max_iter):
+    # on a 30 x 20 X, max_iter=15.5 ran 11,850 iterations
+    @pytest.mark.parametrize("max_iter", [15.5, 15.0, "15", None])
+    def test_non_integer_max_iter_rejected(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            NmfConfig(max_iter=max_iter)
+
+    def test_numpy_integer_max_iter_accepted(self, rng):
+        pair = nmf(random_nonneg(rng, 30, 20), 3, NmfConfig(max_iter=np.int64(15), tol=1e-15))
+        assert pair.trace_iterations[-1] == 15

@@ -8,7 +8,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 from senmfk_split import cli, split_pipeline  # noqa: E402
 from workspace_diff import (  # noqa: E402
-    _changed_keys, compare, compare_file, run_fixtures, src_code_line_change, src_line_change
+    _changed_keys,
+    compare,
+    compare_file,
+    module_code_line_changes,
+    run_fixtures,
+    src_code_line_change,
+    src_line_change,
 )
 
 
@@ -151,3 +157,26 @@ class TestSrcLineChange:
         (head / "src" / "senmfk_split" / "b.py").write_text("y = 2\n", encoding="utf-8")
         assert src_code_line_change(base, head) == "src/ code lines: 5 -> 2 (-3)"
         assert src_code_line_change(head, base) == "src/ code lines: 2 -> 5 (+3)"
+
+    def test_code_line_change_per_changed_module(self, tmp_path):
+        # a module changed in prose only is listed with +0; an unchanged one
+        # is not; one on one side only counts 0 on the other
+        base = self.tree(tmp_path / "base", {
+            "src/senmfk_split/a.py": "x = 1\ny = 2\n",
+            "src/senmfk_split/b.py": '"""Doc."""\nz = 3\n',
+            "src/senmfk_split/c.py": "w = 4\n",
+            "src/senmfk_split/gone.py": "v = 5\nu = 6\n",
+        })
+        head = self.tree(tmp_path / "head", {
+            "src/senmfk_split/a.py": "x = 1\n",
+            "src/senmfk_split/b.py": '"""Other doc."""\nz = 3\n',
+            "src/senmfk_split/c.py": "w = 4\n",
+            "src/senmfk_split/new.py": "t = 7\n",
+        })
+        assert module_code_line_changes(base, head) == [
+            "a.py code lines: 2 -> 1 (-1)",
+            "b.py code lines: 1 -> 1 (+0)",
+            "gone.py code lines: 2 -> 0 (-2)",
+            "new.py code lines: 0 -> 1 (+1)",
+        ]
+        assert module_code_line_changes(base, base) == []

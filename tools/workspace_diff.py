@@ -36,8 +36,10 @@ the one result that is not a file), with the workspace path written as
 gives the net line change of ``src/senmfk_split/*.py``, and the line before
 it, ``src/ code lines: ...``, the change in its lines of code: lines that are
 not blank, not only a comment, and not in a module, class or function
-docstring, so deleted prose is not counted as less code.  The exit code is
-0 when everything is identical and 1 otherwise.
+docstring, so deleted prose is not counted as less code.  Before those two,
+one line per module whose text changed, ``<module>.py code lines: <base> ->
+<head> (<±n>)``, splits the code-line change by module.  The exit code is 0
+when everything is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -187,13 +189,15 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def _modules(tree: Path) -> dict[str, str]:
+    """The text of each ``src/senmfk_split/*.py`` in ``tree``, by file name."""
+    return {p.name: p.read_text("utf-8") for p in (tree / "src" / "senmfk_split").glob("*.py")}
+
+
 def _package_change(base: Path, head: Path, label: str, count) -> str:
     """``count(text)`` summed over ``src/senmfk_split/*.py`` in the trees
     ``base`` and ``head``, and their difference."""
-    old, new = (
-        sum(count(p.read_text("utf-8")) for p in (tree / "src" / "senmfk_split").glob("*.py"))
-        for tree in (base, head)
-    )
+    old, new = (sum(map(count, _modules(tree).values())) for tree in (base, head))
     return f"{label}: {old} -> {new} ({new - old:+d})"
 
 
@@ -205,6 +209,21 @@ def src_line_change(base: Path, head: Path) -> str:
 def src_code_line_change(base: Path, head: Path) -> str:
     """The package's lines of code, by :func:`code_lines`."""
     return _package_change(base, head, "src/ code lines", code_lines)
+
+
+def module_code_line_changes(base: Path, head: Path) -> list[str]:
+    """One line per module of ``src/senmfk_split`` whose text differs
+    between the trees ``base`` and ``head`` (a module on one side only
+    counts 0 code lines on the other), with its code lines and their
+    difference."""
+    old, new = _modules(base), _modules(head)
+    changes = []
+    for name in sorted(old.keys() | new.keys()):
+        a, b = old.get(name, ""), new.get(name, "")
+        if a != b:
+            a, b = code_lines(a), code_lines(b)
+            changes.append(f"{name} code lines: {a} -> {b} ({b - a:+d})")
+    return changes
 
 
 def _side(src: Path, inputs: Path, out: Path) -> None:
@@ -240,6 +259,8 @@ def main(argv: list[str] | None = None) -> int:
         _side(base_tree / "src", spec, work / "ws_base")
         _side(ROOT / "src", spec, work / "ws_head")
         same = compare(work / "ws_base", work / "ws_head")
+        for line in module_code_line_changes(base_tree, ROOT):
+            print(line)
         print(src_code_line_change(base_tree, ROOT))
         print(src_line_change(base_tree, ROOT))
         return 0 if same else 1
