@@ -17,8 +17,10 @@ it: a command takes the flags of its stages, and each stage's record in the
 workspace's one manifest.json holds, by flag name, the settings it uses
 (beside its input and output digests and its time).  ``run --resume`` skips
 stages whose recorded settings, inputs, and outputs all still match, also
-after a crashed run, with these or other settings, then reads of the factor
-files only ``H.mtx``.
+after a crashed run, with these or other settings; a full resume parses
+no matrix file, since the summary comes from the selection reports and
+``assignments.csv``.  Every command also records the numeric environment
+(numpy, scipy, BLAS) in the manifest, which a resume never compares.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure,
 4 out of memory inside a stage (named; ``run --resume`` continues the run).
@@ -35,11 +37,13 @@ from typing import Any, Callable
 from . import __version__
 from .errors import DataError, PipelineStageError, SenmfkError
 from .fileio import read_utf8
-from .manifest import RunManifest, sha256_text
+from .manifest import RunManifest, numeric_environment, sha256_text
 from .matrix_builder import SemanticConfig
 from .model_selection import SelectionConfig, child_seed
 from .nmf_core import NmfConfig
-from .split_pipeline import MANIFEST, STAGES, PipelineRun, SplitConfig, assign_documents, run_stages
+from .split_pipeline import (
+    MANIFEST, STAGES, PipelineRun, SplitConfig, run_stages, zero_weight_documents,
+)
 from .text_pipeline import PipelineConfig, default_stopwords, load_stopwords
 from . import storage
 
@@ -222,7 +226,7 @@ def _pipeline(args: argparse.Namespace) -> tuple[PipelineRun, RunManifest, dict[
     workspace.mkdir(parents=True, exist_ok=True)
     path = workspace / MANIFEST
     manifest = RunManifest.load(path) if path.is_file() else RunManifest(__version__)
-    manifest.version = __version__
+    manifest.version, manifest.environment = __version__, numeric_environment()
     run = PipelineRun(config, workspace, getattr(args, "input", None))
     return run, manifest, params
 
@@ -251,16 +255,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     run, manifest, params = _pipeline(args)
     values = run_stages(run, manifest, params, resume=args.resume)
     x, m, joint = (values[f"selection_{side}.json"] for side in ("x", "m", "joint"))
-    zero_documents = assign_documents(values["H.mtx"]).zero_columns
+    doc_ids, max_weights = values["assignments.csv"]
+    zero_documents = len(zero_weight_documents(max_weights))
     flags = []
     if any(report.fallback for report in (x, m, joint)):
         flags.append("fallback rank selection")
     if zero_documents:
-        flags.append(f"{len(zero_documents)} all-zero document columns")
+        flags.append(f"{zero_documents} all-zero document columns")
     note = f" ({'; '.join(flags)})" if flags else ""
     print(
         f"k1={x.chosen_k} k2={m.chosen_k} k={joint.chosen_k}; "
-        f"{len(values['assignments.csv'])} documents -> {run.workspace}{note}"
+        f"{len(doc_ids)} documents -> {run.workspace}{note}"
     )
     return 0
 

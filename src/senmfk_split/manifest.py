@@ -1,10 +1,12 @@
 """Run manifests: the reproducibility record the CLI writes per workspace.
 
-A manifest holds the tool version and one record per stage: the settings
+A manifest holds the tool version, the numeric environment (numpy, scipy
+and the BLAS numpy was built with) and one record per stage: the settings
 the stage ran with, by their flag names, the digests of its inputs and
 outputs, and its wall-clock time.  It both
 documents how to reproduce a run and lets a rerun skip stages whose
-parameters, inputs, and outputs all still match on disk.
+parameters, inputs, and outputs all still match on disk; the environment
+is never compared, so a resume elsewhere keeps valid files.
 """
 
 from __future__ import annotations
@@ -15,20 +17,42 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+import scipy
+
 from .errors import DataError
 from .fileio import atomic_path
 
 
+_CHUNK = 1 << 17  # bytes per read into the one buffer of a digest
+
+
 def sha256_file(path: str | Path) -> str:
+    """The file's SHA-256, read unbuffered into one reused buffer: the loop
+    of ``hashlib.file_digest``, which needs Python 3.11."""
     h = hashlib.sha256()
-    with Path(path).open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    buf = bytearray(_CHUNK)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            h.update(view[:n])
     return h.hexdigest()
 
 
 def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def numeric_environment() -> dict[str, str]:
+    """The numpy and scipy versions and the name and version of the BLAS
+    numpy was built with (its build target, not the kernel in use; "?"
+    where numpy does not say)."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
+    }
 
 
 @dataclass
@@ -44,6 +68,7 @@ class StageRecord:
 class RunManifest:
     version: str
     stages: dict[str, StageRecord] = field(default_factory=dict)
+    environment: dict[str, str] = field(default_factory=dict)
 
     def record(
         self,
@@ -92,10 +117,11 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunManifest":
-        """Raises DataError when the file is not a manifest, or when a stage
-        record's ``params``, ``inputs`` or ``outputs`` is not an object, a
-        digest not a string, ``seconds`` not a number or ``resumed`` not a
-        bool.  The ``config`` and ``input_digests`` of a manifest written
+        """Raises DataError when the file is not a manifest, when its
+        ``environment`` (absent before it was recorded) is not an object, or
+        when a stage record's ``params``, ``inputs`` or ``outputs`` is not
+        an object, a digest not a string, ``seconds`` not a number or
+        ``resumed`` not a bool.  The ``config`` and ``input_digests`` of a manifest written
         before the settings moved into the stage records are dropped; a
         record that names its settings the old way then matches no run, so
         its stage reruns once."""
@@ -107,6 +133,8 @@ class RunManifest:
             manifest = cls(**payload, stages={name: StageRecord(**rec) for name, rec in stages.items()})
         except (ValueError, TypeError, AttributeError) as exc:
             raise DataError(f"{path}: not a valid manifest: {exc!r}") from exc
+        if type(manifest.environment) is not dict:
+            raise DataError(f"{path}: not a valid manifest: environment is not an object")
         # a JSON value has one exact type, so true is neither a number nor a digest
         for name, rec in manifest.stages.items():
             if (

@@ -14,7 +14,8 @@ matrices, factorize_x, factorize_m, joint, regression and export.  Each
 of the :class:`PipelineRun` that computes it (``prepare_corpus``,
 ``build_matrices``, ``stage_*``, looked up by name).
 Values are named by their files: ``run.values["W1.mtx"]`` is the X-side
-basis, and a value the run did not compute is read from its file by one
+basis, ``run.values["assignments.csv"]`` the doc ids and each document's
+max weight, and a value the run did not compute is read from its file by one
 reader, :func:`_read`, when it is first used.  :func:`run_stages` runs a slice
 of the list for every entry point: :func:`run_split` runs all stages without
 a manifest; the CLI runs all or one with each stage's settings and a
@@ -135,7 +136,7 @@ class TopicModel:
                 side: replace(values[report], consensus_W=values[w], consensus_H=values[h])
                 for side, (w, h, report) in zip(("x", "m", "joint"), FACTORS)
             },
-            doc_ids=values["assignments.csv"],
+            doc_ids=values["assignments.csv"][0],
             histogram=result.counts,
             zero_documents=result.zero_columns,
         )
@@ -145,6 +146,7 @@ class TopicModel:
 class AssignmentResult:
     assignments: np.ndarray
     counts: np.ndarray
+    max_weights: np.ndarray
     zero_columns: tuple[int, ...]
 
 
@@ -211,18 +213,28 @@ def final_regression(X, W: np.ndarray, config: NmfConfig | None = None) -> np.nd
     return solve_h(X, W, replace(config, seed=child_seed(config.seed, 11)))
 
 
+def zero_weight_documents(max_weights: np.ndarray) -> tuple[int, ...]:
+    """The documents whose largest topic weight is 0: for a non-negative H,
+    exactly its all-zero columns."""
+    return tuple(int(j) for j in np.flatnonzero(max_weights == 0))
+
+
 def assign_documents(H: np.ndarray) -> AssignmentResult:
-    """Argmax topic per document column; ties go to the smallest topic index.
-    All-zero columns land on topic 0 and are reported in ``zero_columns``.
-    Also returns the per-topic document counts."""
+    """Argmax topic per document column of a non-negative H; ties go to the
+    smallest topic index.  All-zero columns land on topic 0 and are reported
+    in ``zero_columns``.  Also returns the per-topic document counts and each
+    document's weight on its topic."""
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2:
         raise ShapeMismatch("H must be 2-D")
-    k = H.shape[0]
     assignments = np.argmax(H, axis=0)
-    counts = np.bincount(assignments, minlength=k)
-    zero_cols = tuple(int(j) for j in np.flatnonzero(H.sum(axis=0) == 0))
-    return AssignmentResult(assignments=assignments, counts=counts, zero_columns=zero_cols)
+    max_weights = H[assignments, np.arange(H.shape[1])]
+    return AssignmentResult(
+        assignments=assignments,
+        counts=np.bincount(assignments, minlength=H.shape[0]),
+        max_weights=max_weights,
+        zero_columns=zero_weight_documents(max_weights),
+    )
 
 
 def top_words(
@@ -324,15 +336,13 @@ def stage_regression(r: PipelineRun) -> None:
 
 
 def stage_export(r: PipelineRun) -> None:
-    H, W = r.values["H.mtx"], r.values["W.mtx"]
-    result = assign_documents(H)
-    topics = top_words(W, r.values["vocab.txt"], r.config.top_n_words)
-    max_weights = H[result.assignments, np.arange(H.shape[1])]
-    doc_ids = r.values["corpus.jsonl"].ids()
+    result = assign_documents(r.values["H.mtx"])
+    topics = top_words(r.values["W.mtx"], r.values["vocab.txt"], r.config.top_n_words)
+    doc_ids, max_weights = r.values["corpus.jsonl"].ids(), result.max_weights
     storage.write_topics(topics, r.path("topics.json"))
     storage.write_assignments(doc_ids, result.assignments, max_weights, r.path("assignments.csv"))
     storage.write_histogram(result.counts, r.path("histogram.csv"))
-    r.values.update({"topics.json": topics, "assignments.csv": doc_ids})
+    r.values.update({"topics.json": topics, "assignments.csv": (doc_ids, max_weights)})
 
 
 @dataclass(frozen=True)
@@ -425,7 +435,7 @@ def _read(run: PipelineRun, name: str) -> Any:
         if name == "topics.json":
             return storage.read_topics(path)
         if name == "assignments.csv":
-            return storage.read_doc_ids(path)
+            return storage.read_assignments(path)
         if name == "histogram.csv":
             return storage.read_histogram(path)
         if name.startswith("selection_"):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 from typing import Callable
@@ -187,10 +188,20 @@ def write_assignments(
             writer.writerow([doc_id, int(topic), format(float(weight), ".17g")])
 
 
-def read_doc_ids(path: str | Path) -> list[str]:
-    """The doc_id column of assignments.csv, in row order.  Raises DataError
-    naming the file when it is not an assignment table."""
-    return _read_csv(path, _ASSIGNMENTS_HEADER, "assignment table", lambda doc_id, _t, _w: doc_id)
+def read_assignments(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """The doc_id column of assignments.csv and its max_weight column as
+    float64, in row order.  Raises DataError naming the file when it is not
+    an assignment table, a topic_id not a non-negative int or a max_weight
+    not a finite non-negative float."""
+    rows = _read_csv(path, _ASSIGNMENTS_HEADER, "assignment table", _assignment)
+    return [doc_id for doc_id, _ in rows], np.array([w for _, w in rows], dtype=np.float64)
+
+
+def _assignment(doc_id: str, topic: str, weight: str) -> tuple[str, float]:
+    max_weight = float(weight)
+    if int(topic) < 0 or not 0 <= max_weight < math.inf:  # NaN fails the range
+        raise ValueError(f"topic_id {topic!r} or max_weight {weight!r} out of range")
+    return doc_id, max_weight
 
 
 def write_histogram(counts: np.ndarray, path: str | Path) -> None:

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import itertools
 import json
 import os
@@ -24,7 +25,7 @@ import senmfk_split
 from senmfk_split import cli, fileio, split_pipeline, storage, text_pipeline
 from senmfk_split.cli import main, parse_config_file
 from senmfk_split.errors import DataError, NumericalError
-from senmfk_split.manifest import RunManifest, sha256_file, sha256_text
+from senmfk_split.manifest import RunManifest, numeric_environment, sha256_file, sha256_text
 from senmfk_split.model_selection import child_seed
 from senmfk_split.text_pipeline import load_jsonl_corpus
 
@@ -498,12 +499,13 @@ class TestRun:
         assert all(rec.resumed for rec in RunManifest.load(ws / "manifest.json").stages.values())
 
     @pytest.mark.parametrize("fallback", [False, True])
-    def test_full_resume_reads_only_h_and_saves_once(
+    def test_full_resume_reads_no_matrix_and_saves_once(
         self, corpus_file, tmp_path, sparse_reads, monkeypatch, capsys, fallback
     ):
         # the summary takes the ranks and fallback flags from the selection
-        # reports and the document count from assignments.csv; resumed
-        # records go to manifest.json in one save at the end
+        # reports and the document count and all-zero documents from
+        # assignments.csv; resumed records go to manifest.json in one save
+        # at the end
         path, _ = corpus_file
         ws = tmp_path / "ws"
         # no rank of either scan clears a silhouette threshold that high
@@ -519,7 +521,7 @@ class TestRun:
         )
         with renaming(lambda src, dst: renamed.append(Path(dst).name) or os.replace(src, dst)):
             assert main(["run", str(path), "--workspace", str(ws), "--resume"] + flags) == 0
-        assert dense_reads == ["H.mtx"]
+        assert dense_reads == []
         assert sparse_reads == []
         assert renamed == ["manifest.json"]
         assert capsys.readouterr().out == first
@@ -779,8 +781,14 @@ class TestRun:
         path, _ = corpus_file
         ws = tmp_path / "ws"
         main(["run", str(path), "--workspace", str(ws)] + RUN_FLAGS)
-        assert set(json.loads((ws / "manifest.json").read_text())) == {"version", "stages"}
+        assert set(json.loads((ws / "manifest.json").read_text())) == {
+            "version",
+            "environment",
+            "stages",
+        }
         manifest = RunManifest.load(ws / "manifest.json")
+        assert manifest.environment == numeric_environment()
+        assert manifest.environment["numpy"] == np.__version__
         for stage, key in (
             ("regression", "seed"),
             ("matrices", "window"),
@@ -827,10 +835,41 @@ class TestRun:
         # the matrices record already named its settings by their flags, and
         # its inputs are the rewritten, byte-identical corpus and vocabulary
         assert set(recomputed(ws)) == {s.name for s in split_pipeline.STAGES} - {"matrices"}
-        assert set(json.loads((ws / "manifest.json").read_text())) == {"version", "stages"}
+        assert set(json.loads((ws / "manifest.json").read_text())) == {
+            "version",
+            "environment",
+            "stages",
+        }
         assert_same_outputs(clean, ws)
         assert main(["run", str(path), "--workspace", str(ws), "--resume"] + RUN_FLAGS) == 0
         assert recomputed(ws) == []
+
+    def test_environment_elsewhere_still_resumes(self, corpus_file, tmp_path):
+        # the environment documents a run; a resume under another numpy,
+        # scipy or BLAS keeps every valid file, and the record is refreshed
+        path, _ = corpus_file
+        ws = tmp_path / "ws"
+        assert main(["run", str(path), "--workspace", str(ws)] + RUN_FLAGS) == 0
+        payload = json.loads((ws / "manifest.json").read_text())
+        payload["environment"] = {"numpy": "0.0.1", "scipy": "0.0.1", "blas": "other 1.0"}
+        (ws / "manifest.json").write_text(json.dumps(payload))
+        assert main(["run", str(path), "--workspace", str(ws), "--resume"] + RUN_FLAGS) == 0
+        manifest = RunManifest.load(ws / "manifest.json")
+        assert recomputed(ws) == []
+        assert len(manifest.stages) == 7
+        assert manifest.environment == numeric_environment()
+
+    def test_manifest_without_environment_loads(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"version": "0.1.0", "stages": {}}))
+        assert RunManifest.load(path).environment == {}
+
+    @pytest.mark.parametrize("value", [None, "numpy 2", ["numpy"], 1])
+    def test_environment_not_an_object_is_data_error(self, tmp_path, value):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"version": "0.1.0", "stages": {}, "environment": value}))
+        with pytest.raises(DataError, match="not a valid manifest"):
+            RunManifest.load(path)
 
     def test_resume_from_record_with_input_format(self, corpus_file, tmp_path):
         # a preprocess record as written when a flag said how the input was
@@ -846,6 +885,16 @@ class TestRun:
         assert main(["run", str(path), "--workspace", str(ws), "--resume"] + RUN_FLAGS) == 0
         assert recomputed(ws) == ["preprocess"]
         assert_same_outputs(clean, ws)
+
+
+class TestSha256File:
+    # the empty file, one byte, and sizes around the read buffer of 2**17
+    # bytes, so the last partial read is hashed
+    @pytest.mark.parametrize("size", [0, 1, 2**17 - 1, 2**17, 2**17 + 1, 3 * 2**17 + 17])
+    def test_matches_hashlib(self, tmp_path, size):
+        path = tmp_path / "blob"
+        path.write_bytes(np.random.default_rng(size).bytes(size))
+        assert sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 # A RUN_FLAGS or NEW_M_RANGE run renames a finished file into place 25 times:

@@ -267,6 +267,7 @@ class TestAssignDocuments:
         assert out.assignments.tolist() == assignments
         assert out.counts.tolist() == counts
         assert out.zero_columns == tuple(zero_columns)
+        assert out.max_weights.tolist() == [H[t, j] for j, t in enumerate(assignments)]
         assert out.counts.sum() == H.shape[1]
         assert all(out.assignments[j] == 0 for j in out.zero_columns)
 
@@ -437,7 +438,7 @@ class TestRunSplit:
             "M.mtx": storage.read_sparse,
             "H.mtx": storage.read_dense,
             "topics.json": storage.read_topics,
-            "assignments.csv": storage.read_doc_ids,
+            "assignments.csv": storage.read_assignments,
             "histogram.csv": storage.read_histogram,
         }
         for w, h, report in split_pipeline.FACTORS:
@@ -450,6 +451,10 @@ class TestRunSplit:
             value, expected = values[name], readers[name](ws / name)
             if sparse.issparse(expected):
                 assert_same_csr(value, expected)
+            elif name == "assignments.csv":
+                assert value[0] == expected[0] == model.doc_ids
+                np.testing.assert_array_equal(value[1], expected[1])
+                np.testing.assert_array_equal(value[1], model.H.max(axis=0))
             elif isinstance(expected, np.ndarray):
                 np.testing.assert_array_equal(value, expected, err_msg=name)
             else:

@@ -18,6 +18,7 @@ from senmfk_split import storage
 from senmfk_split.errors import DataError
 from senmfk_split.matrix_builder import canonicalize
 from senmfk_split.model_selection import RankRecord, SelectionReport
+from senmfk_split.split_pipeline import assign_documents
 
 
 class TestMatrixMarket:
@@ -314,8 +315,35 @@ class TestCsvArtifacts:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "assignments.csv"
             n = len(doc_ids)
-            storage.write_assignments(doc_ids, np.zeros(n, int), np.full(n, 0.5), path)
-            assert storage.read_doc_ids(path) == doc_ids
+            weights = np.arange(n) / 3.0
+            storage.write_assignments(doc_ids, np.zeros(n, int), weights, path)
+            ids, back = storage.read_assignments(path)
+            assert ids == doc_ids
+            assert back.dtype == np.float64
+            np.testing.assert_array_equal(back, weights)
+
+    # non-negative H with some columns zeroed and some entries subnormal
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 4), st.integers(0, 8)),
+            elements=st.sampled_from([0.0, 5e-324, 2.2e-308, 1e-300, 0.1, 1.0, 1e300]),
+        ),
+        st.sets(st.integers(0, 7)),
+    )
+    def test_zero_weights_are_the_zero_columns(self, H, zeroed):
+        H[:, [j for j in zeroed if j < H.shape[1]]] = 0.0
+        result = assign_documents(H)
+        max_weights = H[result.assignments, np.arange(H.shape[1])]
+        n = H.shape[1]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "assignments.csv"
+            storage.write_assignments([f"d{j}" for j in range(n)], result.assignments, max_weights, path)
+            _, weights = storage.read_assignments(path)
+        np.testing.assert_array_equal(weights, max_weights)
+        assert tuple(np.flatnonzero(weights == 0)) == result.zero_columns
+        assert result.zero_columns == tuple(np.flatnonzero(~H.any(axis=0)))
 
     @pytest.mark.parametrize(
         "data",
@@ -326,13 +354,20 @@ class TestCsvArtifacts:
             b"doc_id,topic_id,max_weight\r\na,0,0.5,7\r\n",
             b'doc_id,topic_id,max_weight\r\n"a,0,0.5\r\n',  # quote never closed
             b"doc_id,topic_id,max_weight\r\ncaf\xe9,0,0.5\r\n",  # not UTF-8
+            b"doc_id,topic_id,max_weight\r\na,x,0.5\r\n",  # topic not an int
+            b"doc_id,topic_id,max_weight\r\na,-1,0.5\r\n",
+            b"doc_id,topic_id,max_weight\r\na,0.0,0.5\r\n",
+            b"doc_id,topic_id,max_weight\r\na,0,nan\r\n",  # weight not finite
+            b"doc_id,topic_id,max_weight\r\na,0,inf\r\n",
+            b"doc_id,topic_id,max_weight\r\na,0,-1\r\n",  # weight negative
+            b"doc_id,topic_id,max_weight\r\na,0,x\r\n",
         ],
     )
     def test_damaged_assignments_rejected(self, tmp_path, data):
         path = tmp_path / "assignments.csv"
         path.write_bytes(data)
         with pytest.raises(DataError, match=re.escape(str(path))):
-            storage.read_doc_ids(path)
+            storage.read_assignments(path)
 
 
 class TestAtomicWrites:
