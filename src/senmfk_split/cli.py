@@ -11,14 +11,15 @@ Four subcommands map onto the pipeline's stage list
 ``preprocess`` and ``matrices`` run their own stage and ``run`` runs every
 stage, all through :func:`senmfk_split.split_pipeline.run_stages`.
 Configuration comes from defaults, then an optional flat key=value config
-file (``run --config``), then flags; flags win.  One table, ``_OPTIONS``,
-declares every setting's default, type and flag, and the stages that use
-it: a command takes the flags of its stages, and each stage's record in the
-workspace's one manifest.json holds, by flag name, the settings it uses
-(beside its input and output digests and its time).  ``run --resume`` skips
-stages whose recorded settings, inputs, and outputs all still match, also
-after a crashed run, with these or other settings; a full resume parses
-no matrix file, since the summary comes from the selection reports and
+file (``run --config``, each value typed on the line it comes from), then
+flags; flags win.  One table, ``_OPTIONS``, declares every setting's
+default, type and flag, and the stages that use it: a command takes the
+flags of its stages, and each stage's record in the workspace's one
+manifest.json holds, by flag name, the settings it uses (beside its input
+and output digests and its time).  ``run --resume`` skips stages whose
+recorded settings, inputs, and outputs all still match, also after a
+crashed run, with these or other settings; a full resume parses no matrix
+file, since the summary comes from the selection reports and
 ``assignments.csv``.  Every command also records the numeric environment
 (numpy, scipy, BLAS) in the manifest, which a resume never compares.
 
@@ -36,7 +37,7 @@ from typing import Any, Callable
 
 from . import __version__
 from .errors import DataError, PipelineStageError, SenmfkError
-from .fileio import read_utf8
+from .fileio import utf8_lines
 from .manifest import RunManifest, numeric_environment, sha256_text
 from .matrix_builder import SemanticConfig
 from .model_selection import SelectionConfig, child_seed
@@ -86,39 +87,40 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsage(f"{self.prog}: {message}")
 
 
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Flat key=value file; '#' starts a comment, blank lines ignored.  A
-    key set twice (``min_df`` and ``min-df`` are one key) is a DataError."""
-    values: dict[str, str] = {}
+def parse_config_file(path: str | Path) -> dict[str, Any]:
+    """Flat key=value file, each value converted to its key's type; '#'
+    starts a comment, blank lines ignored.  A value not of its key's type,
+    or a key set twice (``min_df`` and ``min-df`` are one key), is a
+    DataError naming the line."""
+    values: dict[str, Any] = {}
     line_of: dict[str, int] = {}
-    for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, line in utf8_lines(path):
+        line = line.split("#", 1)[0]
         if not line:
             continue
         if "=" not in line:
             raise DataError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip().replace("_", "-")
-        if key not in _DEFAULTS:
+        if key not in _OPTIONS:
             raise DataError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise DataError(f"{path}:{lineno}: key {key!r} already set on line {line_of[key]}")
-        values[key], line_of[key] = value.strip(), lineno
+        try:
+            values[key], line_of[key] = _OPTIONS[key][1](value.strip()), lineno
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: key {key!r}: {exc}") from exc
     return values
 
 
-def _resolve(flags: argparse.Namespace, file_cfg: dict[str, str]) -> dict[str, Any]:
+def _resolve(flags: argparse.Namespace, file_cfg: dict[str, Any]) -> dict[str, Any]:
     """Every setting by key: the flag if set, else the config file, else the
     default."""
-    settings: dict[str, Any] = {}
-    for key, (default, kind, _) in _OPTIONS.items():
+    settings = {**_DEFAULTS, **file_cfg}
+    for key in settings:
         value = getattr(flags, key.replace("-", "_"), None)
-        if value is None and key in file_cfg:
-            try:
-                value = kind(file_cfg[key])
-            except ValueError as exc:
-                raise DataError(f"config key {key!r}: {exc}") from exc
-        settings[key] = default if value is None else value
+        if value is not None:
+            settings[key] = value
     return settings
 
 

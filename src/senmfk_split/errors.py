@@ -3,8 +3,19 @@
 Data errors mean the inputs are unusable (empty corpus, malformed files,
 mismatched shapes between artifacts); numerical errors mean the math cannot
 proceed (bad rank, negative entries, degenerate matrices).  The CLI maps
-these onto distinct exit codes.
+these onto distinct exit codes.  :func:`check_count` is the one rule for
+an integer setting.
 """
+
+import numbers
+
+
+def check_count(value, name: str, low: int) -> None:
+    """Raise ValueError unless ``value`` is an integer (a numpy one too) >= ``low``."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 class SenmfkError(Exception):

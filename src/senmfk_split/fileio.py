@@ -2,9 +2,10 @@
 
 Writers go through :func:`atomic_path`, so an artifact on disk is always
 either the previous file or the complete new one, never a truncated mix.
-Text inputs are read as strict UTF-8 through :func:`read_utf8` and
-:func:`utf8_lines`, which turn an undecodable byte into a DataError naming
-the file (and, for line-wise reads, the line).
+Every text input (corpus, stopwords, vocabulary, config file) is read as
+strict UTF-8 through :func:`utf8_lines`, one stripped non-blank line at a
+time; an undecodable byte is a DataError naming the file and the line.
+Only ``\n``, ``\r\n`` and ``\r`` end a line.
 """
 
 from __future__ import annotations
@@ -33,23 +34,17 @@ def atomic_path(path: str | Path) -> Iterator[Path]:
         raise
 
 
-def read_utf8(path: str | Path) -> str:
-    """The whole text of ``path``; raises DataError if it is not UTF-8."""
-    try:
-        return Path(path).read_text("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
-
-
 def utf8_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """(line number from 1, line) for every line of ``path``; raises
-    DataError naming the first line that is not UTF-8."""
+    """(line number from 1, line stripped) for every non-blank line of
+    ``path``; raises DataError naming the first line that is not UTF-8."""
     # surrogateescape maps each undecodable byte to a lone surrogate, which
-    # valid UTF-8 never decodes to and which cannot be encoded back
+    # valid UTF-8 never decodes to, strip never removes, and which cannot be
+    # encoded back
     with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise DataError(f"{path}:{lineno}: not UTF-8 text") from exc
-            yield lineno, line
+            if line := line.strip():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise DataError(f"{path}:{lineno}: not UTF-8 text") from exc
+                yield lineno, line

@@ -24,7 +24,9 @@ from typing import Callable
 import numpy as np
 from scipy import sparse
 
-from .errors import DegenerateMatrix, DimensionMismatch, EmptyColumn, NonNegativityViolation
+from .errors import (
+    DegenerateMatrix, DimensionMismatch, EmptyColumn, NonNegativityViolation, check_count,
+)
 from .text_pipeline import Corpus, Vocabulary
 
 # the batches of cooccurrence_triangle (see there); the entries of a sppmi row block
@@ -44,8 +46,7 @@ class SemanticConfig:
     shift: float = 4.0
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
+        check_count(self.window, "window", 1)
         if not (math.isfinite(self.shift) and self.shift >= 1):
             raise ValueError(f"shift must be finite and >= 1, got {self.shift}")
 

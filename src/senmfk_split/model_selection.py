@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DegenerateMatrix, InvalidRank, ShapeMismatch
+from .errors import DegenerateMatrix, InvalidRank, ShapeMismatch, check_count
 from .matrix_builder import _canonical
 from .nmf_core import NmfConfig, _draw_index, nmf_stack, relative_error, solve_h
 
@@ -43,13 +43,10 @@ class SelectionConfig:
     nmf: NmfConfig = field(default_factory=NmfConfig)
 
     def __post_init__(self):
-        for name in ("k_min", "k_max", "n_perturbations"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not (1 <= self.k_min <= self.k_max):
+        for name, low in (("k_min", 1), ("k_max", 1), ("n_perturbations", 2)):
+            check_count(getattr(self, name), name, low)
+        if self.k_min > self.k_max:
             raise ValueError("need 1 <= k_min <= k_max")
-        if self.n_perturbations < 2:
-            raise ValueError("n_perturbations must be >= 2")
         if not (0 <= self.delta < 1):
             raise ValueError(f"delta must be in [0, 1), got {self.delta}")
         if not (0 < self.silhouette_threshold < 1):

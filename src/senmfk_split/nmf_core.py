@@ -89,7 +89,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .errors import DegenerateBasis, DimensionMismatch, InvalidRank
+from .errors import DegenerateBasis, DimensionMismatch, InvalidRank, check_count
 from .matrix_builder import _canonical, _check_nonnegative
 
 _TRACE_STRIDE = 10
@@ -124,10 +124,8 @@ class NmfConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if not isinstance(self.max_iter, (int, np.integer)):
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        check_count(self.max_iter, "max_iter", 1)
+        check_count(self.seed, "seed", 0)
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and > 0, got {self.tol}")
 

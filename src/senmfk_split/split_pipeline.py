@@ -39,6 +39,7 @@ from .errors import (
     PipelineStageError,
     SenmfkError,
     ShapeMismatch,
+    check_count,
 )
 from .manifest import RunManifest, sha256_file
 from .matrix_builder import (
@@ -99,8 +100,7 @@ class SplitConfig:
     semantic: SemanticConfig = field(default_factory=SemanticConfig)
 
     def __post_init__(self):
-        if self.top_n_words < 1:
-            raise ValueError(f"top_n_words must be >= 1, got {self.top_n_words}")
+        check_count(self.top_n_words, "top_n_words", 1)
 
 
 @dataclass
@@ -242,6 +242,7 @@ def top_words(
 ) -> list[list[tuple[str, float]]]:
     """Per topic: terms ranked by descending weight, ties lexicographic,
     truncated to min(top_n, vocabulary size)."""
+    check_count(top_n, "top_n", 1)
     W = np.asarray(W, dtype=np.float64)
     m = len(vocab)
     if W.ndim != 2 or W.shape[0] != m:
@@ -268,7 +269,10 @@ def stage_scope(name: str):
 
 def prepare_corpus(r: PipelineRun) -> None:
     """Stage 1: load, filter, build the vocabulary, drop documents that end
-    up with no in-vocabulary tokens; persist corpus.jsonl and vocab.txt."""
+    up with no in-vocabulary tokens; persist corpus.jsonl and vocab.txt.
+    An input that is the workspace's own corpus.jsonl is a DataError."""
+    if Path(r.corpus_path).resolve() == r.path("corpus.jsonl").resolve():
+        raise DataError(f"{r.corpus_path}: the input is the workspace's own corpus.jsonl")
     raw = load_jsonl_corpus(r.corpus_path)
     corpus = filter_documents(raw, r.config.pipeline)
     vocab = build_vocabulary(corpus, r.config.pipeline)

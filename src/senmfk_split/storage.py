@@ -214,8 +214,16 @@ def write_histogram(counts: np.ndarray, path: str | Path) -> None:
 
 
 def read_histogram(path: str | Path) -> list[tuple[int, int]]:
-    """Raises DataError naming the file when it is not a histogram."""
-    return _read_csv(path, _HISTOGRAM_HEADER, "histogram", lambda t, c: (int(t), int(c)))
+    """Raises DataError naming the file when it is not a histogram, a
+    topic_id or count not a non-negative int."""
+    return _read_csv(path, _HISTOGRAM_HEADER, "histogram", _histogram_row)
+
+
+def _histogram_row(topic: str, count: str) -> tuple[int, int]:
+    row = int(topic), int(count)
+    if min(row) < 0:
+        raise ValueError(f"topic_id {topic!r} or count {count!r} is negative")
+    return row
 
 
 def _read_csv(path: str | Path, header: list[str], what: str, parse: Callable) -> list:

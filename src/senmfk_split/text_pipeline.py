@@ -17,8 +17,8 @@ from importlib import resources
 from itertools import filterfalse
 from pathlib import Path
 
-from .errors import DataError, EmptyCorpus, EmptyVocabulary
-from .fileio import atomic_path, read_utf8, utf8_lines
+from .errors import DataError, EmptyCorpus, EmptyVocabulary, check_count
+from .fileio import atomic_path, utf8_lines
 
 # Runs of two or more ASCII letters: a regex match only ever starts at a
 # run's first letter, and a greedy one takes the whole run, so these are the
@@ -65,15 +65,14 @@ class Vocabulary:
 
 
 def default_stopwords() -> frozenset[str]:
-    """Bundled English stopword list."""
-    text = resources.files("senmfk_split.data").joinpath("stopwords_en.txt").read_text("utf-8")
-    return frozenset(line.strip() for line in text.splitlines() if line.strip())
+    """Bundled English stopword list, read as a user's list is."""
+    with resources.as_file(resources.files("senmfk_split.data") / "stopwords_en.txt") as path:
+        return load_stopwords(path)
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Stopword file: plain text, one term per line, UTF-8."""
-    lines = read_utf8(path).splitlines()
-    return frozenset(line.strip() for line in lines if line.strip())
+    return frozenset(line for _, line in utf8_lines(path))
 
 
 @dataclass(frozen=True)
@@ -94,10 +93,8 @@ class PipelineConfig:
     def __post_init__(self):
         if not (0 < self.max_df_ratio <= 1):
             raise ValueError("max_df_ratio must be in (0, 1]")
-        if self.min_df < 1:
-            raise ValueError("min_df must be >= 1")
-        if self.min_doc_tokens < 0:
-            raise ValueError("min_doc_tokens must be >= 0")
+        check_count(self.min_df, "min_df", 1)
+        check_count(self.min_doc_tokens, "min_doc_tokens", 0)
 
 
 def tokenize(raw_text: str) -> list[str]:
@@ -168,9 +165,6 @@ def load_jsonl_corpus(path: str | Path) -> Corpus:
     seen: set[str] = set()
     shared: dict[str, str] = {}
     for lineno, line in utf8_lines(path):
-        line = line.strip()
-        if not line:
-            continue
         try:
             obj = json.loads(line)
         except ValueError as exc:  # also an integer of over 4,300 digits
@@ -226,11 +220,7 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
     """Load a term-per-line vocabulary."""
-    terms = tuple(
-        line.strip()
-        for line in read_utf8(path).splitlines()
-        if line.strip()
-    )
+    terms = tuple(line for _, line in utf8_lines(path))
     if len(set(terms)) != len(terms):
         raise DataError(f"{path}: duplicate terms")
     return Vocabulary(terms=terms, index_of={t: i for i, t in enumerate(terms)})

@@ -170,6 +170,43 @@ class TestExitCodes:
         assert code == 2
         assert "latin1_stop.txt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "read, data",
+        [
+            (text_pipeline.load_stopwords, b"the\ncaf\xe9\n"),
+            (text_pipeline.load_vocabulary, b"aa\ncaf\xe9\n"),
+            (parse_config_file, b"seed = 1\ntol = 1e-7  # caf\xe9\n"),
+        ],
+        ids=["stopwords", "vocabulary", "config"],
+    )
+    def test_undecodable_text_input_names_its_line(self, tmp_path, read, data):
+        # only the corpus used to name the line
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(data)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: not UTF-8"):
+            read(path)
+
+    def test_input_that_is_the_workspace_corpus_is_data_error(
+        self, corpus_file, tmp_path, capsys
+    ):
+        # `run ws/corpus.jsonl --workspace ws` used to replace the raw-text
+        # input with the tokenized corpus, its text gone
+        path, _ = corpus_file
+        ws = tmp_path / "ws"
+        ws.mkdir()
+        own = ws / "corpus.jsonl"
+        shutil.copy(path, own)
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(own)
+        for command, given in itertools.product(("run", "preprocess"), (own, link)):
+            assert main([command, str(given), "--workspace", str(ws)]) == 2
+            assert f"{given}: the input is the workspace's own" in capsys.readouterr().err
+        assert own.read_bytes() == path.read_bytes()
+        assert [p.name for p in ws.iterdir()] == ["corpus.jsonl"]
+        # another workspace may take it as its input
+        assert main(["preprocess", str(own), "--workspace", str(tmp_path / "other")]) == 0
+        assert own.read_bytes() == path.read_bytes()
+
     def test_undecodable_corpus_line_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.jsonl"
         path.write_bytes(b'{"id": "a", "text": "aa bb"}\n{"id": "b", "text": "caf\xe9"}\n')
@@ -1028,6 +1065,24 @@ class TestConfigFile:
         assert code == 2
         assert "DataError" in capsys.readouterr().err
 
+    def test_bad_value_names_its_line_also_under_a_flag(self, corpus_file, tmp_path, capsys):
+        # a flag used to hide the bad value, and the run went ahead
+        path, _ = corpus_file
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# ranks\nkx_min = 2\nkx_max = x\n")
+        with pytest.raises(DataError, match="bad.cfg:3: key 'kx-max'"):
+            parse_config_file(cfg)
+        ws = tmp_path / "ws"
+        argv = ["run", str(path), "--workspace", str(ws), "--config", str(cfg), "--kx-max", "3"]
+        assert main(argv) == 2
+        assert "bad.cfg:3" in capsys.readouterr().err
+        assert not ws.exists()
+
+    def test_values_typed_as_their_keys(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("  seed = 7  # trailing\r\n\n\tmax_df=0.25\r\nkj-min = 3\n")
+        assert parse_config_file(cfg) == {"seed": 7, "max-df": 0.25, "kj-min": 3}
+
     @pytest.mark.parametrize(
         "text, first, second",
         [("seed = 1\nseed = 2\n", 1, 2), ("# spellings\nmin_df = 3\n\nmin-df = 4\n", 2, 4)],
@@ -1195,6 +1250,9 @@ class TestReport:
             ("topics.json", '[{"topic_id": 0, "terms": [{"term": 7, "weight": 1.0}]}]\n'),
             ("histogram.csv", "topic_id,count\n0,many\n"),
             ("histogram.csv", "topic_id,count\n0\n"),
+            # a negative count used to be summed into the document total
+            ("histogram.csv", "topic_id,count\n0,-5\n"),
+            ("histogram.csv", "topic_id,count\n-1,3\n"),
         ],
     )
     def test_damaged_artifact_exits_2_naming_it(self, tmp_path, capsys, name, text):

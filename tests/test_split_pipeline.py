@@ -20,9 +20,11 @@ from oracles import (
 )
 from senmfk_split import matrix_builder, model_selection, nmf_core, split_pipeline, storage
 from senmfk_split.errors import (
+    DataError,
     DegenerateBasis,
     DegenerateMatrix,
     NonNegativityViolation,
+    PipelineStageError,
     ShapeMismatch,
 )
 from senmfk_split.matrix_builder import SemanticConfig, build_cooccurrence, build_tfidf, sppmi
@@ -40,7 +42,12 @@ from senmfk_split.split_pipeline import (
     run_split,
     top_words,
 )
-from senmfk_split.text_pipeline import Vocabulary, load_jsonl_corpus, load_vocabulary
+from senmfk_split.text_pipeline import (
+    PipelineConfig,
+    Vocabulary,
+    load_jsonl_corpus,
+    load_vocabulary,
+)
 
 
 def vocab_of(*terms):
@@ -301,6 +308,48 @@ class TestTopWords:
             weights = [w for _, w in ranked]
             assert all(a >= b for a, b in zip(weights, weights[1:]))
 
+    def test_top_n_is_a_count(self):
+        # -1 used to return every term but the last
+        vocab = vocab_of("aa", "bb", "cc")
+        W = np.array([[0.1], [0.2], [0.3]])
+        for top_n, why in ((0, ">= 1"), (-1, ">= 1"), (1.5, "an integer")):
+            with pytest.raises(ValueError, match=f"top_n must be {why}"):
+                top_words(W, vocab, top_n)
+        assert top_words(W, vocab, np.int64(1)) == [[("cc", 0.3)]]
+
+
+def _split_config(**kwargs) -> SplitConfig:
+    return SplitConfig(SelectionConfig(1, 2), SelectionConfig(1, 2), **kwargs)
+
+
+# Every integer setting: its config (as a callable of the field's keyword
+# arguments), the field, and its least value.
+_COUNT_FIELDS = [
+    (NmfConfig, "max_iter", 1),
+    (NmfConfig, "seed", 0),
+    (lambda **kw: SelectionConfig(**{"k_min": 1, "k_max": 3, **kw}), "k_min", 1),
+    (lambda **kw: SelectionConfig(**{"k_min": 1, "k_max": 3, **kw}), "k_max", 1),
+    (lambda **kw: SelectionConfig(1, 3, **kw), "n_perturbations", 2),
+    (SemanticConfig, "window", 1),
+    (lambda **kw: PipelineConfig(stopwords=frozenset(), **kw), "min_df", 1),
+    (lambda **kw: PipelineConfig(stopwords=frozenset(), **kw), "min_doc_tokens", 0),
+    (_split_config, "top_n_words", 1),
+]
+
+
+class TestCountSettings:
+    # each of these used to construct: window=2.5 counted window 3's pairs,
+    # min_doc_tokens=nan dropped every document, top_n_words=2.5 failed in
+    # export after every factorization, seed=-1 and seed=1.5 inside numpy
+    @pytest.mark.parametrize("make, name, low", _COUNT_FIELDS, ids=[f[1] for f in _COUNT_FIELDS])
+    def test_one_rule_for_every_count(self, make, name, low):
+        for bad, why in ((low + 0.5, "an integer"), (float("nan"), "an integer"),
+                         (str(low), "an integer"), (low - 1, f">= {low}")):
+            with pytest.raises(ValueError, match=f"^{name} must be {why}"):
+                make(**{name: bad})
+        for good in (np.int64(low), np.int32(low + 1), low + 1):
+            assert getattr(make(**{name: good}), name) == good
+
 
 class TestRunSplit:
     def test_three_topic_corpus(self, rng, tmp_path):
@@ -330,6 +379,29 @@ class TestRunSplit:
             "histogram.csv",
         ):
             assert (tmp_path / "ws" / name).is_file(), name
+
+    def test_input_that_is_the_workspace_corpus_is_data_error(self, rng, tmp_path):
+        # the raw-text input used to be replaced by the tokenized corpus
+        lines, _ = topic_corpus_jsonl(rng, docs_per_topic=30)
+        ws = tmp_path / "ws"
+        ws.mkdir()
+        own = write_jsonl(ws / "corpus.jsonl", lines)
+        before = own.read_bytes()
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(own)
+        config = small_split_config(seed=3)
+        for given in (own, link):
+            with pytest.raises(PipelineStageError, match="own corpus.jsonl") as info:
+                run_split(given, config, ws)
+            assert isinstance(info.value.cause, DataError)
+        assert own.read_bytes() == before
+        assert [p.name for p in ws.iterdir()] == ["corpus.jsonl"]
+        # another workspace may take it as its input
+        other = split_pipeline.PipelineRun(config, tmp_path / "other", own)
+        (tmp_path / "other").mkdir()
+        split_pipeline.run_stages(other, last="preprocess")
+        assert (tmp_path / "other" / "corpus.jsonl").is_file()
+        assert own.read_bytes() == before
 
     def test_byte_identical_reruns(self, rng, tmp_path):
         lines, _ = topic_corpus_jsonl(rng, docs_per_topic=30)

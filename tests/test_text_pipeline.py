@@ -2,6 +2,7 @@
 
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -327,6 +328,22 @@ class TestStopwords:
         path = tmp_path / "stop.txt"
         path.write_text("foo\nbar\n\n")
         assert load_stopwords(path) == frozenset({"foo", "bar"})
+
+    def test_blank_lines_edge_spaces_and_crlf(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_bytes(b"\r\n  foo \r\n\tbar\r\n \r\nbaz\rqux\n\n")
+        assert load_stopwords(path) == frozenset({"foo", "bar", "baz", "qux"})
+
+    def test_only_newlines_end_a_line(self, tmp_path):
+        # str.splitlines also split at a form feed, \x85 and \u2028
+        path = tmp_path / "stop.txt"
+        path.write_text("a\fb\nc\x85d\ne\u2028f\n", encoding="utf-8")
+        assert load_stopwords(path) == frozenset({"a\fb", "c\x85d", "e\u2028f"})
+
+    def test_bundled_list_read_as_a_custom_file(self):
+        bundled = resources.files("senmfk_split.data") / "stopwords_en.txt"
+        with resources.as_file(bundled) as path:
+            assert default_stopwords() == load_stopwords(path)
 
 
 class TestConfigValidation:

@@ -87,7 +87,7 @@ class TestStdout:
         self.fixtures_printing(monkeypatch, tmp_path / "base", "k=3; 120 documents")
         stdout = tmp_path / "base" / "stdout"
         assert sorted(p.name for p in stdout.iterdir()) == [
-            "cli.txt", "partial.txt", "stages.txt", "topics.txt", "zipf.txt"
+            "cli.txt", "config.txt", "partial.txt", "stages.txt", "topics.txt", "zipf.txt"
         ]
         text = "run -> <workspace>\nk=3; 120 documents -> <workspace>\n"
         assert (stdout / "cli.txt").read_text("utf-8") == text

@@ -5,12 +5,17 @@
 The revision is exported with ``git archive REV | tar -x`` into a temporary
 directory (no worktree, no change under ``.git``).  The inputs are built
 once, from the working tree: the corpus of the CLI tests
-(``test_cli.write_corpus`` with the seed of the tests' ``rng`` fixture), and
-a Zipf corpus and a topic corpus from ``perfbench/inputs.py``.  Then each
-side runs every fixture below in its own Python process, with its own
+(``test_cli.write_corpus`` with the seed of the tests' ``rng`` fixture), a
+Zipf corpus and a topic corpus from ``perfbench/inputs.py``, a config file
+``run.cfg`` that states ``test_cli.RUN_FLAGS`` (underscore keys, a comment
+line, a blank line and trailing comments), and ``stopwords.txt``: the
+bundled list less two terms, with edge spaces and ``\r\n`` endings.  Then
+each side runs every fixture below in its own Python process, with its own
 ``src`` first on the path:
 
     cli     ``senmfk run`` with ``test_cli.RUN_FLAGS``, then ``run --resume``
+    config  ``senmfk run --config run.cfg --stopwords stopwords.txt``, then
+            ``run --resume``
     partial the same ``run``, then ``run --resume`` with ``test_cli.NEW_M_RANGE``
             and ``--top-n-words 5``: factorize_m and export rerun, and read
             their inputs and the summary's values from the files of the others
@@ -22,8 +27,8 @@ side runs every fixture below in its own Python process, with its own
 
 ``matrix_builder.cooccurrence_triangle`` counts a vocabulary of up to 256
 terms (``_DIRECT_CELLS``) with ``np.bincount`` and a larger one by sorting
-keys.  ``cli``, ``partial``, ``split`` and ``stages`` (60 terms) and
-``topics`` (90 terms) take the direct count; ``zipf`` (2,764 terms) is the
+keys.  ``cli``, ``config``, ``partial``, ``split`` and ``stages`` (60
+terms) and ``topics`` (90 terms) take the direct count; ``zipf`` (2,764 terms) is the
 one fixture on the sorted count.  A change to the threshold should keep a
 fixture on each side.
 
@@ -59,6 +64,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+# The bundled stopwords that the ``config`` fixture's list leaves out.
+DROPPED_STOPWORDS = ("a", "the")
 ZIPF_SEED = 9500  # the Zipf corpus of the ``zipf`` fixture
 TOPICS_SEED = 9600  # the topic corpus of the ``topics`` fixture
 # A number in a text artifact; everything between numbers must match exactly.
@@ -88,9 +95,18 @@ def build_inputs(out: Path) -> dict:
     test_cli.write_corpus(np.random.default_rng(RNG_SEED), out / "cli.jsonl")
     workloads.inputs.write_zipf_corpus(ZIPF_SEED, out / "zipf.jsonl", workloads.stopwords())
     workloads.inputs.write_topics_corpus(TOPICS_SEED, out / "topics.jsonl")
+    flags = test_cli.RUN_FLAGS
+    settings = "".join(
+        f"{flag[2:].replace('-', '_')} = {value}  # {flag}\n"
+        for flag, value in zip(flags[::2], flags[1::2])
+    )
+    (out / "run.cfg").write_text(f"# test_cli.RUN_FLAGS\n\n{settings}", encoding="utf-8")
+    bundled = (ROOT / "src" / "senmfk_split" / "data" / "stopwords_en.txt").read_text("utf-8")
+    kept = [term for term in bundled.split() if term not in DROPPED_STOPWORDS]
+    (out / "stopwords.txt").write_bytes("".join(f" {t}\t\r\n" for t in kept).encode("utf-8"))
     return {
         "dir": str(out),
-        "run_flags": test_cli.RUN_FLAGS,
+        "run_flags": flags,
         "new_m_range": test_cli.NEW_M_RANGE,
         "zipf_args": workloads.ZIPF_ARGS,
         "topics_args": workloads.TOPICS_ARGS,
@@ -110,6 +126,10 @@ def run_fixtures(inputs: dict, out: Path) -> None:
     flags, zipf = inputs["run_flags"], inputs["zipf_args"]
     runs = {
         "cli": [["run", str(src / "cli.jsonl")] + flags] * 2,
+        "config": [
+            ["run", str(src / "cli.jsonl"), "--config", str(src / "run.cfg"),
+             "--stopwords", str(src / "stopwords.txt")]
+        ] * 2,
         "partial": [
             ["run", str(src / "cli.jsonl")] + flags,
             ["run", str(src / "cli.jsonl")] + inputs["new_m_range"] + ["--top-n-words", "5"],
