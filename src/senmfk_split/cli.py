@@ -10,6 +10,8 @@ Four subcommands map onto the pipeline's stage list
 
 ``preprocess`` and ``matrices`` run their own stage and ``run`` runs every
 stage, all through :func:`senmfk_split.split_pipeline.run_stages`.
+``report`` counts each topic's documents from ``assignments.csv``;
+``histogram.csv``, the same counts, is an export that no command reads.
 Configuration comes from defaults, then an optional flat key=value config
 file (``run --config``, each value typed on the line it comes from), then
 flags; flags win.  One table, ``_OPTIONS``, declares every setting's
@@ -34,6 +36,8 @@ import os
 import sys
 from pathlib import Path
 from typing import Any, Callable
+
+import numpy as np
 
 from . import __version__
 from .errors import DataError, PipelineStageError, SenmfkError
@@ -257,7 +261,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     run, manifest, params = _pipeline(args)
     values = run_stages(run, manifest, params, resume=args.resume)
     x, m, joint = (values[f"selection_{side}.json"] for side in ("x", "m", "joint"))
-    doc_ids, max_weights = values["assignments.csv"]
+    doc_ids, _, max_weights = values["assignments.csv"]
     zero_documents = len(zero_weight_documents(max_weights))
     flags = []
     if any(report.fallback for report in (x, m, joint)):
@@ -276,20 +280,21 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.top < 1:
         raise CliUsage(f"--top must be >= 1, got {args.top}")
     workspace = _workspace(args)
-    topics_path = workspace / "topics.json"
-    histogram_path = workspace / "histogram.csv"
-    for path in (topics_path, histogram_path):
+    paths = [workspace / name for name in ("topics.json", "assignments.csv", "histogram.csv")]
+    for path in paths:
         if not path.is_file():
             raise DataError(f"{path} missing: run 'run' first")
-    topics = storage.read_topics(topics_path)
-    histogram = dict(storage.read_histogram(histogram_path))
-    total = sum(histogram.values())
-    print(f"{len(topics)} topics over {total} documents")
+    topics = storage.read_topics(paths[0])
+    _, topic_ids, _ = storage.read_assignments(paths[1])
+    counts = np.bincount(topic_ids, minlength=len(topics))
+    if len(counts) > len(topics):
+        raise DataError(f"{paths[1]}: topic_id {len(counts) - 1}, but {len(topics)} topics")
+    print(f"{len(topics)} topics over {len(topic_ids)} documents")
     print(f"{'topic':>5}  {'docs':>6}  top words")
     for topic_id, ranked in enumerate(topics):
         words = ", ".join(term for term, _ in ranked[:args.top])
-        print(f"{topic_id:>5}  {histogram.get(topic_id, 0):>6}  {words}")
-    print(f"histogram: {histogram_path}")
+        print(f"{topic_id:>5}  {counts[topic_id]:>6}  {words}")
+    print(f"histogram: {paths[2]}")
     return 0
 
 

@@ -14,13 +14,14 @@ matrices, factorize_x, factorize_m, joint, regression and export.  Each
 of the :class:`PipelineRun` that computes it (``prepare_corpus``,
 ``build_matrices``, ``stage_*``, looked up by name).
 Values are named by their files: ``run.values["W1.mtx"]`` is the X-side
-basis, ``run.values["assignments.csv"]`` the doc ids and each document's
-max weight, and a value the run did not compute is read from its file by one
-reader, :func:`_read`, when it is first used.  :func:`run_stages` runs a slice
-of the list for every entry point: :func:`run_split` runs all stages without
-a manifest; the CLI runs all or one with each stage's settings and a
-manifest, so a run can be audited and resumed after the last stage that
-finished.
+basis, ``run.values["assignments.csv"]`` the doc ids, each document's topic
+and its max weight, and a value the run did not compute is read from its file
+by one reader, :func:`_read`, when it is first used.  ``histogram.csv``
+restates the per-topic counts of ``assignments.csv`` and is never read back.
+:func:`run_stages` runs a slice of the list for every entry point:
+:func:`run_split` runs all stages without a manifest; the CLI runs all or one
+with each stage's settings and a manifest, so a run can be audited and
+resumed after the last stage that finished.
 """
 
 from __future__ import annotations
@@ -123,11 +124,11 @@ class TopicModel:
     def from_stages(cls, values: dict[str, Any]) -> TopicModel:
         """The model from the values of a full :func:`run_stages` run."""
         W, H = values["W.mtx"], values["H.mtx"]
-        result = assign_documents(H)
+        doc_ids, assignments, max_weights = values["assignments.csv"]
         return cls(
             W=W,
             H=H,
-            assignments=result.assignments,
+            assignments=assignments,
             topics=values["topics.json"],
             k1=values["W1.mtx"].shape[1],
             k2=values["W2.mtx"].shape[1],
@@ -136,9 +137,9 @@ class TopicModel:
                 side: replace(values[report], consensus_W=values[w], consensus_H=values[h])
                 for side, (w, h, report) in zip(("x", "m", "joint"), FACTORS)
             },
-            doc_ids=values["assignments.csv"][0],
-            histogram=result.counts,
-            zero_documents=result.zero_columns,
+            doc_ids=doc_ids,
+            histogram=np.bincount(assignments, minlength=W.shape[1]),
+            zero_documents=zero_weight_documents(max_weights),
         )
 
 
@@ -342,11 +343,11 @@ def stage_regression(r: PipelineRun) -> None:
 def stage_export(r: PipelineRun) -> None:
     result = assign_documents(r.values["H.mtx"])
     topics = top_words(r.values["W.mtx"], r.values["vocab.txt"], r.config.top_n_words)
-    doc_ids, max_weights = r.values["corpus.jsonl"].ids(), result.max_weights
+    table = r.values["corpus.jsonl"].ids(), result.assignments, result.max_weights
     storage.write_topics(topics, r.path("topics.json"))
-    storage.write_assignments(doc_ids, result.assignments, max_weights, r.path("assignments.csv"))
+    storage.write_assignments(*table, r.path("assignments.csv"))
     storage.write_histogram(result.counts, r.path("histogram.csv"))
-    r.values.update({"topics.json": topics, "assignments.csv": (doc_ids, max_weights)})
+    r.values.update({"topics.json": topics, "assignments.csv": table})
 
 
 @dataclass(frozen=True)
@@ -357,7 +358,8 @@ class Stage:
     records (names are workspace files, except :data:`INPUT`).  ``compute``
     takes the :class:`PipelineRun`, reads from ``run.values`` only the
     values its ``inputs`` name, writes its outputs and keeps their values
-    there (all but ``cooc.mtx`` and ``histogram.csv``)."""
+    there (all but ``cooc.mtx``, and ``histogram.csv``, which nothing reads
+    back)."""
 
     name: str
     inputs: tuple[str, ...]
@@ -440,8 +442,6 @@ def _read(run: PipelineRun, name: str) -> Any:
             return storage.read_topics(path)
         if name == "assignments.csv":
             return storage.read_assignments(path)
-        if name == "histogram.csv":
-            return storage.read_histogram(path)
         if name.startswith("selection_"):
             return storage.read_selection_report(path)
         if stage.name == "matrices":

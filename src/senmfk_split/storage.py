@@ -11,9 +11,10 @@ round-trips exactly, and :func:`read_sparse` returns the same canonical
 float64 CSR matrix whatever layout the file has.  Selection reports are
 JSON without the consensus factors, each per-rank entry the fields of a
 :class:`RankRecord` by name; topic tables are JSON, document assignments
-and histograms CSV.  All writers are deterministic: identical inputs
-produce byte-identical files, and atomic: each writes a temporary file
-beside its target and renames it into place.
+and histograms CSV.  A histogram restates the per-topic counts of the
+assignments, so it is written and never read back.  All writers are
+deterministic: identical inputs produce byte-identical files, and atomic:
+each writes a temporary file beside its target and renames it into place.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import json
 import math
 from dataclasses import asdict
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 from scipy import io as scipy_io
@@ -39,8 +39,8 @@ _PRECISION = 17  # significant digits; scipy renders %.16e, exact for float64
 _EXACT_WHOLE = 2.0**53
 # What parsing a damaged JSON or CSV artifact raises: bad syntax, text or
 # number (ValueError), a missing key (KeyError) or index (IndexError), a
-# value of the wrong kind or a row of the wrong length (TypeError).
-_MALFORMED = (ValueError, KeyError, IndexError, TypeError)
+# value of the wrong kind (TypeError), a number too large (OverflowError).
+_MALFORMED = (ValueError, KeyError, IndexError, TypeError, OverflowError)
 _ASSIGNMENTS_HEADER = ["doc_id", "topic_id", "max_weight"]
 _HISTOGRAM_HEADER = ["topic_id", "count"]
 
@@ -161,9 +161,11 @@ def write_topics(topics: list[list[tuple[str, float]]], path: str | Path) -> Non
 
 
 def read_topics(path: str | Path) -> list[list[tuple[str, float]]]:
-    """Raises DataError naming the file when it is not a topic table."""
+    """Raises DataError naming the file when it is not a topic table, a term
+    is not a string or an entry's topic_id is not its position."""
     try:
         payload = json.loads(Path(path).read_text("utf-8"))
+        ids = [entry["topic_id"] for entry in payload]
         topics = [
             [(e["term"], float(e["weight"])) for e in entry["terms"]] for entry in payload
         ]
@@ -171,6 +173,9 @@ def read_topics(path: str | Path) -> list[list[tuple[str, float]]]:
         raise DataError(f"{path}: not a valid topic table: {exc!r}") from exc
     if not all(isinstance(term, str) for ranked in topics for term, _ in ranked):
         raise DataError(f"{path}: not a valid topic table: a term is not a string")
+    # a JSON value has one exact type, so true is not topic 1
+    if [(type(i), i) for i in ids] != [(int, t) for t in range(len(ids))]:
+        raise DataError(f"{path}: not a valid topic table: a topic_id is not its position")
     return topics
 
 
@@ -188,20 +193,30 @@ def write_assignments(
             writer.writerow([doc_id, int(topic), format(float(weight), ".17g")])
 
 
-def read_assignments(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """The doc_id column of assignments.csv and its max_weight column as
-    float64, in row order.  Raises DataError naming the file when it is not
-    an assignment table, a topic_id not a non-negative int or a max_weight
-    not a finite non-negative float."""
-    rows = _read_csv(path, _ASSIGNMENTS_HEADER, "assignment table", _assignment)
-    return [doc_id for doc_id, _ in rows], np.array([w for _, w in rows], dtype=np.float64)
-
-
-def _assignment(doc_id: str, topic: str, weight: str) -> tuple[str, float]:
-    max_weight = float(weight)
-    if int(topic) < 0 or not 0 <= max_weight < math.inf:  # NaN fails the range
-        raise ValueError(f"topic_id {topic!r} or max_weight {weight!r} out of range")
-    return doc_id, max_weight
+def read_assignments(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The doc_id column of assignments.csv, its topic_id column as int64 and
+    its max_weight column as float64, in row order.  Raises DataError naming
+    the file when it is not an assignment table, a doc_id repeats, a
+    topic_id is not a non-negative int or a max_weight not a finite
+    non-negative float."""
+    try:
+        with Path(path).open("r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            found = next(reader, None)
+            if found != _ASSIGNMENTS_HEADER:
+                raise DataError(f"{path}: unexpected assignment table header {found}")
+            rows = [(doc_id, int(topic), float(weight)) for doc_id, topic, weight in reader]
+        topic_ids = np.array([topic for _, topic, _ in rows], dtype=np.int64)
+    except (*_MALFORMED, csv.Error) as exc:
+        raise DataError(f"{path}: not a valid assignment table: {exc!r}") from exc
+    doc_ids = [doc_id for doc_id, _, _ in rows]
+    max_weights = np.array([weight for _, _, weight in rows], dtype=np.float64)
+    # NaN fails the range
+    if (topic_ids < 0).any() or not ((0 <= max_weights) & (max_weights < math.inf)).all():
+        raise DataError(f"{path}: not a valid assignment table: a topic_id or max_weight out of range")
+    if len(set(doc_ids)) < len(doc_ids):
+        raise DataError(f"{path}: not a valid assignment table: a doc_id repeats")
+    return doc_ids, topic_ids, max_weights
 
 
 def write_histogram(counts: np.ndarray, path: str | Path) -> None:
@@ -211,31 +226,3 @@ def write_histogram(counts: np.ndarray, path: str | Path) -> None:
         writer.writerow(_HISTOGRAM_HEADER)
         for t, c in enumerate(counts):
             writer.writerow([t, int(c)])
-
-
-def read_histogram(path: str | Path) -> list[tuple[int, int]]:
-    """Raises DataError naming the file when it is not a histogram, a
-    topic_id or count not a non-negative int."""
-    return _read_csv(path, _HISTOGRAM_HEADER, "histogram", _histogram_row)
-
-
-def _histogram_row(topic: str, count: str) -> tuple[int, int]:
-    row = int(topic), int(count)
-    if min(row) < 0:
-        raise ValueError(f"topic_id {topic!r} or count {count!r} is negative")
-    return row
-
-
-def _read_csv(path: str | Path, header: list[str], what: str, parse: Callable) -> list:
-    """``parse(*row)`` of every row of a CSV artifact below ``header``;
-    raises DataError naming the file when it is not a valid ``what`` (a row
-    with the wrong number of fields is a TypeError of ``parse``)."""
-    try:
-        with Path(path).open("r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            found = next(reader, None)
-            if found != header:
-                raise DataError(f"{path}: unexpected {what} header {found}")
-            return [parse(*row) for row in reader]
-    except (*_MALFORMED, csv.Error) as exc:
-        raise DataError(f"{path}: not a valid {what}: {exc!r}") from exc

@@ -1,5 +1,6 @@
 """Shared fixtures for the test suite."""
 
+import csv
 import json
 import tracemalloc
 from pathlib import Path
@@ -45,6 +46,15 @@ def small_split_config(
         pipeline=PipelineConfig(),
         semantic=SemanticConfig(window=100, shift=shift),
     )
+
+
+def histogram_rows(path) -> list[tuple[int, int]]:
+    """The (topic_id, count) rows of a histogram.csv, which the package
+    writes but never reads, below its header."""
+    with Path(path).open(encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["topic_id", "count"]
+    return [(int(topic), int(count)) for topic, count in rows]
 
 
 def assert_same_csr(actual, expected) -> None:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from conftest import small_split_config, write_jsonl
+from conftest import histogram_rows, small_split_config, write_jsonl
 from oracles import (
     block_topic_matrix,
     cooccurrence_oracle,
@@ -248,9 +248,10 @@ class TestCriterion9Contracts:
                 mat = storage.read_sparse(ws / name)
                 assert (mat.data >= 0).all() and np.isfinite(mat.data).all(), name
             # histogram partitions the documents
-            hist = dict(storage.read_histogram(ws / "histogram.csv"))
-            assert len(hist) == model.k
-            assert sum(hist.values()) == len(labels)
+            hist = histogram_rows(ws / "histogram.csv")
+            assert [topic_id for topic_id, _ in hist] == list(range(model.k))
+            assert sum(count for _, count in hist) == len(labels)
+            assert [count for _, count in hist] == model.histogram.tolist()
         report_pass(9, "rank bound, non-negative finite artifacts, histogram partition on 10 runs")
 
     def test_defaults_match_stated_values(self):

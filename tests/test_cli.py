@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from scipy import io as scipy_io
 
-from conftest import RNG_SEED, assert_same_csr, write_jsonl
+from conftest import RNG_SEED, assert_same_csr, histogram_rows, write_jsonl
 from oracles import cooccurrence_oracle, purity, tfidf_oracle, topic_corpus_jsonl
 import senmfk_split
 from senmfk_split import cli, fileio, split_pipeline, storage, text_pipeline
@@ -1216,22 +1216,57 @@ class TestReport:
         assert main(["report", "--workspace", str(ws), "--top", "5"]) == 0
         out = capsys.readouterr().out
         topics = storage.read_topics(ws / "topics.json")
-        histogram = dict(storage.read_histogram(ws / "histogram.csv"))
-        assert len(histogram) == len(topics)
-        assert sum(histogram.values()) == 120
-        for topic_id, ranked in enumerate(topics):
+        histogram = histogram_rows(ws / "histogram.csv")
+        assert [topic_id for topic_id, _ in histogram] == list(range(len(topics)))
+        assert sum(count for _, count in histogram) == 120
+        assert out.splitlines()[0] == f"{len(topics)} topics over 120 documents"
+        for (topic_id, count), ranked in zip(histogram, topics):
             top5 = [t for t, _ in ranked[:5]]
             line = [l for l in out.splitlines() if l.strip().startswith(f"{topic_id} ")]
             assert len(line) == 1
+            assert line[0].split()[:2] == [str(topic_id), str(count)]
             assert ", ".join(top5) in line[0]
 
-    def test_report_requires_artifacts(self, tmp_path, monkeypatch):
+    @staticmethod
+    def workspace(ws: Path) -> Path:
+        """A finished workspace of one topic and three documents."""
+        ws.mkdir()
+        storage.write_topics([[("alpha", 1.0)]], ws / "topics.json")
+        storage.write_assignments(
+            ["d0", "d1", "d2"], np.zeros(3, int), np.array([0.5, 0.0, 1.0]), ws / "assignments.csv"
+        )
+        storage.write_histogram(np.array([3]), ws / "histogram.csv")
+        return ws
+
+    def test_report_requires_artifacts(self, tmp_path, monkeypatch, capsys):
         # and creates no workspace, given by flag or by environment
         ws = tmp_path / "none"
         assert main(["report", "--workspace", str(ws)]) == 2
         monkeypatch.setenv("SENMFK_WORKSPACE", str(ws))
         assert main(["report"]) == 2
         assert not ws.exists()
+        capsys.readouterr()
+        for name in ("topics.json", "assignments.csv", "histogram.csv"):
+            ws = self.workspace(tmp_path / name)
+            (ws / name).unlink()
+            assert main(["report", "--workspace", str(ws)]) == 2
+            assert f"{ws / name} missing" in capsys.readouterr().err
+
+    def test_counts_come_from_the_assignments(self, tmp_path, capsys):
+        # histogram.csv restates the counts and is not read: a damaged one
+        # changes nothing, as an unparsable one would not
+        ws = self.workspace(tmp_path / "ws")
+        assert main(["report", "--workspace", str(ws)]) == 0
+        undamaged = capsys.readouterr().out
+        assert undamaged.splitlines()[:3] == [
+            "1 topics over 3 documents",
+            "topic    docs  top words",
+            "    0       3  alpha",
+        ]
+        for text in ("topic_id,count\n0,3\n0,5\n7,2\n", "not a histogram"):
+            (ws / "histogram.csv").write_text(text, encoding="utf-8")
+            assert main(["report", "--workspace", str(ws)]) == 0
+            assert capsys.readouterr().out == undamaged
 
     @pytest.mark.parametrize("top", ["0", "-3"])
     def test_top_below_one_is_usage_error(self, tmp_path, capsys, top):
@@ -1248,18 +1283,20 @@ class TestReport:
             ("topics.json", '[{"topic_id": 0, "words": []}]\n'),
             ("topics.json", '[{"topic_id": 0, "terms": [{"term": "a", "weight": "heavy"}]}]\n'),
             ("topics.json", '[{"topic_id": 0, "terms": [{"term": 7, "weight": 1.0}]}]\n'),
-            ("histogram.csv", "topic_id,count\n0,many\n"),
-            ("histogram.csv", "topic_id,count\n0\n"),
-            # a negative count used to be summed into the document total
-            ("histogram.csv", "topic_id,count\n0,-5\n"),
-            ("histogram.csv", "topic_id,count\n-1,3\n"),
+            # topic 5 must not be shown as topic 0
+            ("topics.json", '[{"topic_id": 5, "terms": [{"term": "a", "weight": 1.0}]}]\n'),
+            ("assignments.csv", "doc_id,topic_id,max_weight\nd0,many,0.5\n"),
+            ("assignments.csv", "doc_id,topic_id,max_weight\nd0,0\n"),
+            ("assignments.csv", "doc_id,topic_id,max_weight\nd0,0,-5\n"),
+            ("assignments.csv", "doc_id,topic_id,max_weight\nd0,-1,0.5\n"),
+            # each row is one document, so a repeated doc_id would count twice
+            ("assignments.csv", "doc_id,topic_id,max_weight\nd0,0,0.5\nd0,0,0.5\n"),
+            # a topic that topics.json does not have
+            ("assignments.csv", "doc_id,topic_id,max_weight\nd0,0,0.5\nd1,1,0.5\n"),
         ],
     )
     def test_damaged_artifact_exits_2_naming_it(self, tmp_path, capsys, name, text):
-        ws = tmp_path / "ws"
-        ws.mkdir()
-        storage.write_topics([[("alpha", 1.0)]], ws / "topics.json")
-        storage.write_histogram(np.array([3]), ws / "histogram.csv")
+        ws = self.workspace(tmp_path / "ws")
         (ws / name).write_text(text, encoding="utf-8")
         assert main(["report", "--workspace", str(ws)]) == 2
         err = capsys.readouterr().err

@@ -51,6 +51,7 @@ _STALE_TRACED = {
     ("nmf_core", "_run_updates"),
     ("model_selection", "_ensemble_member"),
     ("storage", "write_trace_csv"),
+    ("storage", "read_histogram"),
 }
 
 

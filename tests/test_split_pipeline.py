@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
-from conftest import assert_same_csr, small_split_config, write_jsonl
+from conftest import assert_same_csr, histogram_rows, small_split_config, write_jsonl
 from oracles import (
     assignment_oracle,
     block_topic_matrix,
@@ -496,7 +496,8 @@ class TestRunSplit:
 
     def test_every_output_reads_back_by_its_own_reader(self, rng, tmp_path):
         # a fresh run reads each file of a finished workspace as the reader
-        # of its kind does, a CSV included
+        # of its kind does, a CSV included; histogram.csv, the counts of
+        # assignments.csv, has no reader
         lines, _ = topic_corpus_jsonl(rng, docs_per_topic=30)
         corpus_path = write_jsonl(tmp_path / "input.jsonl", lines)
         config = small_split_config(seed=3)
@@ -511,27 +512,31 @@ class TestRunSplit:
             "H.mtx": storage.read_dense,
             "topics.json": storage.read_topics,
             "assignments.csv": storage.read_assignments,
-            "histogram.csv": storage.read_histogram,
         }
         for w, h, report in split_pipeline.FACTORS:
             readers.update({w: storage.read_dense, h: storage.read_dense})
             readers[report] = storage.read_selection_report
         outputs = [name for stage in split_pipeline.STAGES for name in stage.outputs]
-        assert sorted(outputs) == sorted(readers)
+        assert sorted(outputs) == sorted([*readers, "histogram.csv"])
         values = split_pipeline.PipelineRun(config, ws).values
-        for name in outputs:
+        for name in readers:
             value, expected = values[name], readers[name](ws / name)
             if sparse.issparse(expected):
                 assert_same_csr(value, expected)
             elif name == "assignments.csv":
                 assert value[0] == expected[0] == model.doc_ids
                 np.testing.assert_array_equal(value[1], expected[1])
-                np.testing.assert_array_equal(value[1], model.H.max(axis=0))
+                np.testing.assert_array_equal(value[1], model.assignments)
+                np.testing.assert_array_equal(value[2], expected[2])
+                np.testing.assert_array_equal(value[2], model.H.max(axis=0))
             elif isinstance(expected, np.ndarray):
                 np.testing.assert_array_equal(value, expected, err_msg=name)
             else:
                 assert value == expected, name
-        assert values["histogram.csv"] == list(enumerate(model.histogram))
+        with pytest.raises(KeyError):
+            values["histogram.csv"]
+        assert histogram_rows(ws / "histogram.csv") == list(enumerate(model.histogram))
+        assert model.histogram.sum() == len(model.doc_ids)
 
     def test_matrices_stage_maps_tokens_once(self, rng, tmp_path, monkeypatch):
         # TF-IDF and co-occurrence share one term-id mapping, and build the

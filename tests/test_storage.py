@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import io as scipy_io
 from scipy import sparse
 
-from conftest import assert_same_csr
+from conftest import assert_same_csr, histogram_rows
 from senmfk_split import storage
 from senmfk_split.errors import DataError
 from senmfk_split.matrix_builder import canonicalize
@@ -299,15 +299,17 @@ class TestCsvArtifacts:
     def test_histogram_roundtrip(self, tmp_path):
         path = tmp_path / "h.csv"
         storage.write_histogram(np.array([3, 0, 7]), path)
-        assert storage.read_histogram(path) == [(0, 3), (1, 0), (2, 7)]
+        assert histogram_rows(path) == [(0, 3), (1, 0), (2, 7)]
 
     # separators, quotes, line ends, NUL, non-ASCII, edge spaces and the
-    # empty string, mixed with any character UTF-8 can write
+    # empty string, mixed with any character UTF-8 can write; a doc id
+    # repeats in no table the pipeline writes
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(
         st.lists(
             st.text(st.sampled_from(list(',"\r\n\x00 \té😀')) | st.characters(codec="utf-8")),
             max_size=6,
+            unique=True,
         )
     )
     @example(["", " a ", "a,b", 'say "hi"', "cr\rlf\n", "\r\n", "nul\x00", "é😀", '"'])
@@ -315,11 +317,12 @@ class TestCsvArtifacts:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "assignments.csv"
             n = len(doc_ids)
-            weights = np.arange(n) / 3.0
-            storage.write_assignments(doc_ids, np.zeros(n, int), weights, path)
-            ids, back = storage.read_assignments(path)
+            topics, weights = np.arange(n) % 3, np.arange(n) / 3.0
+            storage.write_assignments(doc_ids, topics, weights, path)
+            ids, topic_ids, back = storage.read_assignments(path)
             assert ids == doc_ids
-            assert back.dtype == np.float64
+            assert topic_ids.dtype == np.int64 and back.dtype == np.float64
+            np.testing.assert_array_equal(topic_ids, topics)
             np.testing.assert_array_equal(back, weights)
 
     # non-negative H with some columns zeroed and some entries subnormal
@@ -340,7 +343,8 @@ class TestCsvArtifacts:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "assignments.csv"
             storage.write_assignments([f"d{j}" for j in range(n)], result.assignments, max_weights, path)
-            _, weights = storage.read_assignments(path)
+            _, topic_ids, weights = storage.read_assignments(path)
+        np.testing.assert_array_equal(topic_ids, result.assignments)
         np.testing.assert_array_equal(weights, max_weights)
         assert tuple(np.flatnonzero(weights == 0)) == result.zero_columns
         assert result.zero_columns == tuple(np.flatnonzero(~H.any(axis=0)))
@@ -357,6 +361,8 @@ class TestCsvArtifacts:
             b"doc_id,topic_id,max_weight\r\na,x,0.5\r\n",  # topic not an int
             b"doc_id,topic_id,max_weight\r\na,-1,0.5\r\n",
             b"doc_id,topic_id,max_weight\r\na,0.0,0.5\r\n",
+            b"doc_id,topic_id,max_weight\r\na,99999999999999999999,0.5\r\n",  # above int64
+            b"doc_id,topic_id,max_weight\r\na,0,0.5\r\nb,1,0.5\r\na,1,0.25\r\n",  # a repeats
             b"doc_id,topic_id,max_weight\r\na,0,nan\r\n",  # weight not finite
             b"doc_id,topic_id,max_weight\r\na,0,inf\r\n",
             b"doc_id,topic_id,max_weight\r\na,0,-1\r\n",  # weight negative
@@ -368,6 +374,30 @@ class TestCsvArtifacts:
         path.write_bytes(data)
         with pytest.raises(DataError, match=re.escape(str(path))):
             storage.read_assignments(path)
+
+
+class TestTopicTable:
+    def test_roundtrip(self, tmp_path):
+        topics = [[("alpha", 0.5), ("beta", 0.25)], [], [("gamma", 1.0)]]
+        storage.write_topics(topics, tmp_path / "topics.json")
+        assert storage.read_topics(tmp_path / "topics.json") == topics
+
+    # each entry's topic_id is its position, an exact int
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '[{"topic_id": 5, "terms": []}]',
+            '[{"topic_id": 1, "terms": []}, {"topic_id": 0, "terms": []}]',
+            '[{"topic_id": 0, "terms": []}, {"topic_id": true, "terms": []}]',
+            '[{"topic_id": 0.0, "terms": []}]',
+            '[{"terms": []}]',
+        ],
+    )
+    def test_topic_id_not_its_position_rejected(self, tmp_path, text):
+        path = tmp_path / "topics.json"
+        path.write_text(text, "utf-8")
+        with pytest.raises(DataError, match="topics.json: not a valid topic table"):
+            storage.read_topics(path)
 
 
 class TestAtomicWrites:

@@ -2,7 +2,7 @@
 tree, and say whether the change holds its bounds and its claimed gain.
 
     python tools/bench_pairs.py --base REV --workload W --seeds A-B
-                                [--claim METRIC]
+                                [--claim METRIC] [--record PATH]
 
 The revision is exported with ``git archive REV | tar -x`` into a temporary
 directory (no worktree, no change under ``.git``).  For each seed, in
@@ -22,6 +22,15 @@ With ``--claim METRIC`` it also prints whether the gain holds: at least 10
 pairs, the change better in at least 9 of every 10, and the gap between the
 medians larger than the base's interquartile range.
 
+With ``--record PATH`` it also writes the batch to PATH as one JSON object
+with sorted keys: ``revisions`` (the commits of REV and of HEAD, and
+whether the working tree differs from HEAD), ``workload``, ``seeds``,
+``run_seconds``, ``operations`` (each side's failed and attempted
+operations), ``metrics`` (per end-to-end metric its definition, each
+side's quartiles, the pairs won and the bound verdict), ``claim``, ``ok``
+and ``env``, each side's environment stamp from the first line
+``perfbench/run.py`` prints.
+
 The exit code is 0 when no metric is worse than its bound, no larger share
 of operations failed with the change, and the claim (if any) holds, and 1
 otherwise.  Standard library only.
@@ -38,6 +47,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("base", "change")  # the order of each pair's results
 MIN_PAIRS = 10  # fewer pairs cannot carry a claim
 WIN_SHARE = 0.9  # the share of pairs the change must win to claim a gain
 
@@ -87,26 +97,31 @@ def compare_metric(pairs: list[tuple[float, float]], better: str, bound: float) 
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The last stdout line of one ``perfbench/run.py`` run in ``tree``."""
+    """The last stdout line of one ``perfbench/run.py`` run in ``tree``, with
+    the ``env`` stamp of its first line."""
     out = subprocess.run(
         [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, check=True, capture_output=True, text=True,
     )
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    lines = out.stdout.strip().splitlines()
+    return {**json.loads(lines[-1]), "env": json.loads(lines[0])["env"]}
 
 
-def report(runs: list[tuple[dict, dict]], end_to_end: list[dict], claim: str | None) -> bool:
-    """Print the summary of ``(base, change)`` results; True when no metric
-    is worse than its bound, no larger share of operations failed with the
-    change, and the claim holds."""
-    shares = []
-    for label, side in (("base", 0), ("change", 1)):
+def summarize(runs: list[tuple[dict, dict]], end_to_end: list[dict], claim: str | None) -> dict:
+    """The verdicts on ``(base, change)`` results: each side's failed and
+    attempted operations and their share; per end-to-end metric its
+    definition and :func:`compare_metric` summary (None when no pair reports
+    it); the claimed metric and whether its gain holds; and ``ok``: no
+    metric unreported or worse than its bound, no larger share of operations
+    failed with the change, and the claim (if any) holds."""
+    operations = {}
+    for side, label in enumerate(SIDES):
         failed = sum(run[side]["failed"] for run in runs)
         attempted = sum(run[side]["attempted"] for run in runs)
-        shares.append(failed / attempted if attempted else 1.0)
-        print(f"{label}: {failed} of {attempted} operations failed (share {shares[-1]:.3g})")
-    ok = shares[1] <= shares[0]
+        share = failed / attempted if attempted else 1.0
+        operations[label] = {"failed": failed, "attempted": attempted, "share": share}
+    metrics = {}
     for metric in end_to_end:
         name = metric["name"]
         pairs = [
@@ -114,25 +129,68 @@ def report(runs: list[tuple[dict, dict]], end_to_end: list[dict], claim: str | N
             for b, h in runs
             if name in b["metrics"] and name in h["metrics"]
         ]
-        if not pairs:
+        compared = compare_metric(pairs, metric["better"], metric["bound"]) if pairs else None
+        metrics[name] = compared and {**metric, **compared}
+    holds = bool(claim and metrics[claim] and metrics[claim]["claim"])
+    ok = (
+        operations["change"]["share"] <= operations["base"]["share"]
+        and all(s and not s["worse"] for s in metrics.values())
+        and (holds or not claim)
+    )
+    return {
+        "operations": operations,
+        "metrics": metrics,
+        "claim": {"metric": claim, "holds": holds} if claim else None,
+        "ok": ok,
+    }
+
+
+def report(summary: dict) -> None:
+    """Print a :func:`summarize` summary."""
+    for label, ops in summary["operations"].items():
+        print(f"{label}: {ops['failed']} of {ops['attempted']} operations failed "
+              f"(share {ops['share']:.3g})")
+    claim = summary["claim"] and summary["claim"]["metric"]
+    for name, s in summary["metrics"].items():
+        if s is None:
             print(f"{name}: no pair reports it")
-            ok = False
             continue
-        s = compare_metric(pairs, metric["better"], metric["bound"])
         (b1, bm, b3), (c1, cm, c3) = s["base"], s["change"]
         change = f" ({(cm - bm) / bm:+.1%})" if bm else ""
-        print(f"{name} ({metric['unit']}, {metric['better']} is better, bound {metric['bound']}):")
+        print(f"{name} ({s['unit']}, {s['better']} is better, bound {s['bound']}):")
         print(f"  base   median {bm:.6g} [{b1:.6g}, {b3:.6g}]")
         print(f"  change median {cm:.6g} [{c1:.6g}, {c3:.6g}]{change}")
         print(f"  better with the change in {s['wins']} of {s['pairs']} pairs; "
               + ("WORSE than its bound" if s["worse"] else "within its bound"))
-        ok &= not s["worse"]
         if name == claim:
             print(f"  claim: {'holds' if s['claim'] else 'does not hold'} "
                   f"(needs {MIN_PAIRS}+ pairs, {WIN_SHARE:.0%} won, "
                   f"median gap > base IQR {b3 - b1:.6g})")
-            ok &= s["claim"]
-    return ok
+
+
+def revisions(base: str) -> dict:
+    """The commits of ``base`` and of HEAD, and whether the working tree
+    differs from HEAD (an untracked file that is not ignored counts)."""
+    def git(*args: str) -> str:
+        done = subprocess.run(
+            ["git", "-C", str(ROOT), *args], check=True, capture_output=True, text=True
+        )
+        return done.stdout.strip()
+
+    return {
+        "base": git("rev-parse", "--verify", f"{base}^{{commit}}"),
+        "head": git("rev-parse", "HEAD"),
+        "dirty": bool(git("status", "--porcelain")),
+    }
+
+
+def write_record(path: Path, summary: dict, runs: list[tuple[dict, dict]], batch: dict) -> None:
+    """The batch as one JSON object with sorted keys: ``summary``, the
+    ``batch`` fields (revisions, workload, seeds, run length) and each
+    side's ``env`` stamp from its first run."""
+    env = {label: runs[0][side]["env"] for side, label in enumerate(SIDES)}
+    text = json.dumps({**summary, **batch, "env": env}, indent=1, sort_keys=True)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -144,6 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True, choices=workloads)
     parser.add_argument("--seeds", required=True, type=parse_seeds, help="A-B, inclusive")
     parser.add_argument("--claim", help="the end-to-end metric whose gain is claimed")
+    parser.add_argument("--record", type=Path, help="also write the batch to this JSON file")
     args = parser.parse_args(argv)
     if args.claim and args.claim not in {m["name"] for m in end_to_end}:
         parser.error(f"--claim {args.claim!r} is not an end-to-end metric")
@@ -162,7 +221,17 @@ def main(argv: list[str] | None = None) -> int:
             runs.append((result[base_tree], result[ROOT]))
             print(f"seed {seed}: done ({'base' if i % 2 == 0 else 'change'} first)", flush=True)
     print(f"{args.workload}: {len(runs)} pairs, {args.base} against the working tree")
-    return 0 if report(runs, end_to_end, args.claim) else 1
+    summary = summarize(runs, end_to_end, args.claim)
+    report(summary)
+    if args.record:
+        batch = {
+            "revisions": revisions(args.base),
+            "workload": args.workload,
+            "seeds": args.seeds,
+            "run_seconds": bench["run_seconds"],
+        }
+        write_record(args.record, summary, runs, batch)
+    return 0 if summary["ok"] else 1
 
 
 if __name__ == "__main__":

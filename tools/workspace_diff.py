@@ -13,7 +13,8 @@ bundled list less two terms, with edge spaces and ``\r\n`` endings.  Then
 each side runs every fixture below in its own Python process, with its own
 ``src`` first on the path:
 
-    cli     ``senmfk run`` with ``test_cli.RUN_FLAGS``, then ``run --resume``
+    cli     ``senmfk run`` with ``test_cli.RUN_FLAGS``, then ``run --resume``,
+            then ``senmfk report``
     config  ``senmfk run --config run.cfg --stopwords stopwords.txt``, then
             ``run --resume``
     partial the same ``run``, then ``run --resume`` with ``test_cli.NEW_M_RANGE``
@@ -35,9 +36,9 @@ fixture on each side.
 Every file of every fixture is reported as ``identical`` or by the largest
 relative difference of its numbers; ``manifest.json`` is compared with its
 ``seconds`` removed.  What each fixture's commands print is compared the
-same way, as the file ``stdout/<fixture>.txt`` (the ``run`` summary line is
-the one result that is not a file), with the workspace path written as
-``<workspace>``.  A last line, ``src/ lines: <base> -> <head> (<±n>)``,
+same way, as the file ``stdout/<fixture>.txt`` (the ``run`` summary line and
+the ``report`` table are the results that are not files), with the workspace
+path written as ``<workspace>``.  A last line, ``src/ lines: <base> -> <head> (<±n>)``,
 gives the net line change of ``src/senmfk_split/*.py``, and the line before
 it, ``src/ code lines: ...``, the change in its lines of code: lines that are
 not blank, not only a comment, and not in a module, class or function
@@ -125,7 +126,7 @@ def run_fixtures(inputs: dict, out: Path) -> None:
     (out / "stdout").mkdir(parents=True)
     flags, zipf = inputs["run_flags"], inputs["zipf_args"]
     runs = {
-        "cli": [["run", str(src / "cli.jsonl")] + flags] * 2,
+        "cli": [["run", str(src / "cli.jsonl")] + flags] * 2 + [["report"]],
         "config": [
             ["run", str(src / "cli.jsonl"), "--config", str(src / "run.cfg"),
              "--stopwords", str(src / "stopwords.txt")]
