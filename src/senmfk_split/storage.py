@@ -212,7 +212,7 @@ def read_assignments(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarra
     doc_ids = [doc_id for doc_id, _, _ in rows]
     max_weights = np.array([weight for _, _, weight in rows], dtype=np.float64)
     # NaN fails the range
-    if (topic_ids < 0).any() or not ((0 <= max_weights) & (max_weights < math.inf)).all():
+    if any(topic < 0 or not 0 <= weight < math.inf for _, topic, weight in rows):
         raise DataError(f"{path}: not a valid assignment table: a topic_id or max_weight out of range")
     if len(set(doc_ids)) < len(doc_ids):
         raise DataError(f"{path}: not a valid assignment table: a doc_id repeats")
