@@ -26,8 +26,14 @@ faster than the CSR products.  Measured on a 2-core machine, the time of
 
 Sparser inputs stay CSR.  The dense copy (8 bytes per cell) can be up to
 8 / (12 / 4) ~= 2.7x the bytes of the CSR arrays it stands in for (8 bytes
-of value plus 4 of column index per stored entry).  The transpose is taken
-once per solve: a view for an array, a CSC view (no copy) for CSR.
+of value plus 4 of column index per stored entry).  Each iteration takes
+four products: the H step's ``W^T X`` and ``W^T W H``, the W step's
+``X H^T`` and ``W (H H^T)``.  On an array ``W^T X`` is one matmul of W's
+transposed view with X, which comes out C-contiguous, so X is never
+transposed; a CSR X takes it as ``X^T W`` through its CSC view (no copy),
+built once per solve.  Each update ratio is computed in its denominator's
+buffer, ``den += eps; num / den`` into ``den``, the same IEEE operations as
+``num / (den + eps)`` with two temporaries fewer.
 
 A CSR operand that equals its transpose exactly, such as a perturbed copy
 of the word-context matrix M, takes the W step's ``X H^T`` as
@@ -71,7 +77,11 @@ time per member-iteration alone over stacked:
     ========== ==== ============== ===============
 
 The saving is call overhead, so it fades as the members grow, and a stack
-of large members runs slower than one member at a time.
+of large members runs slower than one member at a time.  The check scores
+each member with its own einsums: a stacked ``einsum("bij,bij->b")`` sums a
+member of more than 8192 cells (numpy's iterator buffer) in chunks that it
+does not when the member is alone, so its last bits would depend on the
+stack.
 
 The loop's check every 10 iterations and :func:`relative_error` take the
 squared residual by one rule, :func:`_folded_error`: the expansion
@@ -200,6 +210,19 @@ def _times(A, B: np.ndarray) -> np.ndarray:
     return np.matmul(A, B) if isinstance(A, np.ndarray) else (A @ B[0])[None]
 
 
+def _wtx(A, AT, W: np.ndarray) -> np.ndarray:
+    """W^T X (b, k, n): one stacked matmul for a dense stack A (``AT`` is
+    None), or X^T W through the CSC view ``AT`` of a CSR A standing for a
+    stack of one."""
+    return np.matmul(W.transpose(0, 2, 1), A) if AT is None else (AT @ W[0]).T[None]
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / (den + eps), computed in den's buffer."""
+    den += _EPSILON
+    return np.divide(num, den, out=den)
+
+
 def _solve_stack(
     Xs: list[sparse.csr_matrix],
     W: np.ndarray,
@@ -227,7 +250,7 @@ def _solve_stack(
         A = np.empty((len(Xs), m, n))
         for X, slab in zip(Xs, A):
             X.toarray(out=slab)
-        AT = A.transpose(0, 2, 1)
+        AT = None
     else:
         (A,) = Xs
         AT = A.T
@@ -239,17 +262,17 @@ def _solve_stack(
     traces: list[list[float]] = [[] for _ in Xs]
     iters: list[list[int]] = [[] for _ in Xs]
     gram_w = np.matmul(W.transpose(0, 2, 1), W)
-    # a frozen W's X^T W is taken once
-    xtw = None if update_w else _times(AT, W)
+    # a frozen W's W^T X is taken once
+    wtx = None if update_w else _wtx(A, AT, W)
     it = 0
     while live:
         it += 1
-        wtx = (_times(AT, W) if update_w else xtw).transpose(0, 2, 1)
-        H *= wtx / (np.matmul(gram_w, H) + _EPSILON)
+        wtx = _wtx(A, AT, W) if update_w else wtx
+        H *= _ratio(wtx, np.matmul(gram_w, H))
         if update_w:
             hht = np.matmul(H, H.transpose(0, 2, 1))
             xht = _times(AW, H.transpose(0, 2, 1))
-            W *= xht / (np.matmul(W, hht) + _EPSILON)
+            W *= _ratio(xht, np.matmul(W, hht))
             gram_w = np.matmul(W.transpose(0, 2, 1), W)
         if it % _TRACE_STRIDE and it != config.max_iter:
             continue
@@ -257,7 +280,7 @@ def _solve_stack(
             hht = np.matmul(H, H.transpose(0, 2, 1))
         for s, j in enumerate(live):
             # the cross term from the update's own X H^T (W step) or W^T X
-            # (fixed-W step)
+            # (fixed-W step), one einsum per member (see the module docstring)
             if update_w:
                 cross = np.einsum("ij,ij->", W[s], xht[s])
             else:
@@ -274,12 +297,9 @@ def _solve_stack(
         keep = [s for s, j in enumerate(live) if pairs[j] is None]
         if len(keep) < len(live):
             live = [live[s] for s in keep]
-            W, H, gram_w = W[keep], H[keep], gram_w[keep]
-            if xtw is not None:
-                xtw = xtw[keep]
+            W, H, gram_w, wtx = W[keep], H[keep], gram_w[keep], wtx[keep]
             if dense:
                 A = AW = A[keep]
-                AT = A.transpose(0, 2, 1)
     return pairs
 
 

@@ -48,11 +48,10 @@ def reference_updates(X, W, H, config, update_w):
     norm_sq = float((X.data**2).sum())
     m, n = X.shape
     A = X.toarray() if 4 * X.nnz >= m * n else X
-    AT = A.T
     trace, iters, prev = [], [], None
     gram_w = W.T @ W
     for it in range(1, config.max_iter + 1):
-        wtx = (AT @ W).T
+        wtx = W.T @ A
         H *= wtx / (gram_w @ H + nmf_core._EPSILON)
         if update_w:
             hht = H @ H.T
@@ -391,17 +390,26 @@ def expected_members(X, delta, k, config, seeds):
 class TestStack:
     """The stacked solve against the one-member reference loop, exactly."""
 
-    def test_members_of_a_stack_equal_each_solved_alone(self, rng, stack_sizes):
-        X = random_nonneg(rng, 30, 24)
-        config = NmfConfig(max_iter=120, tol=1e-9)
-        seeds = [(j, 10 + j) for j in range(5)]
-        pairs = list(nmf_stack(nmf_core._draw_index(X), 0.05, 3, config, seeds))
-        assert stack_sizes == [5]
+    # the second case is the benchmark's dense scan (60 x 150, p = 6, k = 6);
+    # in the third each member's W and X H^T hold 2764 x 3 > 8192 cells, more
+    # than a stacked einsum sums in one pass
+    @pytest.mark.parametrize(
+        "m, n, p, k, max_iter, tol",
+        [(30, 24, 5, 3, 120, 1e-9), (60, 150, 6, 6, 300, 1e-8), (2764, 5, 2, 3, 20, 1e-9)],
+    )
+    def test_members_of_a_stack_equal_each_solved_alone(
+        self, rng, stack_sizes, m, n, p, k, max_iter, tol
+    ):
+        X = random_nonneg(rng, m, n)
+        config = NmfConfig(max_iter=max_iter, tol=tol)
+        seeds = [(j, 10 + j) for j in range(p)]
+        pairs = list(nmf_stack(nmf_core._draw_index(X), 0.05, k, config, seeds))
+        assert stack_sizes == [p]
         for (draw, start), pair, ref in zip(
-            seeds, pairs, expected_members(X, 0.05, 3, config, seeds), strict=True
+            seeds, pairs, expected_members(X, 0.05, k, config, seeds), strict=True
         ):
             assert_same_pair(pair, ref)
-            assert_same_pair(pair, nmf(perturb(X, 0.05, draw), 3, replace(config, seed=start)))
+            assert_same_pair(pair, nmf(perturb(X, 0.05, draw), k, replace(config, seed=start)))
 
     def test_member_at_rounding_floor_leaves_the_stack(self, rng):
         # the exact rank-1 input stops at _CHANGE_FLOOR; the noise around it
@@ -500,13 +508,18 @@ class TestSymmetricProducts:
         index = nmf_core._draw_index(X)
         assert (index.of_entry is not None) == symmetric_values
         formats = []
-        times = nmf_core._times
+        wtx, times = nmf_core._wtx, nmf_core._times
 
-        def spy(A, B):
+        def wtx_spy(A, AT, W):  # the H step's W^T X, taken as X^T W
+            formats.append(AT.format)
+            return wtx(A, AT, W)
+
+        def times_spy(A, B):  # the W step's X H^T
             formats.append(A.format)
             return times(A, B)
 
-        monkeypatch.setattr(nmf_core, "_times", spy)
+        monkeypatch.setattr(nmf_core, "_wtx", wtx_spy)
+        monkeypatch.setattr(nmf_core, "_times", times_spy)
         list(nmf_stack(index, 0.05, 3, NmfConfig(max_iter=20), [(1, 1)]))
         assert formats == (["csc", "csc"] if symmetric_values else ["csc", "csr"]) * 20
 
