@@ -77,15 +77,7 @@ time per member-iteration alone over stacked:
     ========== ==== ============== ===============
 
 The saving is call overhead, so it fades as the members grow, and a stack
-of large members runs slower than one member at a time.  The check scores
-every live member with one ``einsum("bij,bij->b")`` per term, :func:`_inner`,
-unless a member's factor has more than 8192 cells: a stacked einsum sums such
-a member in chunks that it does not when the member is alone, so its last
-bits would depend on the stack, and each member then takes its own einsum.
-Up to 8192 cells the two agree bit for bit, measured with numpy 2.4 in
-random stacks of contiguous and transposed slabs at ``np.setbufsize`` 1,024
-to 2^20; a larger buffer moves the first chunk above 8192 cells but does
-not keep it off.
+of large members runs slower than one member at a time.
 
 The loop's check every 10 iterations and :func:`relative_error` take the
 squared residual by one rule, :func:`_folded_error`: the expansion
@@ -174,12 +166,12 @@ def _residual_sq(X, W: np.ndarray, H: np.ndarray) -> float:
     return total
 
 
-def _folded_error(X, W, H, norm_sq: float, cross: float, fit: float) -> float:
+def _folded_error(X, W, H, norm_sq: float, cross: float, gram_w, hht) -> float:
     """||X - WH||_F / ||X||_F, the squared residual folded as ||X||^2 - 2 cross
-    + fit (``cross`` = <X, WH>, ``fit`` = <W^T W, H H^T>) or, below
-    ``_CANCELLATION * ||X||^2``, exact by :func:`_residual_sq`.  A zero X
-    scores 0 when fitted exactly and inf otherwise."""
-    rsq = norm_sq - 2.0 * cross + fit
+    + <W^T W, H H^T> (``cross`` = <X, WH>, ``gram_w`` = W^T W, ``hht`` = H H^T)
+    or, below ``_CANCELLATION * ||X||^2``, exact by :func:`_residual_sq`.  A
+    zero X scores 0 when fitted exactly and inf otherwise."""
+    rsq = norm_sq - 2.0 * cross + float(np.einsum("ij,ij->", gram_w, hht))
     if rsq < _CANCELLATION * norm_sq:
         rsq = _residual_sq(X, W, H)
     if norm_sq == 0.0:
@@ -201,8 +193,7 @@ def relative_error(X, W: np.ndarray, H: np.ndarray) -> float:
         )
     norm_sq = float((X.data**2).sum())
     cross = float(np.einsum("ij,ij->", W, X @ H.T))
-    fit = float(np.einsum("ij,ij->", W.T @ W, H @ H.T))
-    return _folded_error(X, W, H, norm_sq, cross, fit)
+    return _folded_error(X, W, H, norm_sq, cross, W.T @ W, H @ H.T)
 
 
 def _dense_operand(X: sparse.csr_matrix) -> bool:
@@ -220,15 +211,6 @@ def _wtx(A, AT, W: np.ndarray) -> np.ndarray:
     None), or X^T W through the CSC view ``AT`` of a CSR A standing for a
     stack of one."""
     return np.matmul(W.transpose(0, 2, 1), A) if AT is None else (AT @ W[0]).T[None]
-
-
-def _inner(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """<A[s], B[s]> for each slab s of two equally shaped stacks, bit for bit
-    ``einsum("ij,ij->", A[s], B[s])``: one einsum for the stack while a slab
-    has at most 8192 cells (see the module docstring)."""
-    if A[0].size <= 8192:
-        return np.einsum("bij,bij->b", A, B)
-    return np.array([np.einsum("ij,ij->", a, b) for a, b in zip(A, B)])
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -250,13 +232,13 @@ def _solve_stack(
     ``update_w``; W and H are updated in place.
 
     Every product is one stacked matmul over the members still running.
-    Every 10 iterations, and at ``config.max_iter``, every member's error is
-    scored with one einsum per term, each member's stopping rule is applied
-    alone, and a member that meets it leaves the stack.  A CSR operand is
-    solved as a stack of one; when ``symmetric`` (:func:`nmf_stack` sets it
-    for the copies of a mirrored draw index, which equal their transposes
-    exactly) its W-step product X H^T is taken as X^T H^T through the CSC
-    view, like the H step's X^T W (see the module docstring).
+    Every 10 iterations, and at ``config.max_iter``, each member's error is
+    checked alone, and a member that meets the stopping rule leaves the
+    stack.  A CSR operand is solved as a stack of one; when ``symmetric``
+    (:func:`nmf_stack` sets it for the copies of a mirrored draw index,
+    which equal their transposes exactly) its W-step product X H^T is taken
+    as X^T H^T through the CSC view, like the H step's X^T W (see the
+    module docstring).
     """
     m, n = Xs[0].shape
     dense = _dense_operand(Xs[0])
@@ -292,13 +274,15 @@ def _solve_stack(
             continue
         if not update_w:
             hht = np.matmul(H, H.transpose(0, 2, 1))
-        # the cross term from the update's own X H^T (W step) or W^T X
-        # (fixed-W step)
-        cross = _inner(W, xht) if update_w else _inner(H, wtx)
-        fit = _inner(gram_w, hht)
         for s, j in enumerate(live):
+            # the cross term from the update's own X H^T (W step) or W^T X
+            # (fixed-W step)
+            if update_w:
+                cross = np.einsum("ij,ij->", W[s], xht[s])
+            else:
+                cross = np.einsum("ij,ij->", H[s], wtx[s])
             slab = A[s] if dense else A
-            err = _folded_error(slab, W[s], H[s], norm_sq[j], float(cross[s]), float(fit[s]))
+            err = _folded_error(slab, W[s], H[s], norm_sq[j], float(cross), gram_w[s], hht[s])
             last = traces[j][-1] if traces[j] else None
             traces[j].append(err)
             iters[j].append(it)

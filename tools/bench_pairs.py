@@ -5,15 +5,12 @@ tree, and say whether the change holds its bounds and its claimed gain.
                                 [--claim METRIC] [--record PATH]
 
 The revision is exported with ``git archive REV | tar -x`` into a temporary
-directory (no worktree, no change under ``.git``), and the working tree's
-files, tracked or untracked but not ignored (``git ls-files --cached
---others --exclude-standard``), are copied into another directory beside it,
-so both sides run from a fresh tree in the same place.  For each seed, in
+directory (no worktree, no change under ``.git``).  For each seed, in
 order, ``perfbench/run.py --workload W --seed S --seconds N --trace 0`` runs
-once in each tree, each with its own ``perfbench/`` and ``src/``, for the
-``run_seconds`` N of ``BENCHMARK.json`` (W must be one of its workloads); the
-base runs first for the first seed, the working tree's copy for the second,
-and so on.  A pair is the two runs of one seed.
+once in the exported tree and once in the working tree, each with its own
+``perfbench/`` and ``src/``, for the ``run_seconds`` N of ``BENCHMARK.json``
+(W must be one of its workloads); the base runs first for the first seed, the
+working tree for the second, and so on.  A pair is the two runs of one seed.
 
 For each end-to-end metric of ``BENCHMARK.json`` (only read), it prints
 each side's median and quartiles over the pairs, in how many pairs the
@@ -43,8 +40,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import shutil
 import statistics
 import subprocess
 import sys
@@ -189,20 +184,6 @@ def revisions(base: str) -> dict:
     }
 
 
-def copy_working_tree(root: Path, dest: Path) -> None:
-    """Copy the files of the git working tree at ``root`` into ``dest``:
-    those tracked, as they are now, and those untracked but not ignored.  A
-    tracked file deleted from the working tree is left out."""
-    listed = subprocess.run(
-        ["git", "-C", str(root), "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
-        check=True, capture_output=True,
-    )
-    for name in filter(None, os.fsdecode(listed.stdout).split("\0")):
-        if (root / name).is_file():
-            (dest / name).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(root / name, dest / name)
-
-
 def write_record(path: Path, summary: dict, runs: list[tuple[dict, dict]], batch: dict) -> None:
     """The batch as one JSON object with sorted keys: ``summary``, the
     ``batch`` fields (revisions, workload, seeds, run length) and each
@@ -226,21 +207,18 @@ def main(argv: list[str] | None = None) -> int:
     if args.claim and args.claim not in {m["name"] for m in end_to_end}:
         parser.error(f"--claim {args.claim!r} is not an end-to-end metric")
     with tempfile.TemporaryDirectory() as tmp:
-        base_tree, change_tree = (Path(tmp) / side for side in SIDES)
-        base_tree.mkdir()
-        change_tree.mkdir()
+        base_tree = Path(tmp)
         archive = subprocess.run(
             ["git", "-C", str(ROOT), "archive", args.base], check=True, capture_output=True
         )
         subprocess.run(["tar", "-x", "-C", str(base_tree)], input=archive.stdout, check=True)
-        copy_working_tree(ROOT, change_tree)
         runs = []
         for i, seed in enumerate(args.seeds):
-            order = [base_tree, change_tree] if i % 2 == 0 else [change_tree, base_tree]
+            order = [base_tree, ROOT] if i % 2 == 0 else [ROOT, base_tree]
             result = {
                 tree: run_side(tree, args.workload, seed, bench["run_seconds"]) for tree in order
             }
-            runs.append((result[base_tree], result[change_tree]))
+            runs.append((result[base_tree], result[ROOT]))
             print(f"seed {seed}: done ({'base' if i % 2 == 0 else 'change'} first)", flush=True)
     print(f"{args.workload}: {len(runs)} pairs, {args.base} against the working tree")
     summary = summarize(runs, end_to_end, args.claim)
