@@ -146,10 +146,6 @@ class FactorPair:
     objective_trace: list[float] = field(default_factory=list)
     trace_iterations: list[int] = field(default_factory=list)
 
-    @property
-    def rank(self) -> int:
-        return self.W.shape[1]
-
 
 def _residual_sq(X, W: np.ndarray, H: np.ndarray) -> float:
     """||X - WH||_F^2 exactly, streaming row blocks of WH and subtracting X
@@ -274,13 +270,11 @@ def _solve_stack(
             continue
         if not update_w:
             hht = np.matmul(H, H.transpose(0, 2, 1))
+        # the cross term from the update's own X H^T (W step) or W^T X
+        # (fixed-W step)
+        a, b = (W, xht) if update_w else (H, wtx)
         for s, j in enumerate(live):
-            # the cross term from the update's own X H^T (W step) or W^T X
-            # (fixed-W step)
-            if update_w:
-                cross = np.einsum("ij,ij->", W[s], xht[s])
-            else:
-                cross = np.einsum("ij,ij->", H[s], wtx[s])
+            cross = np.einsum("ij,ij->", a[s], b[s])
             slab = A[s] if dense else A
             err = _folded_error(slab, W[s], H[s], norm_sq[j], float(cross), gram_w[s], hht[s])
             last = traces[j][-1] if traces[j] else None

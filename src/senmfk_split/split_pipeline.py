@@ -16,8 +16,12 @@ of the :class:`PipelineRun` that computes it (``prepare_corpus``,
 Values are named by their files: ``run.values["W1.mtx"]`` is the X-side
 basis, ``run.values["assignments.csv"]`` the doc ids, each document's topic
 and its max weight, and a value the run did not compute is read from its file
-by one reader, :func:`_read`, when it is first used.  ``histogram.csv``
-restates the per-topic counts of ``assignments.csv`` and is never read back.
+when it is first used, by :func:`_read`, which picks the reader by the file's
+kind: a ``.mtx`` file is a sparse matrix when the ``matrices`` stage wrote it
+and a dense factor otherwise, a ``selection_*.json`` file a selection report,
+and ``corpus.jsonl``, ``vocab.txt``, ``topics.json`` and ``assignments.csv``
+have a reader each.  ``histogram.csv`` restates the per-topic counts of
+``assignments.csv`` and is never read back.
 :func:`run_stages` runs a slice of the list for every entry point:
 :func:`run_split` runs all stages without a manifest; the CLI runs all or one
 with each stage's settings and a manifest, so a run can be audited and
@@ -427,28 +431,26 @@ _WRITER = {name: stage for stage in STAGES for name in stage.outputs}
 
 
 def _read(run: PipelineRun, name: str) -> Any:
-    """The value of workspace file ``name``, by the reader its name calls for
-    (looked up when called), inside :func:`stage_scope` of the stage whose
-    outputs hold it, so an error names that stage; a name with no reader
-    raises KeyError."""
+    """The value of workspace file ``name``, read by its kind inside
+    :func:`stage_scope` of the stage whose outputs hold it, so an error names
+    that stage.  A ``.mtx`` file is sparse when ``matrices`` wrote it and a
+    dense factor otherwise, a ``selection_*`` file is a selection report, and
+    the four text files have a reader each; any other name raises KeyError.
+    The readers are looked up when called, so a rebinding takes effect."""
     stage = _WRITER[name]
-    path = run.path(name)
+    if name.endswith(".mtx"):
+        read = storage.read_sparse if stage.name == "matrices" else storage.read_dense
+    elif name.startswith("selection_"):
+        read = storage.read_selection_report
+    else:
+        read = {
+            "corpus.jsonl": load_jsonl_corpus,
+            "vocab.txt": load_vocabulary,
+            "topics.json": storage.read_topics,
+            "assignments.csv": storage.read_assignments,
+        }[name]
     with stage_scope(stage.name):
-        if name == "corpus.jsonl":
-            return load_jsonl_corpus(path)
-        if name == "vocab.txt":
-            return load_vocabulary(path)
-        if name == "topics.json":
-            return storage.read_topics(path)
-        if name == "assignments.csv":
-            return storage.read_assignments(path)
-        if name.startswith("selection_"):
-            return storage.read_selection_report(path)
-        if stage.name == "matrices":
-            return storage.read_sparse(path)
-        if name == "H.mtx" or any(name in factors[:2] for factors in FACTORS):
-            return storage.read_dense(path)
-        raise KeyError(name)
+        return read(run.path(name))
 
 
 def run_stages(
