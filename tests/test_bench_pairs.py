@@ -143,7 +143,8 @@ def test_record_from_canned_runs(tmp_path, monkeypatch, capsys):
     # one object with sorted keys, each side's env stamp from its first line
     assert text == json.dumps(record, indent=1, sort_keys=True) + "\n"
     assert sorted(record) == [
-        "claim", "env", "metrics", "ok", "operations", "revisions", "run_seconds", "seeds", "workload",
+        "claim", "env", "metrics", "ok", "operations", "pairs", "revisions", "run_seconds", "seeds",
+        "workload",
     ]
     assert record["env"] == ENV
     assert record["revisions"] == {"base": "0" * 40, "head": "0" * 40, "dirty": True}
@@ -164,6 +165,14 @@ def test_record_from_canned_runs(tmp_path, monkeypatch, capsys):
         "wins": 2, "pairs": 3, "worse": False, "claim": False,
     }
     assert sorted(record["metrics"]) == sorted(m["name"] for m in bench["end_to_end"])
+    # each pair in run order: its seed and both sides' end-to-end values, so
+    # the lost pair (seed 3) and an identical fit_rel_error can be read off
+    names = [m["name"] for m in bench["end_to_end"]]
+    assert record["pairs"] == [
+        {"seed": seed, "base": dict.fromkeys(names, base[seed]),
+         "change": dict.fromkeys(names, change[seed])}
+        for seed in (1, 2, 3)
+    ]
     # three pairs cannot carry a claim, and a larger failed share fails the batch
     assert record["claim"] == {"metric": "wall_s", "holds": False}
     assert record["ok"] is False and code == 1

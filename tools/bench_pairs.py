@@ -27,9 +27,11 @@ with sorted keys: ``revisions`` (the commits of REV and of HEAD, and
 whether the working tree differs from HEAD), ``workload``, ``seeds``,
 ``run_seconds``, ``operations`` (each side's failed and attempted
 operations), ``metrics`` (per end-to-end metric its definition, each
-side's quartiles, the pairs won and the bound verdict), ``claim``, ``ok``
-and ``env``, each side's environment stamp from the first line
-``perfbench/run.py`` prints.
+side's quartiles, the pairs won and the bound verdict), ``pairs`` (per
+pair in run order its ``seed`` and each side's end-to-end values, so a
+reader can see which pairs were lost and re-check every verdict),
+``claim``, ``ok`` and ``env``, each side's environment stamp from the
+first line ``perfbench/run.py`` prints.
 
 The exit code is 0 when no metric is worse than its bound, no larger share
 of operations failed with the change, and the claim (if any) holds, and 1
@@ -184,10 +186,23 @@ def revisions(base: str) -> dict:
     }
 
 
+def pair_values(seeds: list[int], runs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[dict]:
+    """Per pair its seed and each side's value of every end-to-end metric
+    that side reports."""
+    return [
+        {"seed": seed, **{
+            label: {m["name"]: run[side]["metrics"][m["name"]]["value"]
+                    for m in end_to_end if m["name"] in run[side]["metrics"]}
+            for side, label in enumerate(SIDES)
+        }}
+        for seed, run in zip(seeds, runs)
+    ]
+
+
 def write_record(path: Path, summary: dict, runs: list[tuple[dict, dict]], batch: dict) -> None:
     """The batch as one JSON object with sorted keys: ``summary``, the
-    ``batch`` fields (revisions, workload, seeds, run length) and each
-    side's ``env`` stamp from its first run."""
+    ``batch`` fields (revisions, workload, seeds, run length, per-pair
+    values) and each side's ``env`` stamp from its first run."""
     env = {label: runs[0][side]["env"] for side, label in enumerate(SIDES)}
     text = json.dumps({**summary, **batch, "env": env}, indent=1, sort_keys=True)
     path.write_text(text + "\n", encoding="utf-8")
@@ -229,6 +244,7 @@ def main(argv: list[str] | None = None) -> int:
             "workload": args.workload,
             "seeds": args.seeds,
             "run_seconds": bench["run_seconds"],
+            "pairs": pair_values(args.seeds, runs, end_to_end),
         }
         write_record(args.record, summary, runs, batch)
     return 0 if summary["ok"] else 1
