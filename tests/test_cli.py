@@ -390,6 +390,19 @@ class TestMatrices:
         err = capsys.readouterr().err
         assert "stage 'preprocess'" in err and "corpus.jsonl" in err
 
+    def test_repeated_vocabulary_term_names_preprocess(self, corpus_file, tmp_path, capsys):
+        # a repeated term would map to its last line, and X's row for its
+        # first line would stay empty
+        path, _ = corpus_file
+        ws = tmp_path / "ws"
+        assert main(["preprocess", str(path), "--workspace", str(ws)]) == 0
+        terms = (ws / "vocab.txt").read_text(encoding="utf-8").splitlines()
+        (ws / "vocab.txt").write_text("".join(t + "\n" for t in [*terms, terms[0]]), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["matrices", "--workspace", str(ws), "--shift", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "stage 'preprocess'" in err and "vocab.txt: duplicate terms" in err
+
     def test_summary_counts_stored_entries(self, corpus_file, tmp_path, capsys):
         path, _ = corpus_file
         ws = tmp_path / "ws"
@@ -1076,6 +1089,15 @@ class TestConfigFile:
         argv = ["run", str(path), "--workspace", str(ws), "--config", str(cfg), "--kx-max", "3"]
         assert main(argv) == 2
         assert "bad.cfg:3" in capsys.readouterr().err
+        assert not ws.exists()
+
+    def test_line_without_equals_names_its_line(self, corpus_file, tmp_path, capsys):
+        path, _ = corpus_file
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("seed = 3\n# ranks\nkx-min 2\n")
+        ws = tmp_path / "ws"
+        assert main(["run", str(path), "--workspace", str(ws), "--config", str(cfg)]) == 2
+        assert "bad.cfg:3: expected 'key = value'" in capsys.readouterr().err
         assert not ws.exists()
 
     def test_values_typed_as_their_keys(self, tmp_path):

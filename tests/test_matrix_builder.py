@@ -12,7 +12,7 @@ from scipy import sparse
 
 from conftest import assert_same_csr, traced_peak
 from oracles import cooccurrence_oracle, random_tokens_corpus, sppmi_oracle, tfidf_oracle
-from senmfk_split.errors import DegenerateMatrix, EmptyColumn, NonNegativityViolation
+from senmfk_split.errors import DegenerateMatrix, DimensionMismatch, EmptyColumn, NonNegativityViolation
 from senmfk_split import matrix_builder
 from senmfk_split.matrix_builder import (
     SemanticConfig,
@@ -444,6 +444,10 @@ class TestSppmi:
     def test_degenerate_matrix_raises(self):
         with pytest.raises(DegenerateMatrix):
             sppmi(sparse.csr_matrix((3, 3)), 4.0)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionMismatch, match=r"must be square, got \(2, 3\)"):
+            sppmi(sparse.csr_matrix(np.ones((2, 3))), 1.0)
 
     def test_symmetric_output(self, rng):
         raw = rng.integers(0, 5, size=(8, 8)).astype(float)

@@ -71,8 +71,12 @@ class TestClusterColumns:
             assert sorted(labels[s]) == list(range(5))
 
     def test_shape_mismatch(self, rng):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeMismatch, match="shapes differ"):
             cluster_columns([unit_columns(rng, 5, 2), unit_columns(rng, 5, 3)])
+        with pytest.raises(ShapeMismatch, match="at least one column set"):
+            cluster_columns([])
+        with pytest.raises(ShapeMismatch, match="must be 2-D"):
+            cluster_columns([np.ones(5), np.ones(5)])
 
     def test_exact_assignment_above_twelve(self, rng):
         # a larger k: exact assignment still resolves a permuted identity
@@ -239,8 +243,11 @@ class TestSilhouette:
             assert -1.0 <= stats.overall_min <= stats.overall_mean <= 1.0
 
     def test_label_shape_mismatch(self, rng):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeMismatch, match="3 columns but 2 labels"):
             silhouette(unit_columns(rng, 4, 3), np.array([0, 1]))
+        # cluster 1 is empty
+        with pytest.raises(ShapeMismatch, match="contiguous non-empty"):
+            silhouette(unit_columns(rng, 4, 2), np.array([0, 2]))
 
 
 class TestChildSeed:

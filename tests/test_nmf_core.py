@@ -191,6 +191,10 @@ class TestSolveH:
         with pytest.raises(DegenerateBasis):
             solve_h(sparse.csr_matrix(np.ones((5, 3))), W)
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch, match=r"W \(6, 2\) does not conform with X \(5, 3\)"):
+            solve_h(sparse.csr_matrix(np.ones((5, 3))), np.ones((6, 2)))
+
     @pytest.mark.parametrize("bad", [-5.0, np.nan, np.inf])
     def test_negative_or_non_finite_basis_rejected(self, rng, bad):
         W = rng.uniform(0.1, 1.0, (6, 2))

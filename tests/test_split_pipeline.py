@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +200,10 @@ class TestJointFactorize:
         with pytest.raises(NonNegativityViolation):
             joint_factorize(np.array([[1.0, -1.0]]).T, selection(1, 1, seed=9, perturbations=4))
 
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ShapeMismatch, match="Wcat must be 2-D"):
+            joint_factorize(np.array([1.0, 2.0, 3.0]), selection(1, 1, seed=9, perturbations=4))
+
 
 class TestDefaultJointRange:
     def test_regular_case(self):
@@ -246,6 +251,10 @@ class TestAssignDocuments:
         out = assign_documents(H)
         np.testing.assert_array_equal(out.assignments, [1, 0, 0])
         assert out.zero_columns == (2,)
+
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ShapeMismatch, match="H must be 2-D"):
+            assign_documents(np.array([0.1, 0.9, 0.0]))
 
     def test_histogram_partition(self, rng):
         H = rng.uniform(0.0, 1.0, (4, 30))
@@ -307,6 +316,13 @@ class TestTopWords:
         for ranked in top_words(W, vocab, top_n=len(vocab)):
             weights = [w for _, w in ranked]
             assert all(a >= b for a, b in zip(weights, weights[1:]))
+
+    def test_row_count_must_equal_vocabulary_size(self):
+        # zip would pair the first rows with the terms and drop the rest
+        vocab = vocab_of("aa", "bb", "cc")
+        for rows in (2, 4):
+            with pytest.raises(ShapeMismatch, match=f"W has {rows} rows but vocabulary has 3"):
+                top_words(np.ones((rows, 2)), vocab, top_n=2)
 
     def test_top_n_is_a_count(self):
         # -1 used to return every term but the last
@@ -537,6 +553,54 @@ class TestRunSplit:
             values["histogram.csv"]
         assert histogram_rows(ws / "histogram.csv") == list(enumerate(model.histogram))
         assert model.histogram.sum() == len(model.doc_ids)
+
+    @pytest.mark.parametrize(
+        "name, damage, later, writer, expected",
+        [
+            # a factor stored as coordinates, a matrix stored as an array
+            ("W1.mtx", lambda p: storage.write_sparse(sparse.csr_matrix(storage.read_dense(p)), p),
+             "joint", "factorize_x", "expected an array"),
+            ("X.mtx", lambda p: storage.write_dense(storage.read_sparse(p).toarray(), p),
+             "regression", "matrices", "expected a coordinate"),
+        ],
+        ids=["coordinate-factor", "array-matrix"],
+    )
+    def test_matrix_file_of_the_wrong_layout_names_its_writer(
+        self, rng, tmp_path, name, damage, later, writer, expected
+    ):
+        # a .mtx file is read by the kind its writer gives it, so a file of
+        # the other layout is a DataError of the stage that wrote it
+        lines, _ = topic_corpus_jsonl(rng, docs_per_topic=30)
+        corpus_path = write_jsonl(tmp_path / "input.jsonl", lines)
+        config = small_split_config(seed=3)
+        ws = tmp_path / "ws"
+        run_split(corpus_path, config, ws)
+        damage(ws / name)
+        run = split_pipeline.PipelineRun(config, ws)
+        with pytest.raises(PipelineStageError, match=f"stage '{writer}'") as info:
+            split_pipeline.run_stages(run, first=later, last=later)
+        assert info.value.stage == writer
+        assert isinstance(info.value.cause, DataError)
+        assert name in str(info.value.cause) and expected in str(info.value.cause)
+
+    def test_read_calls_the_readers_bound_when_it_runs(self, rng, tmp_path, monkeypatch):
+        # the benchmark's tracer rebinds module attributes after import, as
+        # this spy does; _read must call what is bound when it runs
+        lines, _ = topic_corpus_jsonl(rng, docs_per_topic=30)
+        corpus_path = write_jsonl(tmp_path / "input.jsonl", lines)
+        config = small_split_config(seed=3)
+        ws = tmp_path / "ws"
+        run_split(corpus_path, config, ws)
+        calls = []
+        for module, name in ((split_pipeline, "load_vocabulary"), (storage, "read_dense")):
+            reader = getattr(module, name)
+            spy = lambda p, reader=reader: calls.append(Path(p).name) or reader(p)
+            monkeypatch.setattr(module, name, spy)
+        values = split_pipeline.PipelineRun(config, ws).values
+        for name in ("vocab.txt", "W1.mtx", "X.mtx", "H.mtx", "selection_x.json"):
+            values[name]
+        assert calls == ["vocab.txt", "W1.mtx", "H.mtx"]
+        assert values["W1.mtx"].shape[1] == values["selection_x.json"].chosen_k
 
     def test_matrices_stage_maps_tokens_once(self, rng, tmp_path, monkeypatch):
         # TF-IDF and co-occurrence share one term-id mapping, and build the
