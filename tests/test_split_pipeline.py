@@ -600,7 +600,6 @@ class TestRunSplit:
         for name in ("vocab.txt", "W1.mtx", "X.mtx", "H.mtx", "selection_x.json"):
             values[name]
         assert calls == ["vocab.txt", "W1.mtx", "H.mtx"]
-        assert values["W1.mtx"].shape[1] == values["selection_x.json"].chosen_k
 
     def test_matrices_stage_maps_tokens_once(self, rng, tmp_path, monkeypatch):
         # TF-IDF and co-occurrence share one term-id mapping, and build the
